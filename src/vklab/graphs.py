@@ -58,6 +58,10 @@ class Graph:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuild through __init__; the default slot restore hits __setattr__
+        return Graph, (self.n, self.adj)
+
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
@@ -402,6 +406,20 @@ def canonical_form(g: Graph) -> CanonicalCode:
     while the refinement keeps the ordering count under the budget, and a
     SizeCapError is raised otherwise.
     """
+    code, _, _ = _canonical_search(g)
+    method = "refined-exhaustive" if g.n <= 8 else "refined-exhaustive-large"
+    return CanonicalCode(n=g.n, bits=code, method=method)
+
+
+def _canonical_search(g: Graph) -> tuple[int, int, list[int]]:
+    """The search behind `canonical_form`: (code bits, |Aut(g)|, ordering).
+
+    The admissible orderings reaching the minimum code form one coset of
+    Aut(g) (refinement colours are automorphism-invariant, and two orderings
+    give the same code exactly when they differ by an automorphism), so
+    their count is |Aut(g)|. `ordering[i]` is the vertex of g placed at
+    position i of the first minimising ordering found.
+    """
     classes = _refinement_classes(g)
     space = prod(factorial(len(c)) for c in classes)
     if space > _CANONICAL_BUDGET:
@@ -411,7 +429,8 @@ def canonical_form(g: Graph) -> CanonicalCode:
     adj = g.adj
     n = g.n
     pairs = _ROW_MAJOR_PAIRS.get(n) or _row_major_pairs(n)
-    best = None
+    best = best_order = None
+    aut = 0
     # packing MSB-first makes integer < equal to lexicographic bit order
     for parts in itertools.product(*[itertools.permutations(c) for c in classes]):
         order = [v for part in parts for v in part]
@@ -419,14 +438,15 @@ def canonical_form(g: Graph) -> CanonicalCode:
         for u, v in pairs:
             bits = bits << 1 | (adj[order[u]] >> order[v] & 1)
         if best is None or bits < best:
-            best = bits
+            best, best_order, aut = bits, order, 1
+        elif bits == best:
+            aut += 1
     total = len(pairs)
     code = 0
     for i in range(total):
         if best >> (total - 1 - i) & 1:
             code |= 1 << i
-    method = "refined-exhaustive" if g.n <= 8 else "refined-exhaustive-large"
-    return CanonicalCode(n=n, bits=code, method=method)
+    return code, aut, best_order
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -1,16 +1,16 @@
 """Exhaustive enumeration and extremal scans.
 
-Scans walk every labelled simple graph on n vertices (all 2^C(n,2)
-upper-triangle bit patterns), filter to connected members of the bounded
-k-partiteness class, and reduce each requested index to its optimum with
-the full set of optimizers. No isomorphism dedup happens during the walk;
-optimizers are deduplicated afterwards through canonical codes, which keeps
-the reduction associative and the result independent of how the code space
-is chunked across workers.
+Scans run over a catalogue of connected graphs up to isomorphism, built by
+vertex extension (each level n - 1 representative gains one vertex in every
+possible way, deduplicated by canonical code), instead of over all
+2^C(n,2) labelled codes. Each entry carries |Aut(G)|, so a class's labelled
+size is the orbit-stabilizer sum of n!/|Aut(G)| over its members, and
+optimizers are canonical codes from the start. The catalogue is cached per
+n and is identical however its construction is split across workers.
 
-Per-graph pipeline order: connectivity filter, then the k-partiteness
-filter, then distance metrics, then index evaluation -- the colorability
-filter is cheaper than n BFS runs at these sizes.
+Per-graph pipeline order: the k-partiteness filter, then distance metrics,
+then index evaluation. The labelled walk `enumerate_graphs` stays as the
+independent reference the tests compare the catalogue against.
 """
 
 from __future__ import annotations
@@ -19,17 +19,16 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
+from typing import NamedTuple
 
-from .errors import Graph6ParseError, SizeCapError
+from .errors import Graph6ParseError, InvalidParamsError, SizeCapError
 from .extremal import closed_form, extremal_graph, join_family_graph
-from .graphs import (CanonicalCode, Graph, add_edge, canonical_form, code_to_adj,
-                     code_to_graph, connected_mask, pair_count, parse_graph6,
-                     to_graph6)
-from .indices import (ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, adj_ecc_dist_sum,
-                      conn_ecc, direction, ecc_dist_sum, evaluate, harary,
-                      mult_zagreb_pi1, mult_zagreb_pi2, rdd, wiener, zagreb_m1,
-                      zagreb_m2)
-from .metrics import DistanceMetrics, distance_rows, metrics_from_rows
+from .graphs import (CanonicalCode, Graph, _canonical_search, add_edge, canonical_form,
+                     code_to_adj, code_to_graph, connected_mask, pair_count,
+                     parse_graph6, permute, to_graph6)
+from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
+from .metrics import compute_metrics
 from .partiteness import ClassParams, partiteness_within
 
 _ENUM_CAP = 7          # hard cap without opt-in
@@ -95,145 +94,161 @@ class ExtremalReport:
 
 
 # ---------------------------------------------------------------------------
-# the sweep: one pass over the code space feeding many (m, kind) reductions
+# the catalogue: connected graphs up to isomorphism, one level per order
 # ---------------------------------------------------------------------------
-
-_DISTANCE_KINDS = frozenset(ALL_KINDS) - DEGREE_ONLY
-
 
 _MINIMIZED = frozenset(k for k in ALL_KINDS if direction(k) is Direction.DECREASING)
 
-# the same evaluator implementations the public `evaluate` dispatches to
-_EVALUATOR_TABLE = {
-    IndexKind.WIENER: lambda g, m: wiener(m),
-    IndexKind.HARARY: lambda g, m: harary(m),
-    IndexKind.RDD: lambda g, m: rdd(m),
-    IndexKind.ECC_DIST_SUM: lambda g, m: ecc_dist_sum(m),
-    IndexKind.CONN_ECC: lambda g, m: conn_ecc(m),
-    IndexKind.ADJ_ECC_DIST_SUM: lambda g, m: adj_ecc_dist_sum(m),
-    IndexKind.ZAGREB_M1: lambda g, m: zagreb_m1(m),
-    IndexKind.ZAGREB_M2: zagreb_m2,
-    IndexKind.MULT_ZAGREB_PI1: lambda g, m: mult_zagreb_pi1(m),
-    IndexKind.MULT_ZAGREB_PI2: lambda g, m: mult_zagreb_pi2(m),
-}
+
+class CatalogueEntry(NamedTuple):
+    """One isomorphism class: canonical code, the graph in canonical
+    labelling (the graph of that code), and |Aut(G)|."""
+
+    code: CanonicalCode
+    graph: Graph
+    aut: int
 
 
-def _sweep_range(n, k, m_values, kinds, lo, hi):
-    """Reduce one contiguous code chunk; the parallel unit of work."""
-    full = (1 << n) - 1
-    m_max = max(m_values)
-    need_rows = any(kind in _DISTANCE_KINDS for kind in kinds)
-    need_graph = IndexKind.ZAGREB_M2 in kinds
-    evaluators = [(kind, _EVALUATOR_TABLE[kind]) for kind in kinds]
-    class_counts = {m: 0 for m in m_values}
-    best: dict = {}
-    for code in range(lo, hi):
-        adj = code_to_adj(code, n)
-        if connected_mask(adj) != full:
-            continue
-        v = partiteness_within(adj, n, k, m_max)
-        if v is None:
-            continue
-        if need_rows:
-            metrics = metrics_from_rows(adj, n, distance_rows(adj, n))
-        else:
-            metrics = DistanceMetrics(n=n, dist=None, transmission=None, ecc=None,
-                                      degree=[a.bit_count() for a in adj])
-        g = Graph(n, tuple(adj)) if need_graph else None
-        vals = [(kind, fn(g, metrics)) for kind, fn in evaluators]
-        for m in m_values:
-            if v > m:
-                continue
-            class_counts[m] += 1
-            for kind, val in vals:
-                key = (m, kind)
-                entry = best.get(key)
-                if entry is None:
-                    best[key] = [val, [code]]
-                else:
-                    cur = entry[0]
-                    if val == cur:
-                        entry[1].append(code)
-                    elif (val < cur) if kind in _MINIMIZED else (val > cur):
-                        entry[0] = val
-                        entry[1] = [code]
-    return class_counts, best
+def _extend(parents) -> dict:
+    """Canonical code bits -> (|Aut|, canonical adjacency) for every
+    one-vertex extension of `parents`; the parallel unit of work.
+
+    The new vertex takes each nonempty neighbourhood in turn, so connected
+    parents give connected children.
+    """
+    found: dict = {}
+    for parent in parents:
+        g = parent.graph
+        n = g.n + 1
+        new = 1 << g.n
+        for nbhd in range(1, new):
+            adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
+            adj.append(nbhd)
+            child = Graph(n, tuple(adj))
+            bits, aut, order = _canonical_search(child)
+            if bits not in found:
+                perm = [0] * n
+                for i, v in enumerate(order):
+                    perm[v] = i
+                found[bits] = (aut, permute(child, perm).adj)
+    return found
 
 
-def _sweep_worker(args):
-    return _sweep_range(*args)
+def _merge(parts, n: int) -> tuple[CatalogueEntry, ...]:
+    """Level n from `_extend` results, sorted by canonical code.
+
+    Equal codes carry equal values, so the level is the same for every
+    split of the parent list. Parts are consumed one at a time, so only
+    new codes are kept while pool results stream in.
+    """
+    found: dict = {}
+    for part in parts:
+        for bits, value in part.items():
+            found.setdefault(bits, value)
+    return tuple(CatalogueEntry(CanonicalCode(n, bits), Graph(n, adj), aut)
+                 for bits, (aut, adj) in sorted(found.items()))
 
 
-def _merge(partials, kinds, m_values):
-    class_counts = {m: 0 for m in m_values}
-    best: dict = {}
-    for counts, part in partials:
-        for m, c in counts.items():
-            class_counts[m] += c
-        for key, (val, codes) in part.items():
-            entry = best.get(key)
-            if entry is None:
-                best[key] = [val, list(codes)]
-            else:
-                cur = entry[0]
-                if val == cur:
-                    entry[1].extend(codes)
-                elif (val < cur) if key[1] in _MINIMIZED else (val > cur):
-                    best[key] = [val, list(codes)]
-    return class_counts, best
-
-
-_SWEEP_CACHE: dict = {}
+_CATALOGUES: dict[int, tuple[CatalogueEntry, ...]] = {}
 
 
 def clear_sweep_cache() -> None:
-    _SWEEP_CACHE.clear()
+    """Drop every cached catalogue level."""
+    _CATALOGUES.clear()
 
 
-def _sweep(n, k, m_values, kinds, workers):
-    key = (n, k, m_values, kinds, workers)
-    if key in _SWEEP_CACHE:
-        return _SWEEP_CACHE[key]
-    total = 1 << pair_count(n)
-    if workers <= 1:
-        partials = [_sweep_range(n, k, m_values, kinds, 0, total)]
-    else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        jobs = [(n, k, m_values, kinds, bounds[i], bounds[i + 1])
-                for i in range(workers)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            partials = pool.map(_sweep_worker, jobs)
-    result = _merge(partials, kinds, m_values)
-    _SWEEP_CACHE[key] = result
-    return result
+def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
+    """Every connected graph on n vertices up to isomorphism, by canonical code.
 
-
-def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
-              large: bool = False) -> dict:
-    """Scan one class family in a single pass over the code space.
-
-    Returns {(m, kind): ExtremalReport} for every requested m and kind.
-    The reduction is associative and commutative with ties accumulated, so
-    reports are identical for every worker count.
+    Level n extends each level n - 1 representative by one vertex, for every
+    nonempty neighbourhood, and dedups by canonical code. That is complete:
+    every connected graph has a non-cut vertex (a leaf of a spanning tree),
+    and deleting it leaves a connected graph on n - 1 vertices. Levels are
+    built on first use and cached per n; with `workers` > 1 the parents of
+    level n are split across a process pool. The result does not depend on
+    the worker count.
     """
+    if n in _CATALOGUES:
+        return _CATALOGUES[n]
+    if n < 1:
+        raise ValueError(f"catalogue needs n >= 1, got {n}")
+    if n == 1:
+        level = (CatalogueEntry(CanonicalCode(1, 0), Graph(1, (0,)), 1),)
+    else:
+        parents = catalogue(n - 1)
+        workers = min(workers, len(parents))
+        if workers <= 1:
+            level = _merge([_extend(parents)], n)
+        else:
+            # one task per parent: results merge as they arrive, so the
+            # duplicates the workers find never pile up in this process
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(workers) as pool:
+                level = _merge(pool.imap_unordered(_extend, [(p,) for p in parents]), n)
+    _CATALOGUES[n] = level
+    return level
+
+
+def class_members(n: int, k: int, m_max: int, workers: int = 1,
+                  large: bool = False) -> list[tuple[int, CatalogueEntry]]:
+    """(vertex k-partiteness, entry) for every connected class on n vertices
+    whose k-partiteness is at most m_max, in catalogue order.
+
+    n = 8 requires the explicit `large` opt-in and workers >= 2.
+    """
+    if workers < 1:
+        raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     cap = _ENUM_CAP_LARGE if large else _ENUM_CAP
     if not 2 <= n <= cap:
         raise SizeCapError(
             f"scans support 2 <= n <= {cap} (n=8 needs large=True), got {n}")
     if n == 8 and workers < 2:
-        raise SizeCapError("n=8 scans (2^28 graphs) are parallel-only; "
-                           "pass workers >= 2")
+        raise SizeCapError("n=8 scans are parallel-only; pass workers >= 2")
+    members = []
+    for entry in catalogue(n, workers):
+        v = partiteness_within(entry.graph.adj, n, k, m_max)
+        if v is not None:
+            members.append((v, entry))
+    return members
+
+
+def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
+              large: bool = False) -> dict:
+    """Scan one class family in a single pass over the catalogue.
+
+    Returns {(m, kind): ExtremalReport} for every requested m and kind.
+    Each catalogue member stands for n!/|Aut(G)| labelled graphs in
+    `class_size`; optimizers are catalogue codes, so ties need no
+    canonicalisation. Reports are identical for every worker count.
+    """
     m_values = tuple(sorted(set(m_values)))
     kinds = tuple(kind for kind in ALL_KINDS if kind in set(kinds))
     params_by_m = {m: ClassParams(n, m, k) for m in m_values}  # validates
-    class_counts, best = _sweep(n, k, m_values, kinds, workers)
+    need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
+    class_counts = dict.fromkeys(m_values, 0)
+    best: dict = {}
+    for v, entry in class_members(n, k, max(m_values), workers, large):
+        g = entry.graph
+        metrics = compute_metrics(g) if need_metrics else None
+        vals = [(kind, evaluate(kind, g, metrics)) for kind in kinds]
+        labelled = factorial(n) // entry.aut
+        for m in m_values:
+            if v > m:
+                continue
+            class_counts[m] += labelled
+            for kind, val in vals:
+                cur = best.get((m, kind))
+                if cur is None or ((val < cur[0]) if kind in _MINIMIZED
+                                   else (val > cur[0])):
+                    best[(m, kind)] = (val, [entry.code])
+                elif val == cur[0]:
+                    cur[1].append(entry.code)
     reports = {}
     for m, params in params_by_m.items():
         ghat = canonical_form(extremal_graph(params))
         for kind in kinds:
             val, codes = best[(m, kind)]
-            canon = frozenset(canonical_form(code_to_graph(c, n)) for c in codes)
+            canon = frozenset(codes)
             reports[(m, kind)] = ExtremalReport(
                 params=params,
                 kind=kind,
@@ -248,19 +263,9 @@ def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
 
 def scan_class(params: ClassParams, kind: IndexKind, workers: int = 1,
                large: bool = False) -> ExtremalReport:
-    """Exhaustive extremal scan of one class for one index.
-
-    For n <= 6 the scan computes (and caches) the full sweep over every m
-    and every kind, so follow-up queries on the same (n, k) are free; for
-    larger n only the requested (m, kind) is swept.
-    """
-    if params.n <= 6:
-        all_m = tuple(range(1, params.n - params.k + 1))
-        reports = scan_many(params.n, params.k, all_m, ALL_KINDS,
-                            workers=workers, large=large)
-    else:
-        reports = scan_many(params.n, params.k, (params.m,), (kind,),
-                            workers=workers, large=large)
+    """Exhaustive extremal scan of one class for one index."""
+    reports = scan_many(params.n, params.k, (params.m,), (kind,),
+                        workers=workers, large=large)
     return reports[(params.m, kind)]
 
 

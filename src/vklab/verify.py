@@ -28,7 +28,7 @@ from .extremal import (EVEN, ODD, closed_form, closed_form_bipartite, extremal_g
 from .graphs import canonical_form
 from .indices import ALL_KINDS, Direction, IndexKind, direction, evaluate
 from .partiteness import ClassParams
-from .search import family_scan, scan_class
+from .search import class_members, family_scan, scan_class
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -128,6 +128,8 @@ def verify_theorem(claim: str, grid=None, workers: int = 1,
     (n <= 10 / n <= 10 with k = 2); scan-backed claims default to a small
     exhaustive grid (n <= 5) since they enumerate the whole class.
     """
+    if workers < 1:
+        raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     claim = claim.lower()
     if claim in _FORMULA_CLAIMS:
         kind, desc = _FORMULA_CLAIMS[claim]
@@ -240,7 +242,7 @@ def _check_structure(kind: IndexKind, params: ClassParams, workers: int,
 def _check_direction(params: ClassParams, workers: int, large: bool) -> ClaimVerdict:
     """The statement prints a lower bound (>=); enumeration decides empirically."""
     kind = IndexKind.CONN_ECC
-    lo, hi = _class_min_max(params, kind)
+    lo, hi = _class_min_max(params, kind, workers, large)
     ghat_value = evaluate(kind, extremal_graph(params))
     if lo < ghat_value:
         side = ("the construction attains the class maximum"
@@ -257,18 +259,10 @@ def _check_direction(params: ClassParams, workers: int, large: bool) -> ClaimVer
                         actual=f"class minimum is {lo}")
 
 
-def _class_min_max(params: ClassParams, kind: IndexKind):
-    from .partiteness import partiteness_within
-    from .search import enumerate_graphs
-
-    lo = hi = None
-    for g in enumerate_graphs(params.n, connected_only=True):
-        if partiteness_within(g.adj, g.n, params.k, params.m) is None:
-            continue
-        val = evaluate(kind, g)
-        lo = val if lo is None or val < lo else lo
-        hi = val if hi is None or val > hi else hi
-    return lo, hi
+def _class_min_max(params: ClassParams, kind: IndexKind, workers: int, large: bool):
+    values = [evaluate(kind, entry.graph)
+              for _, entry in class_members(params.n, params.k, params.m, workers, large)]
+    return min(values), max(values)
 
 
 def _all_family_codes(params: ClassParams):

@@ -120,6 +120,16 @@ def test_scan_cap_requires_large(capsys):
     assert code == 1 and "large" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "5", "--m", "1", "--k", "2", "--kind", "wiener", "--workers", "0"],
+    ["verify", "--workers", "-1"],
+])
+def test_nonpositive_workers_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "workers must be >= 1" in err
+
+
 def test_verify_m2_claim_exits_2(capsys):
     code, out, _ = run(capsys, "verify", "--claim", "thm4.7-m2", "--nmax", "12",
                        "--format", "json")

@@ -1,15 +1,22 @@
 """Enumeration, corpus ingestion, scans, and the monotonicity fuzzer."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vklab import (ClassParams, Graph6ParseError, IndexKind, SizeCapError,
-                   canonical_form, complete_graph, enumerate_graphs, evaluate,
+from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKind,
+                   InvalidParamsError, SizeCapError, canonical_form, complete_graph,
+                   compute_metrics, direction, enumerate_graphs, evaluate,
                    family_scan, is_connected, join_family_graph,
                    load_graph6_corpus, monotonicity_fuzz, scan_class, scan_corpus,
                    scan_many, to_graph6)
-from vklab.search import _partitions_at_most, clear_sweep_cache
+from vklab import search
+from vklab.graphs import code_to_graph
+from vklab.partiteness import partiteness_within
+from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 
 
 def test_enumeration_counts():
@@ -32,6 +39,105 @@ def test_enumeration_cap():
     # n=8 with the opt-in starts fine
     gen = enumerate_graphs(8, large=True)
     assert next(gen).n == 8
+
+
+def test_catalogue_sizes_match_a001349():
+    assert [len(catalogue(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+
+def test_catalogue_entries_are_canonical_and_connected():
+    for n in range(1, 7):
+        codes = [entry.code.bits for entry in catalogue(n)]
+        assert codes == sorted(set(codes))
+        for entry in catalogue(n):
+            assert entry.graph == code_to_graph(entry.code.bits, n)
+            assert canonical_form(entry.graph) == entry.code
+            assert is_connected(entry.graph)
+
+
+def test_orbit_stabilizer_counts_match_labelled_walk():
+    for n in range(2, 7):
+        labelled = sum(1 for _ in enumerate_graphs(n, connected_only=True))
+        assert sum(factorial(n) // e.aut for e in catalogue(n)) == labelled
+
+
+def _brute_force_reports(n):
+    """(k, m, kind) -> (optimum, optimizer codes, class size) by a plain loop
+    over every labelled connected graph on n vertices."""
+    graphs = []
+    for g in enumerate_graphs(n, connected_only=True):
+        metrics = compute_metrics(g)
+        graphs.append((g, {kind: evaluate(kind, g, metrics) for kind in ALL_KINDS}))
+    out = {}
+    for k in range(2, n):
+        v_k = [partiteness_within(g.adj, n, k, n - k) for g, _ in graphs]
+        for m in range(1, n - k + 1):
+            members = [member for member, v in zip(graphs, v_k) if v <= m]
+            for kind in ALL_KINDS:
+                pick = min if direction(kind) is Direction.DECREASING else max
+                best = pick(vals[kind] for _, vals in members)
+                codes = frozenset(canonical_form(g)
+                                  for g, vals in members if vals[kind] == best)
+                out[(k, m, kind)] = (best, codes, len(members))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_scan_many_matches_labelled_brute_force(n):
+    expected = _brute_force_reports(n)
+    for k in range(2, n):
+        reports = scan_many(n, k, range(1, n - k + 1))
+        for (m, kind), report in reports.items():
+            assert (report.optimum, report.optimizer_codes, report.class_size) \
+                == expected[(k, m, kind)], (n, k, m, kind)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_catalogue_and_reports_invariant_under_parent_splits(data):
+    parents = catalogue(5)
+    reference = catalogue(6)
+    want = scan_many(6, 2, (1, 2, 3, 4))
+    order = data.draw(st.permutations(parents))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=6)))
+    chunks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    merged = search._merge([search._extend(chunk) for chunk in chunks], 6)
+    assert merged == reference
+    try:
+        search._CATALOGUES[6] = merged
+        assert scan_many(6, 2, (1, 2, 3, 4)) == want
+    finally:
+        search._CATALOGUES[6] = reference
+
+
+def test_catalogue_built_once_for_every_worker_count(monkeypatch):
+    clear_sweep_cache()
+    calls = []
+    extend = search._extend
+    monkeypatch.setattr(search, "_extend",
+                        lambda parents: calls.append(len(parents)) or extend(parents))
+    first = scan_many(6, 2, (1, 2))
+    assert calls == [1, 1, 2, 6, 21]  # levels 2..6, each from its parents once
+    # a rebuild would hand the unpicklable lambda to the pool and fail
+    second = scan_many(6, 2, (1, 2), workers=2)
+    assert calls == [1, 1, 2, 6, 21]
+    assert first == second
+
+
+def test_catalogue_identical_for_every_worker_count():
+    built = {}
+    for workers in (1, 2, 3):
+        clear_sweep_cache()
+        built[workers] = catalogue(6, workers)
+    assert built[1] == built[2] == built[3]
+
+
+def test_nonpositive_workers_rejected():
+    for workers in (0, -1):
+        with pytest.raises(InvalidParamsError):
+            scan_many(5, 2, (1,), workers=workers)
+        with pytest.raises(InvalidParamsError):
+            scan_class(ClassParams(5, 1, 2), IndexKind.WIENER, workers=workers)
 
 
 def test_corpus_round_trip():

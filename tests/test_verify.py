@@ -3,7 +3,7 @@ refutations where they do not, and never a silent pass."""
 
 import pytest
 
-from vklab import ClassParams, IndexKind, verify_theorem
+from vklab import ClassParams, IndexKind, InvalidParamsError, verify_theorem
 from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, known_claims
 
 
@@ -21,6 +21,13 @@ def test_known_claims_inventory():
     assert "thm4.7-m2" in claims and "cor4.5" in claims and "thm3.1" in claims
     with pytest.raises(ValueError):
         verify_theorem("thm9.9")
+
+
+def test_nonpositive_workers_rejected():
+    for claim in ("thm4.1", "thm3.1", "thm4.6-direction"):
+        for workers in (0, -1):
+            with pytest.raises(InvalidParamsError):
+                verify_theorem(claim, _grid(4, 4), workers=workers)
 
 
 def test_m2_theorem_line_refuted_with_both_values():
