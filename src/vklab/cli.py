@@ -24,12 +24,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import Graph6ParseError, VklabError
+from .errors import VklabError
 from .extremal import extremal_graph, part_sizes
 from .graphs import parse_graph6, to_graph6
 from .indices import ALL_KINDS, IndexKind, evaluate
 from .partiteness import ClassParams, vertex_k_partiteness
-from .search import monotonicity_fuzz, scan_class
+from .search import monotonicity_fuzz, numbered_graph6, scan_class
 from .verify import REFUTED, known_claims, verify_theorem
 
 _KIND_NAMES = {kind.value: kind for kind in ALL_KINDS}
@@ -77,12 +77,7 @@ def _emit(envelopes, rows, header, fmt, out):
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        widths = None
-        lines = []
-        for row in rows:
-            lines.append("  ".join(str(c) for c in row))
-        text = "\n".join(lines) + ("\n" if lines else "")
-        _ = widths
+        text = "".join("  ".join(str(c) for c in row) + "\n" for row in rows)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -91,22 +86,20 @@ def _emit(envelopes, rows, header, fmt, out):
 
 
 def _input_graphs(args):
-    """Yield (label, Graph) from --graph6 or --file; label is the source line."""
+    """Yield (label, Graph) from --graph6 or --file; label is the source line.
+
+    Under --lenient, each skipped corpus line is reported on stderr once the
+    file has been read.
+    """
     if args.graph6:
         yield "-", parse_graph6(args.graph6)
         return
+    skipped = []
     with open(args.file) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                g = parse_graph6(line)
-            except Graph6ParseError as exc:
-                if args.strict:
-                    raise Graph6ParseError(str(exc), lineno) from None
-                continue
+        for lineno, g in numbered_graph6(fh, args.strict, skipped):
             yield str(lineno), g
+    for lineno, message in skipped:
+        print(f"skipped line {lineno}: {message}", file=sys.stderr)
 
 
 def _selected_kinds(name: str) -> list[IndexKind]:

@@ -351,20 +351,11 @@ class CanonicalCode:
     """Label-independent certificate: equal codes <=> isomorphic graphs.
 
     `bits` is the lexicographically smallest row-major upper-triangle code
-    over all relabelings consistent with the colour refinement classes;
-    `method` records which search path produced it.
+    over all relabelings consistent with the colour refinement classes.
     """
 
     n: int
     bits: int
-    method: str = "refined-exhaustive"
-
-    def __eq__(self, other):
-        return (isinstance(other, CanonicalCode)
-                and self.n == other.n and self.bits == other.bits)
-
-    def __hash__(self):
-        return hash((self.n, self.bits))
 
 
 def _refinement_classes(g: Graph) -> list[list[int]]:
@@ -407,8 +398,7 @@ def canonical_form(g: Graph) -> CanonicalCode:
     SizeCapError is raised otherwise.
     """
     code, _, _ = _canonical_search(g)
-    method = "refined-exhaustive" if g.n <= 8 else "refined-exhaustive-large"
-    return CanonicalCode(n=g.n, bits=code, method=method)
+    return CanonicalCode(n=g.n, bits=code)
 
 
 def _canonical_search(g: Graph) -> tuple[int, int, list[int]]:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 
+from .errors import GraphSizeError
 from .graphs import Graph
 from .metrics import DistanceMetrics, compute_metrics
 
@@ -74,21 +76,14 @@ def wiener(metrics: DistanceMetrics) -> int:
 
 def harary(metrics: DistanceMetrics) -> Fraction:
     """Sum of reciprocal distances over unordered vertex pairs."""
-    counts = _pair_distance_counts(metrics)
-    return sum((Fraction(c, d) for d, c in counts.items()), Fraction(0))
+    counts = metrics.pair_counts
+    return _ratio_sum(counts[1:], range(1, len(counts)))
 
 
 def rdd(metrics: DistanceMetrics) -> Fraction:
     """Reciprocal degree distance: sum of (d(u)+d(v))/dist(u,v) over pairs."""
-    n, dist, deg = metrics.n, metrics.dist, metrics.degree
-    sums: dict[int, int] = {}
-    for u in range(n):
-        row = dist[u]
-        du = deg[u]
-        for v in range(u + 1, n):
-            d = row[v]
-            sums[d] = sums.get(d, 0) + du + deg[v]
-    return sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))
+    sums = metrics.degree_sums
+    return _ratio_sum(sums[1:], range(1, len(sums)))
 
 
 def ecc_dist_sum(metrics: DistanceMetrics) -> int:
@@ -98,18 +93,13 @@ def ecc_dist_sum(metrics: DistanceMetrics) -> int:
 
 def conn_ecc(metrics: DistanceMetrics) -> Fraction:
     """Connective eccentricity: sum of degree/eccentricity over vertices."""
-    sums: dict[int, int] = {}
-    for e, d in zip(metrics.ecc, metrics.degree):
-        sums[e] = sums.get(e, 0) + d
-    return sum((Fraction(s, e) for e, s in sums.items()), Fraction(0))
+    return _ratio_sum(metrics.degree, metrics.ecc)
 
 
 def adj_ecc_dist_sum(metrics: DistanceMetrics) -> Fraction:
     """Adjacent eccentric distance sum: eccentricity * transmission / degree."""
-    sums: dict[int, int] = {}
-    for e, t, d in zip(metrics.ecc, metrics.transmission, metrics.degree):
-        sums[d] = sums.get(d, 0) + e * t
-    return sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))
+    return _ratio_sum([e * t for e, t in zip(metrics.ecc, metrics.transmission)],
+                      metrics.degree)
 
 
 def zagreb_m1(metrics: DistanceMetrics) -> int:
@@ -151,21 +141,20 @@ def mult_zagreb_pi2(metrics: DistanceMetrics) -> int:
     return p
 
 
-def _pair_distance_counts(metrics: DistanceMetrics) -> dict[int, int]:
-    n, dist = metrics.n, metrics.dist
-    counts: dict[int, int] = {}
-    for u in range(n):
-        row = dist[u]
-        for v in range(u + 1, n):
-            d = row[v]
-            counts[d] = counts.get(d, 0) + 1
-    return counts
+def _ratio_sum(nums, dens) -> Fraction:
+    """Exact sum of nums[i]/dens[i], as one Fraction built over the lcm of
+    the denominators and reduced once."""
+    # dens is a sequence, not a generator: a star-call on a generator grows
+    # its argument tuple by resizing, and CPython's tuple free lists then
+    # keep a few hundred kilobytes of those tuples alive (seen as peak RSS)
+    den = lcm(*dens)
+    return Fraction(sum(num * (den // d) for num, d in zip(nums, dens)), den)
 
 
 def _degree_only_metrics(g: Graph) -> DistanceMetrics:
     # enough structure for the four degree-based evaluators; distances unset
-    deg = g.degrees()
-    return DistanceMetrics(n=g.n, dist=None, transmission=None, ecc=None, degree=deg)
+    return DistanceMetrics(n=g.n, adj=g.adj, transmission=None, ecc=None,
+                           degree=g.degrees())
 
 
 def evaluate(kind: IndexKind, g: Graph,
@@ -177,7 +166,7 @@ def evaluate(kind: IndexKind, g: Graph,
     accept any simple graph with n >= 2.
     """
     if g.n < 2:
-        raise ValueError("indices are defined for n >= 2 only")
+        raise GraphSizeError(f"indices are defined for n >= 2 only, got n={g.n}")
     if metrics is None:
         metrics = _degree_only_metrics(g) if kind in DEGREE_ONLY else compute_metrics(g)
     return _EVALUATORS[kind](g, metrics)

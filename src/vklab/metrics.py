@@ -1,5 +1,11 @@
-"""All-pairs distances by repeated BFS, plus the per-vertex quantities
-(transmission, eccentricity, degree) every index evaluator consumes.
+"""Distance metrics by repeated bitset BFS: the per-vertex quantities
+(transmission, eccentricity, degree) and the per-distance pair sums every
+index evaluator consumes.
+
+Each BFS keeps only layer sums: the transmission of its source is
+sum d * |L_d|, the eccentricity is the index of the last layer, and every
+layer adds its pair count and degree sum to the per-distance totals. No
+per-pair rows are written; `DistanceMetrics.dist` builds them on first use.
 
 Metrics are computed once per graph and passed around; evaluators never
 recompute them. Only connected graphs have metrics: disconnected input is
@@ -8,25 +14,40 @@ an error, not an infinity convention.
 
 from __future__ import annotations
 
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, GraphSizeError
 from .graphs import Graph
 
 
 class DistanceMetrics:
-    """Distance matrix (8-bit rows), transmissions D(u), eccentricities, degrees."""
+    """Transmissions D(u), eccentricities and degrees per vertex, plus
+    `pair_counts[d]` (unordered pairs at distance d) and `degree_sums[d]`
+    (sum of d(u) + d(v) over those pairs), both indexed from d = 0.
+    The distance matrix `dist` (8-bit rows) is built on first access."""
 
-    __slots__ = ("n", "dist", "transmission", "ecc", "degree")
+    __slots__ = ("n", "adj", "transmission", "ecc", "degree", "pair_counts",
+                 "degree_sums", "_dist")
 
-    def __init__(self, n, dist, transmission, ecc, degree):
+    def __init__(self, n, adj, transmission, ecc, degree, pair_counts=None,
+                 degree_sums=None):
         self.n = n
-        self.dist = dist
+        self.adj = adj
         self.transmission = transmission
         self.ecc = ecc
         self.degree = degree
+        self.pair_counts = pair_counts
+        self.degree_sums = degree_sums
+        self._dist = None
+
+    @property
+    def dist(self) -> list[bytes]:
+        if self._dist is None:
+            self._dist = distance_rows(self.adj, self.n)
+        return self._dist
 
 
-def distance_rows(adj, n: int) -> list[bytearray] | None:
-    """BFS distance row per source vertex; None when the graph is disconnected."""
+def distance_rows(adj, n: int) -> list[bytes]:
+    """BFS distance row per source vertex; raises DisconnectedGraphError when
+    some vertex is unreachable."""
     full = (1 << n) - 1
     rows = []
     for src in range(n):
@@ -50,19 +71,9 @@ def distance_rows(adj, n: int) -> list[bytearray] | None:
                 f &= f - 1
                 row[v] = d
         if seen != full:
-            return None
-        rows.append(row)
+            raise DisconnectedGraphError("graph is not connected")
+        rows.append(bytes(row))
     return rows
-
-
-def metrics_from_rows(adj, n: int, rows) -> DistanceMetrics:
-    return DistanceMetrics(
-        n=n,
-        dist=rows,
-        transmission=[sum(r) for r in rows],
-        ecc=[max(r) if n > 1 else 0 for r in rows],
-        degree=[a.bit_count() for a in adj],
-    )
 
 
 def compute_metrics(g: Graph) -> DistanceMetrics:
@@ -71,9 +82,45 @@ def compute_metrics(g: Graph) -> DistanceMetrics:
     Raises DisconnectedGraphError when some vertex is unreachable; callers
     must not request distance-based indices in that case.
     """
-    if g.n < 2:
-        raise ValueError("metrics need at least 2 vertices")
-    rows = distance_rows(g.adj, g.n)
-    if rows is None:
-        raise DisconnectedGraphError("graph is not connected")
-    return metrics_from_rows(g.adj, g.n, [bytes(r) for r in rows])
+    n, adj = g.n, g.adj
+    if n < 2:
+        raise GraphSizeError(f"metrics need at least 2 vertices, got {n}")
+    full = (1 << n) - 1
+    degree = [row.bit_count() for row in adj]
+    transmission = [0] * n
+    ecc = [0] * n
+    # over ordered pairs: every unordered pair is seen from both ends, so the
+    # counts are halved below, and the degree sums come out as d(u) + d(v)
+    pairs = [0] * n
+    degree_sums = [0] * n
+    for src in range(n):
+        seen = frontier = 1 << src
+        d = total = 0
+        while True:
+            nxt = deg = 0
+            f = frontier
+            while f:
+                low = f & -f
+                v = low.bit_length() - 1
+                f ^= low
+                nxt |= adj[v]
+                deg += degree[v]
+            degree_sums[d] += deg
+            frontier = nxt & ~seen
+            if not frontier:
+                break
+            d += 1
+            seen |= frontier
+            size = frontier.bit_count()
+            pairs[d] += size
+            total += d * size
+        if seen != full:
+            raise DisconnectedGraphError("graph is not connected")
+        transmission[src] = total
+        ecc[src] = d
+    diameter = max(ecc)
+    degree_sums[0] = 0  # the BFS sources themselves, not pairs
+    return DistanceMetrics(
+        n=n, adj=adj, transmission=transmission, ecc=ecc, degree=degree,
+        pair_counts=[c // 2 for c in pairs[:diameter + 1]],
+        degree_sums=degree_sums[:diameter + 1])

@@ -2,15 +2,15 @@
 membership for graphs with bounded k-partiteness.
 
 A graph is k-partite exactly when it is properly k-colorable (parts may be
-empty). The partiteness parameter is found by trying deletion sets in order
-of increasing size with a backtracking colorability oracle; everything here
-is exact, sized for graphs of at most a dozen vertices inside enumeration
-loops.
+empty). The partiteness parameter comes from one backtracking search in
+which every vertex either joins a colour class or, while a deletion budget
+remains, is deleted; the budget deepens from 0 until the search succeeds.
+Everything here is exact, sized for graphs of at most a dozen vertices
+inside enumeration loops.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidParamsError
@@ -35,108 +35,52 @@ class ClassParams:
                 f"m must satisfy 1 <= m <= n - k = {self.n - self.k}, got {self.m}")
 
 
-def colorable_masked(adj, mask: int, k: int) -> bool:
-    """Proper k-colorability of the subgraph induced by the vertex bitset `mask`.
-
-    Backtracking over vertices in descending-degree order (degrees within the
-    mask), with used-color symmetry pruning: a vertex may open at most one new
-    color class. Pure performance choices; the answer is exact.
-    """
-    if mask.bit_count() <= k:
-        return True
-    if k == 2:
-        return _bipartite_masked(adj, mask)
-    verts = []
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        verts.append(v)
-    verts.sort(key=lambda v: (adj[v] & mask).bit_count(), reverse=True)
-    color_masks = [0] * k
-
-    def assign(i: int, used: int) -> bool:
-        if i == len(verts):
-            return True
-        v = verts[i]
-        row = adj[v]
-        bit = 1 << v
-        for c in range(used):
-            if not color_masks[c] & row:
-                color_masks[c] |= bit
-                if assign(i + 1, used):
-                    return True
-                color_masks[c] ^= bit
-        if used < k:
-            color_masks[used] |= bit
-            if assign(i + 1, used + 1):
-                return True
-            color_masks[used] ^= bit
-        return False
-
-    return assign(0, 0)
-
-
-def _bipartite_masked(adj, mask: int) -> bool:
-    # layered BFS 2-coloring, then a one-pass conflict check
-    side_a = side_b = 0
-    rem = mask
-    while rem:
-        start = rem & -rem
-        side_a |= start
-        frontier = start
-        on_a = True
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= adj[v]
-            nxt &= mask & ~(side_a | side_b)
-            if on_a:
-                side_b |= nxt
-            else:
-                side_a |= nxt
-            on_a = not on_a
-            frontier = nxt
-        rem = mask & ~(side_a | side_b)
-    for side in (side_a, side_b):
-        f = side
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            if adj[v] & side:
-                return False
-    return True
-
-
-def is_k_partite(g: Graph, k: int) -> bool:
-    """True iff the vertices admit a proper k-coloring (parts may be empty)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return g.edge_count() == 0
-    return colorable_masked(g.adj, (1 << g.n) - 1, k)
-
-
 def partiteness_within(adj, n: int, k: int, cap: int) -> int | None:
     """Smallest deletion count <= cap whose removal leaves a k-partite graph.
 
     Returns None when more than `cap` deletions are needed. Low-level form
     used inside enumeration loops; adjacency rows are given directly.
+
+    Vertices are taken in descending-degree order; each one joins a colour
+    class free of its neighbours, opens at most one new class (used-colour
+    symmetry pruning), or is deleted while the budget lasts. The search
+    succeeds as soon as the vertices left can each open a fresh class or be
+    deleted. Budgets 0, 1, ..., cap are tried in turn, so the first success
+    is the minimum.
     """
-    full = (1 << n) - 1
-    if colorable_masked(adj, full, k):
-        return 0
-    for ell in range(1, cap + 1):
-        for combo in itertools.combinations(range(n), ell):
-            removed = 0
-            for v in combo:
-                removed |= 1 << v
-            if colorable_masked(adj, full ^ removed, k):
-                return ell
+    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
+    rows = [adj[v] for v in order]
+    bits = [1 << v for v in order]
+    classes = [0] * k  # invariant: classes[c] == 0 for every c >= used
+
+    def place(i: int, used: int, budget: int) -> bool:
+        if n - i <= k - used + budget:
+            return True
+        row, bit = rows[i], bits[i]
+        for c in range(used):
+            if not classes[c] & row:
+                classes[c] |= bit
+                if place(i + 1, used, budget):
+                    return True
+                classes[c] ^= bit
+        if used < k:
+            classes[used] = bit
+            if place(i + 1, used + 1, budget):
+                return True
+            classes[used] = 0
+        return budget > 0 and place(i + 1, used, budget - 1)
+
+    for budget in range(cap + 1):
+        if place(0, 0, budget):
+            return budget
     return None
+
+
+def is_k_partite(g: Graph, k: int) -> bool:
+    """True iff the vertices admit a proper k-coloring (parts may be empty)."""
+    if k < 1:
+        raise InvalidParamsError(f"k must be >= 1, got {k}")
+    return partiteness_within(g.adj, g.n, k, 0) == 0
 
 
 def vertex_k_partiteness(g: Graph, k: int) -> int:
@@ -145,9 +89,9 @@ def vertex_k_partiteness(g: Graph, k: int) -> int:
     Always at most n - k (any k remaining vertices are k-partite).
     """
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise InvalidParamsError(f"k must be >= 2, got {k}")
     if g.n < k:
-        raise ValueError(f"need n >= k, got n={g.n} k={k}")
+        raise InvalidParamsError(f"need n >= k, got n={g.n} k={k}")
     result = partiteness_within(g.adj, g.n, k, g.n - k)
     assert result is not None, "v_k <= n - k must always be attainable"
     return result

@@ -54,11 +54,11 @@ def enumerate_graphs(n: int, connected_only: bool = False, large: bool = False):
         yield Graph(n, tuple(adj))
 
 
-def load_graph6_corpus(lines, strict: bool = True, errors: list | None = None):
-    """Yield graphs parsed from an iterable of graph6 lines, in file order.
+def numbered_graph6(lines, strict: bool = True, errors: list | None = None):
+    """Yield (1-based line number, graph) for each graph6 line, in file order.
 
-    Malformed lines are addressed by 1-based line number: under `strict`
-    the generator raises immediately; otherwise the line is skipped and
+    Malformed lines are addressed by line number: under `strict` the
+    generator raises immediately; otherwise the line is skipped and
     (line_number, message) is appended to `errors` when a list is supplied.
     Blank lines are ignored.
     """
@@ -67,12 +67,18 @@ def load_graph6_corpus(lines, strict: bool = True, errors: list | None = None):
         if not line:
             continue
         try:
-            yield parse_graph6(line)
+            yield lineno, parse_graph6(line)
         except Graph6ParseError as exc:
             if strict:
                 raise Graph6ParseError(str(exc), lineno) from None
             if errors is not None:
                 errors.append((lineno, str(exc)))
+
+
+def load_graph6_corpus(lines, strict: bool = True, errors: list | None = None):
+    """Yield the graphs of `numbered_graph6`, without their line numbers."""
+    for _, g in numbered_graph6(lines, strict, errors):
+        yield g
 
 
 @dataclass(frozen=True)
@@ -386,14 +392,14 @@ def monotonicity_fuzz(kind: IndexKind, trials: int, n_range: tuple[int, int],
     for a fixed seed; single-threaded by design.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParamsError(f"trials must be >= 1, got {trials}")
     lo, hi = n_range
     if lo < 3:
         # n = 2 has no connected non-complete graph, so resampling there
         # would never terminate
-        raise ValueError("n_range must start at 3 or above")
+        raise InvalidParamsError(f"n_range must start at 3 or above, got {lo}")
     if hi < lo:
-        raise ValueError("empty n_range")
+        raise InvalidParamsError(f"empty n_range {lo}..{hi}")
     rng = random.Random(seed)
     report = FuzzReport(kind=kind, trials=trials, violations=0, seed=seed)
     want = direction(kind)

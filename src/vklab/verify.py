@@ -126,20 +126,32 @@ def verify_theorem(claim: str, grid=None, workers: int = 1,
 
     Formula and corollary claims default to the construction grid
     (n <= 10 / n <= 10 with k = 2); scan-backed claims default to a small
-    exhaustive grid (n <= 5) since they enumerate the whole class.
+    exhaustive grid (n <= 5) since they enumerate the whole class. An empty
+    grid raises InvalidParamsError: certifying nothing is not a pass.
     """
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     claim = claim.lower()
+    if claim not in known_claims():
+        raise InvalidParamsError(
+            f"unknown claim {claim!r}; known: {', '.join(known_claims())}")
+    if grid is None:
+        if claim in _FORMULA_CLAIMS:
+            grid = default_grid()
+        elif claim in _COROLLARY_CLAIMS:
+            grid = default_grid(k_values=(2,))
+        else:
+            grid = default_grid(n_max=5)
+    grid = tuple(grid)
+    if not grid:
+        raise InvalidParamsError(f"empty parameter grid for claim {claim}")
     if claim in _FORMULA_CLAIMS:
         kind, desc = _FORMULA_CLAIMS[claim]
-        grid = default_grid() if grid is None else grid
         return VerificationReport(
             claim=claim, description=desc,
             verdicts=tuple(_check_formula(kind, p) for p in grid))
     if claim in _COROLLARY_CLAIMS:
         kind = _COROLLARY_CLAIMS[claim]
-        grid = default_grid(k_values=(2,)) if grid is None else grid
         verdicts = []
         for p in grid:
             if p.k != 2:
@@ -151,7 +163,6 @@ def verify_theorem(claim: str, grid=None, workers: int = 1,
             verdicts=tuple(verdicts))
     if claim in _SCAN_CLAIMS:
         wanted = _SCAN_CLAIMS[claim]
-        grid = default_grid(n_max=5) if grid is None else grid
         verdicts = []
         for p in grid:
             for kind in ALL_KINDS:
@@ -163,14 +174,11 @@ def verify_theorem(claim: str, grid=None, workers: int = 1,
                          if wanted is Direction.DECREASING
                          else "extremal structure, monotone increasing indices"),
             verdicts=tuple(verdicts))
-    if claim == "thm4.6-direction":
-        grid = default_grid(n_max=5) if grid is None else grid
-        return VerificationReport(
-            claim=claim,
-            description="printed inequality direction of the connective "
-                        "eccentricity statement",
-            verdicts=tuple(_check_direction(p, workers, large) for p in grid))
-    raise ValueError(f"unknown claim {claim!r}; known: {', '.join(known_claims())}")
+    return VerificationReport(
+        claim=claim,
+        description="printed inequality direction of the connective "
+                    "eccentricity statement",
+        verdicts=tuple(_check_direction(p, workers, large) for p in grid))
 
 
 def _check_formula(kind: IndexKind, params: ClassParams) -> ClaimVerdict:

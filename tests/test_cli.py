@@ -4,11 +4,15 @@ agreement, and the exit-code contract (0 confirmed, 2 findings, 1 error)."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import vklab
 from vklab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -18,6 +22,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv):
+    """`python -m vklab` in a child process, so an uncaught exception shows
+    up as a traceback on stderr instead of failing the test itself."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vklab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "vklab", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_index_wiener_k5(capsys):
@@ -67,11 +80,25 @@ def test_index_parse_failure_is_line_addressed(tmp_path, capsys):
 def test_index_lenient_skips_bad_lines(tmp_path, capsys):
     corpus = tmp_path / "bad.g6"
     corpus.write_text("A_\ngarbage!\nBg\n")
-    code, out, _ = run(capsys, "index", "--file", str(corpus), "--kind", "wiener",
-                       "--lenient", "--format", "csv")
+    code, out, err = run(capsys, "index", "--file", str(corpus), "--kind", "wiener",
+                         "--lenient", "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(r["line"], r["value"]) for r in rows] == [("1", "1"), ("3", "4")]
+    assert err == "skipped line 2: expected 130 data characters for n=40, got 7\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["vk", "--graph6", "A_", "--k", "3"], "need n >= k"),
+    (["index", "--graph6", "@", "--kind", "wiener"], "n >= 2 only"),
+    (["fuzz", "--kind", "wiener", "--trials", "0"], "trials must be >= 1"),
+    (["verify", "--claim", "thm4.1", "--nmax", "3"], "empty parameter grid"),
+])
+def test_degenerate_input_is_an_error_line(argv, message):
+    code, out, err = run_process(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_vk_command(capsys):

@@ -47,6 +47,25 @@ def test_matches_brute_bfs(rng):
                 assert m.dist[u][v] == ref[u][v]
 
 
+def test_per_distance_sums_match_brute_bfs(rng):
+    for _ in range(40):
+        g = random_connected(rng, rng.randint(2, 20), rng.choice((0.2, 0.5, 0.8)))
+        m = compute_metrics(g)
+        ref = brute_distances(g)
+        deg = g.degrees()
+        diameter = max(max(row) for row in ref)
+        counts = [0] * (diameter + 1)
+        sums = [0] * (diameter + 1)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                counts[ref[u][v]] += 1
+                sums[ref[u][v]] += deg[u] + deg[v]
+        assert m.pair_counts == counts
+        assert m.degree_sums == sums
+        assert m.transmission == [sum(row) for row in ref]
+        assert m.ecc == [max(row) for row in ref]
+
+
 def test_symmetry_zero_diagonal_and_triangle_inequality(rng):
     for _ in range(30):
         g = random_connected(rng, rng.randint(3, 9))

@@ -4,11 +4,14 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vklab import (ClassParams, InvalidParamsError, complete_graph,
-                   complete_multipartite, cycle_graph, in_class,
+                   complete_multipartite, cycle_graph, from_edges, in_class,
                    induced_subgraph, is_k_partite, join, join_family_graph,
                    vertex_k_partiteness)
+from vklab.partiteness import partiteness_within
 
 from conftest import nx_of, random_graph
 
@@ -34,21 +37,23 @@ def test_is_k_partite_against_chromatic_number(rng):
             assert chi == ref
 
 
+def _colourable(g, keep, k):
+    """Some map of `keep` to k colours leaves no edge inside one colour."""
+    edges = [(keep.index(u), keep.index(v)) for u, v in g.edges()
+             if u in keep and v in keep]
+    return any(all(colors[a] != colors[b] for a, b in edges)
+               for colors in itertools.product(range(k), repeat=len(keep)))
+
+
 def _brute_chromatic(g):
-    for k in range(1, g.n + 1):
-        for colors in itertools.product(range(k), repeat=g.n):
-            if all(colors[u] != colors[v] for u, v in g.edges()):
-                return k
-    raise AssertionError
+    return next(k for k in range(1, g.n + 1) if _colourable(g, list(range(g.n)), k))
 
 
 def brute_vk(g, k):
-    for ell in range(g.n - k + 1):
+    """Fewest deletions leaving a k-colourable rest, by exhaustive colourings."""
+    for ell in range(g.n + 1):
         for subset in itertools.combinations(range(g.n), ell):
-            keep = [v for v in range(g.n) if v not in subset]
-            if len(keep) <= k:
-                return ell
-            if is_k_partite(induced_subgraph(g, keep), k):
+            if _colourable(g, [v for v in range(g.n) if v not in subset], k):
                 return ell
     raise AssertionError
 
@@ -66,6 +71,20 @@ def test_vertex_k_partiteness_against_brute(rng):
         for k in (2, 3):
             if g.n >= k:
                 assert vertex_k_partiteness(g, k) == brute_vk(g, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partiteness_within_every_cap_against_brute(data):
+    k = data.draw(st.sampled_from((2, 3, 4)), label="k")
+    n = data.draw(st.integers(k, 8), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    present = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                 max_size=len(pairs)), label="edges")
+    g = from_edges(n, [p for p, keep in zip(pairs, present) if keep])
+    want = brute_vk(g, k)
+    for cap in range(n - k + 1):
+        assert partiteness_within(g.adj, n, k, cap) == (want if want <= cap else None)
 
 
 def test_vk_zero_iff_k_partite(rng):
