@@ -26,10 +26,10 @@ from fractions import Fraction
 
 from .errors import VklabError
 from .extremal import extremal_graph, part_sizes
-from .graphs import parse_graph6, to_graph6
-from .indices import ALL_KINDS, IndexKind, evaluate
+from .graphs import is_connected, parse_graph6, to_graph6
+from .indices import ALL_KINDS, DEGREE_ONLY, IndexKind, evaluate
 from .partiteness import ClassParams, vertex_k_partiteness
-from .search import monotonicity_fuzz, numbered_graph6, scan_class
+from .search import monotonicity_fuzz, numbered_graph6, scan_many
 from .verify import REFUTED, known_claims, verify_theorem
 
 _KIND_NAMES = {kind.value: kind for kind in ALL_KINDS}
@@ -120,12 +120,16 @@ def _cmd_index(args) -> int:
     envelopes, rows = [], []
     for label, g in _input_graphs(args):
         g6 = to_graph6(g)
+        # distance and eccentricity kinds are undefined on a disconnected
+        # graph: null in JSON, "undefined" in plain and CSV
+        connected = is_connected(g)
         for kind in kinds:
-            val = evaluate(kind, g)
+            val = evaluate(kind, g) if connected or kind in DEGREE_ONLY else None
             envelopes.append(_envelope(
                 "index", params={"line": label, "graph6": g6},
                 kind=kind, optimum=val))
-            rows.append([label, g6, kind.value, _value_text(val)])
+            rows.append([label, g6, kind.value,
+                         "undefined" if val is None else _value_text(val)])
     _emit(envelopes, rows, ["line", "graph6", "kind", "value"], args.format, args.out)
     return 0
 
@@ -163,8 +167,10 @@ def _cmd_scan(args) -> int:
     kinds = _selected_kinds(args.kind)
     envelopes, rows = [], []
     findings = False
+    reports = scan_many(params.n, params.k, (params.m,), kinds,
+                        workers=args.workers, large=args.large)
     for kind in kinds:
-        report = scan_class(params, kind, workers=args.workers, large=args.large)
+        report = reports[(params.m, kind)]
         optimizers = report.optimizer_graph6()
         flags = {
             "matches_construction": report.matches_construction,

@@ -7,14 +7,28 @@ compare equal exactly when they have identical labelled adjacency.
 
 Also provides graph6 text I/O and a canonical form for small graphs
 (exhaustive over refinement-admissible relabelings, guaranteed complete
-for n <= 8).
+for n <= 8). The graph6 codec is table-driven: a body is translated to
+its bit string by one `str.translate`, a cached per-n `itemgetter` picks
+all n adjacency rows out of it in one pass, and one `int(..., 2)` reads
+them as n-bit fields of a single integer.
+
+`Graph(n, adj)` validates its rows: vertex range, no self-loops, symmetry.
+`_symmetric_graph(n, adj)` skips those checks and may be called only with
+rows that are symmetric, loop-free and inside 0..n-1 by construction, for
+1 <= n <= 64: the graph6 decoder (its table reads pairs (u, v) and
+(v, u) from one bit and the diagonal from a constant '0'), `code_to_graph`
+(each code bit sets both ends of one pair u < v < n) and the catalogue's
+vertex extension in `vklab.search` (children of valid parents). Rows from
+anywhere else, including unpickling, go through `Graph`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, prod
+from operator import itemgetter
 
 from .errors import Graph6ParseError, GraphSizeError, SizeCapError
 
@@ -45,9 +59,10 @@ class Graph:
             for v in range(u + 1, n):
                 if (adj[u] >> v & 1) != (adj[v] >> u & 1):
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "_hash", hash((n, tuple(adj))))
+        adj = tuple(adj)
+        _SET_N(self, n)
+        _SET_ADJ(self, adj)
+        _SET_HASH(self, hash((n, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -92,6 +107,20 @@ class Graph:
             for v in range(u + 1, self.n):
                 if not self.adj[u] >> v & 1:
                     yield (u, v)
+
+
+# slot setters that bypass the immutability guard in Graph.__setattr__
+_SET_N, _SET_ADJ, _SET_HASH = Graph.n.__set__, Graph.adj.__set__, Graph._hash.__set__
+
+
+def _symmetric_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph from rows that are valid by construction, without `Graph`'s
+    O(n^2) checks; see the module docstring for who may call it."""
+    g = object.__new__(Graph)
+    _SET_N(g, n)
+    _SET_ADJ(g, adj)
+    _SET_HASH(g, hash((n, adj)))
+    return g
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -255,7 +284,9 @@ def code_to_adj(code: int, n: int) -> list[int]:
 
 
 def code_to_graph(code: int, n: int) -> Graph:
-    return Graph(n, tuple(code_to_adj(code, n)))
+    if not 1 <= n <= MAX_VERTICES:
+        raise GraphSizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    return _symmetric_graph(n, tuple(code_to_adj(code, n)))
 
 
 def _row_major_pairs(n: int) -> list[tuple[int, int]]:
@@ -269,6 +300,32 @@ _ROW_MAJOR_PAIRS = {n: _row_major_pairs(n) for n in range(2, 13)}
 # graph6 (printable text encoding; column-major upper triangle)
 # ---------------------------------------------------------------------------
 
+# graph6 body character -> its six bits, most significant first
+_GRAPH6_BITS = str.maketrans({chr(63 + v): format(v, "06b") for v in range(64)})
+
+
+@cache
+def _graph6_tables(n: int) -> tuple[itemgetter, tuple[int, ...]]:
+    """The graph6 position tables for order n: (decode getter, encode order).
+
+    Pair (u, v), u < v, is bit v(v-1)/2 + u of the body. The decode getter
+    picks from the decoded body, with one '0' appended, the adjacency rows
+    0..n-1 as binary strings written one after another, each from vertex
+    n-1 down to vertex 0: (u, v) and (v, u) read one shared position and the
+    diagonal reads the appended '0'. The encode order runs the other way:
+    for each body position, an index into those concatenated row strings,
+    with the padding reading a '0' appended after them.
+    """
+    sentinel = 6 * ((pair_count(n) + 5) // 6)
+    flat = [sentinel if u == v else max(u, v) * (max(u, v) - 1) // 2 + min(u, v)
+            for u in range(n) for v in range(n - 1, -1, -1)]
+    order = [n * n] * sentinel
+    for i, pos in enumerate(flat):
+        if pos != sentinel:
+            order[pos] = i
+    return itemgetter(*flat), tuple(order)
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as one graph6 line (no header, no trailing newline)."""
     n = g.n
@@ -277,28 +334,20 @@ def to_graph6(g: Graph) -> str:
     else:
         # 18-bit extended order for 63 <= n <= 258047; we only ever need <= 64
         head = "~" + "".join(chr(63 + (n >> shift & 0x3F)) for shift in (12, 6, 0))
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(g.adj[u] >> v & 1)
-    chars = []
-    for i in range(0, len(bits), 6):
-        group = bits[i:i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        chars.append(chr(63 + val))
-    return head + "".join(chars)
+    _, order = _graph6_tables(n)
+    rows = "".join([format(row, "b").zfill(n) for row in g.adj]) + "0"
+    bits = "".join([rows[i] for i in order])
+    return head + "".join([chr(63 + int(bits[i:i + 6], 2))
+                           for i in range(0, len(bits), 6)])
 
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line; strict about length and character range."""
     line = text.strip()
-    if not line:
-        raise Graph6ParseError("empty line")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
+    if not line:
+        raise Graph6ParseError("empty line")
     pos = 0
     if line[0] == "~":
         if len(line) >= 2 and line[1] == "~":
@@ -323,23 +372,18 @@ def parse_graph6(text: str) -> Graph:
     if len(body) != nchars:
         raise Graph6ParseError(
             f"expected {nchars} data characters for n={n}, got {len(body)}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise Graph6ParseError(f"invalid character {ch!r}")
-        bits.extend((val >> shift & 1) for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    # characters outside '?'..'~' are left as they are, one for six
+    bits = body.translate(_GRAPH6_BITS)
+    if len(bits) != 6 * nchars:
+        bad = next(ch for ch in body if not "?" <= ch <= "~")
+        raise Graph6ParseError(f"invalid character {bad!r}")
+    if "1" in bits[nbits:]:
         raise Graph6ParseError("nonzero padding bits")
-    adj = [0] * n
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            i += 1
-    return Graph(n, tuple(adj))
+    getter, _ = _graph6_tables(n)
+    rows = int("".join(getter(bits + "0")), 2)
+    mask = (1 << n) - 1
+    return _symmetric_graph(n, tuple([rows >> shift & mask
+                                      for shift in range(n * n - n, -1, -n)]))
 
 
 # ---------------------------------------------------------------------------

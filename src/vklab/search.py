@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 from .errors import Graph6ParseError, InvalidParamsError, SizeCapError
 from .extremal import closed_form, extremal_graph, join_family_graph
-from .graphs import (CanonicalCode, Graph, _canonical_search, add_edge, canonical_form,
-                     code_to_adj, code_to_graph, connected_mask, pair_count,
-                     parse_graph6, permute, to_graph6)
+from .graphs import (CanonicalCode, Graph, _canonical_search, _symmetric_graph, add_edge,
+                     canonical_form, code_to_adj, code_to_graph, connected_mask,
+                     pair_count, parse_graph6, permute, to_graph6)
 from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
 from .metrics import compute_metrics
 from .partiteness import ClassParams, partiteness_within
@@ -120,7 +120,9 @@ def _extend(parents) -> dict:
     one-vertex extension of `parents`; the parallel unit of work.
 
     The new vertex takes each nonempty neighbourhood in turn, so connected
-    parents give connected children.
+    parents give connected children. A child's rows are valid by
+    construction: the new vertex's bit is set on exactly the rows of its
+    neighbours, and its own row is that neighbourhood.
     """
     found: dict = {}
     for parent in parents:
@@ -130,7 +132,7 @@ def _extend(parents) -> dict:
         for nbhd in range(1, new):
             adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
             adj.append(nbhd)
-            child = Graph(n, tuple(adj))
+            child = _symmetric_graph(n, tuple(adj))
             bits, aut, order = _canonical_search(child)
             if bits not in found:
                 perm = [0] * n
@@ -151,7 +153,7 @@ def _merge(parts, n: int) -> tuple[CatalogueEntry, ...]:
     for part in parts:
         for bits, value in part.items():
             found.setdefault(bits, value)
-    return tuple(CatalogueEntry(CanonicalCode(n, bits), Graph(n, adj), aut)
+    return tuple(CatalogueEntry(CanonicalCode(n, bits), _symmetric_graph(n, adj), aut)
                  for bits, (aut, adj) in sorted(found.items()))
 
 

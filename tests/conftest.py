@@ -1,6 +1,6 @@
 """Shared brute-force oracles, deliberately independent of the package's
-bitset code paths: plain dict/list BFS, pair-by-pair sums, networkx for
-reference graph6 and isomorphism."""
+bitset code paths: plain dict/list BFS, pair-by-pair sums, a bit-by-bit
+graph6 decoder, networkx for reference graph6 and isomorphism."""
 
 import collections
 import random
@@ -9,7 +9,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from vklab import Graph, IndexKind
+from vklab import Graph, Graph6ParseError, IndexKind
 from vklab.graphs import from_edges
 
 
@@ -24,6 +24,57 @@ def graph_of_nx(h: nx.Graph) -> Graph:
     nodes = sorted(h.nodes())
     index = {v: i for i, v in enumerate(nodes)}
     return from_edges(len(nodes), [(index[u], index[v]) for u, v in h.edges()])
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Bit-by-bit graph6 decoder: every body bit unpacked into a list, rows
+    filled pair by pair and checked by the public `Graph` constructor.
+    Raises Graph6ParseError with the package decoder's messages."""
+    line = text.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    if not line:
+        raise Graph6ParseError("empty line")
+    if line[0] == "~":
+        if len(line) >= 2 and line[1] == "~":
+            raise Graph6ParseError("graphs beyond 64 vertices are unsupported")
+        if len(line) < 4:
+            raise Graph6ParseError("truncated extended vertex count")
+        n = 0
+        for ch in line[1:4]:
+            val = ord(ch) - 63
+            if not 0 <= val <= 63:
+                raise Graph6ParseError(f"invalid character {ch!r}")
+            n = n << 6 | val
+        pos = 4
+    else:
+        n = ord(line[0]) - 63
+        pos = 1
+    if not 1 <= n <= 64:
+        raise Graph6ParseError(f"vertex count {n} outside 1..64")
+    nbits = n * (n - 1) // 2
+    nchars = (nbits + 5) // 6
+    body = line[pos:]
+    if len(body) != nchars:
+        raise Graph6ParseError(
+            f"expected {nchars} data characters for n={n}, got {len(body)}")
+    bits = []
+    for ch in body:
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise Graph6ParseError(f"invalid character {ch!r}")
+        bits.extend((val >> shift & 1) for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise Graph6ParseError("nonzero padding bits")
+    adj = [0] * n
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            i += 1
+    return Graph(n, tuple(adj))
 
 
 def brute_distances(g: Graph):

@@ -52,6 +52,27 @@ def test_index_all_kinds_k2(capsys):
     }
 
 
+def test_index_all_kinds_on_disconnected_graph(capsys):
+    # B? is two isolated vertices: only the degree-only kinds are defined
+    degree_only = {"zagreb_m1": "0", "zagreb_m2": "0", "mult_zagreb_pi1": "0",
+                   "mult_zagreb_pi2": "1"}
+    argv = ["index", "--graph6", "B?", "--kind", "all"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    values = {r["kind"]: r["value"] for r in csv.DictReader(io.StringIO(out))}
+    assert values == {**dict.fromkeys(["wiener", "harary", "rdd", "ecc_dist_sum",
+                                       "conn_ecc", "adj_ecc_dist_sum"], "undefined"),
+                      **degree_only}
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert {tuple(line.split()[2:]) for line in out.splitlines()} == set(values.items())
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    optima = {r["kind"]: r["optimum"] for r in json.loads(out)}
+    assert optima == {kind: None if value == "undefined" else {"num": int(value), "den": 1}
+                      for kind, value in values.items()}
+
+
 def test_index_rational_rendering(capsys):
     code, out, _ = run(capsys, "index", "--graph6", "Bg", "--kind", "harary")
     assert code == 0

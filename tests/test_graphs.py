@@ -1,5 +1,5 @@
-"""Graph construction, graph6 I/O against the networkx reference, and the
-canonical form."""
+"""Graph construction, graph6 I/O against the networkx reference and the
+bit-by-bit decoder, and the canonical form."""
 
 import networkx as nx
 import pytest
@@ -13,7 +13,7 @@ from vklab import (Graph, GraphSizeError, Graph6ParseError, add_edge, canonical_
                    permute, to_graph6)
 from vklab.graphs import code_to_graph, graph_to_code, pair_count
 
-from conftest import nx_of, random_graph
+from conftest import nx_of, random_graph, reference_parse_graph6
 
 
 def test_complete_and_empty_edge_counts():
@@ -44,6 +44,8 @@ def test_graph_is_immutable_value():
 def test_adjacency_validation():
     with pytest.raises(ValueError):
         Graph(2, (1, 0))  # asymmetric
+    with pytest.raises(ValueError):
+        Graph(3, (2, 0, 0))  # asymmetric
     with pytest.raises(ValueError):
         Graph(2, (1 | 2, 1))  # self-loop at 0
 
@@ -159,15 +161,71 @@ def test_graph6_matches_networkx_reference(rng):
 
 
 def test_graph6_large_n_round_trip(rng):
-    for n in (63, 64):
+    # n = 62 is the last one-character header; 63 and 64 take "~" plus 18 bits
+    for n, head in ((62, "}"), (63, "~??~"), (64, "~?@?")):
         g = random_graph(rng, n, p=0.1)
-        assert parse_graph6(to_graph6(g)) == g
+        text = to_graph6(g)
+        assert text.startswith(head) and len(text) == len(head) + (pair_count(n) + 5) // 6
+        assert parse_graph6(text) == g == reference_parse_graph6(text)
 
 
 def test_graph6_malformed():
     for bad in ("", "garbage!", "A", "A_~", "D~", "\x1c_"):
         with pytest.raises(Graph6ParseError):
             parse_graph6(bad)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("A`", "nonzero padding bits"),
+    (">>graph6<<", "empty line"),
+    ("A\x7f", "invalid character '\\x7f'"),
+    ("D_\x80\x7f", "expected 2 data characters for n=5, got 3"),
+    ("D\x80\x7f", "invalid character '\\x80'"),
+    ("D?\x7f", "invalid character '\\x7f'"),
+    ("~?@", "truncated extended vertex count"),
+    ("~~??", "graphs beyond 64 vertices are unsupported"),
+    ("~?@@", "vertex count 65 outside 1..64"),
+])
+def test_graph6_malformed_messages(bad, message):
+    for parse in (parse_graph6, reference_parse_graph6):
+        with pytest.raises(Graph6ParseError) as err:
+            parse(bad)
+        assert str(err.value) == message
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Graph6ParseError as exc:
+        return str(exc)
+
+
+# body characters around both ends of the valid range '?'..'~', and beyond
+_GRAPH6_NOISE = st.one_of(st.characters(min_codepoint=0x3A, max_codepoint=0x83),
+                          st.characters(max_codepoint=0x2FF))
+
+
+@given(st.integers(min_value=1, max_value=64), st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.sampled_from(["replace", "delete", "insert", "truncate"]),
+                          st.integers(min_value=0), _GRAPH6_NOISE), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_graph6_decoder_matches_bit_by_bit_oracle(n, rnd, edits):
+    g = random_graph(rnd, n, p=rnd.random())
+    text = to_graph6(g)
+    if not edits:
+        assert parse_graph6(text) == g == reference_parse_graph6(text)
+    for op, at, ch in edits:
+        at %= len(text) + 1
+        if op == "replace":
+            text = text[:at] + ch + text[at + 1:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1:]
+        elif op == "insert":
+            text = text[:at] + ch + text[at:]
+        else:
+            text = text[:at]
+    ours = _parse_outcome(parse_graph6, text)
+    assert ours == _parse_outcome(reference_parse_graph6, text)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 15) - 1))
