@@ -28,6 +28,7 @@ from .errors import VklabError
 from .extremal import extremal_graph, part_sizes
 from .graphs import is_connected, parse_graph6, to_graph6
 from .indices import ALL_KINDS, DEGREE_ONLY, IndexKind, evaluate
+from .metrics import compute_metrics
 from .partiteness import ClassParams, vertex_k_partiteness
 from .search import monotonicity_fuzz, numbered_graph6, scan_many
 from .verify import REFUTED, known_claims, verify_theorem
@@ -117,14 +118,17 @@ def _selected_kinds(name: str) -> list[IndexKind]:
 
 def _cmd_index(args) -> int:
     kinds = _selected_kinds(args.kind)
+    need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
     envelopes, rows = [], []
     for label, g in _input_graphs(args):
         g6 = to_graph6(g)
         # distance and eccentricity kinds are undefined on a disconnected
         # graph: null in JSON, "undefined" in plain and CSV
         connected = is_connected(g)
+        # one BFS pass serves every kind; `evaluate` rejects n = 1 itself
+        metrics = compute_metrics(g) if need_metrics and connected and g.n >= 2 else None
         for kind in kinds:
-            val = evaluate(kind, g) if connected or kind in DEGREE_ONLY else None
+            val = evaluate(kind, g, metrics) if connected or kind in DEGREE_ONLY else None
             envelopes.append(_envelope(
                 "index", params={"line": label, "graph6": g6},
                 kind=kind, optimum=val))

@@ -4,8 +4,10 @@ index evaluator consumes.
 
 Each BFS keeps only layer sums: the transmission of its source is
 sum d * |L_d|, the eccentricity is the index of the last layer, and every
-layer adds its pair count and degree sum to the per-distance totals. No
-per-pair rows are written; `DistanceMetrics.dist` builds them on first use.
+layer adds its pair count and degree sum to the per-distance totals. A BFS
+stops once every vertex is seen: the last layer's degree sum is the total
+degree less the layers before it. No per-pair rows are written;
+`DistanceMetrics.dist` builds them on first use.
 
 Metrics are computed once per graph and passed around; evaluators never
 recompute them. Only connected graphs have metrics: disconnected input is
@@ -52,26 +54,21 @@ def distance_rows(adj, n: int) -> list[bytes]:
     rows = []
     for src in range(n):
         row = bytearray(n)
-        seen = 1 << src
-        frontier = 1 << src
+        seen = frontier = 1 << src
         d = 0
-        while frontier:
-            d += 1
+        while seen != full:
             nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= adj[v]
+            for v in range(n):
+                if frontier >> v & 1:
+                    nxt |= adj[v]
             frontier = nxt & ~seen
+            if not frontier:
+                raise DisconnectedGraphError("graph is not connected")
+            d += 1
             seen |= frontier
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                row[v] = d
-        if seen != full:
-            raise DisconnectedGraphError("graph is not connected")
+            for v in range(n):
+                if frontier >> v & 1:
+                    row[v] = d
         rows.append(bytes(row))
     return rows
 
@@ -87,6 +84,7 @@ def compute_metrics(g: Graph) -> DistanceMetrics:
         raise GraphSizeError(f"metrics need at least 2 vertices, got {n}")
     full = (1 << n) - 1
     degree = [row.bit_count() for row in adj]
+    total_degree = sum(degree)
     transmission = [0] * n
     ecc = [0] * n
     # over ordered pairs: every unordered pair is seen from both ends, so the
@@ -94,9 +92,12 @@ def compute_metrics(g: Graph) -> DistanceMetrics:
     pairs = [0] * n
     degree_sums = [0] * n
     for src in range(n):
-        seen = frontier = 1 << src
-        d = total = 0
-        while True:
+        frontier = adj[src]
+        seen = frontier | 1 << src
+        d, total = 1, frontier.bit_count()
+        pairs[1] += total
+        rest = total_degree - degree[src]  # degrees of the unexpanded layers
+        while seen != full:
             nxt = deg = 0
             f = frontier
             while f:
@@ -106,20 +107,19 @@ def compute_metrics(g: Graph) -> DistanceMetrics:
                 nxt |= adj[v]
                 deg += degree[v]
             degree_sums[d] += deg
+            rest -= deg
             frontier = nxt & ~seen
             if not frontier:
-                break
+                raise DisconnectedGraphError("graph is not connected")
             d += 1
             seen |= frontier
             size = frontier.bit_count()
             pairs[d] += size
             total += d * size
-        if seen != full:
-            raise DisconnectedGraphError("graph is not connected")
+        degree_sums[d] += rest  # the last layer, never expanded
         transmission[src] = total
         ecc[src] = d
     diameter = max(ecc)
-    degree_sums[0] = 0  # the BFS sources themselves, not pairs
     return DistanceMetrics(
         n=n, adj=adj, transmission=transmission, ecc=ecc, degree=degree,
         pair_counts=[c // 2 for c in pairs[:diameter + 1]],

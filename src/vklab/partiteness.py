@@ -5,6 +5,8 @@ A graph is k-partite exactly when it is properly k-colorable (parts may be
 empty). The partiteness parameter comes from one backtracking search in
 which every vertex either joins a colour class or, while a deletion budget
 remains, is deleted; the budget deepens from 0 until the search succeeds.
+Membership ("at most m deletions?") takes a greedy colouring as its
+certificate when it can and otherwise runs that search once, at budget m.
 Everything here is exact, sized for graphs of at most a dozen vertices
 inside enumeration loops.
 """
@@ -35,20 +37,17 @@ class ClassParams:
                 f"m must satisfy 1 <= m <= n - k = {self.n - self.k}, got {self.m}")
 
 
-def partiteness_within(adj, n: int, k: int, cap: int) -> int | None:
-    """Smallest deletion count <= cap whose removal leaves a k-partite graph.
+def _by_degree(adj, n: int) -> list[int]:  # the order of every pass
+    return sorted(range(n), key=[row.bit_count() for row in adj].__getitem__, reverse=True)
 
-    Returns None when more than `cap` deletions are needed. Low-level form
-    used inside enumeration loops; adjacency rows are given directly.
 
-    Vertices are taken in descending-degree order; each one joins a colour
-    class free of its neighbours, opens at most one new class (used-colour
-    symmetry pruning), or is deleted while the budget lasts. The search
-    succeeds as soon as the vertices left can each open a fresh class or be
-    deleted. Budgets 0, 1, ..., cap are tried in turn, so the first success
-    is the minimum.
-    """
-    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
+def _searcher(adj, order, k: int):
+    """The colour-or-delete search `place(i, used, budget)` over `order`:
+    each vertex joins a colour class free of its neighbours, opens at most
+    one new class (used-colour symmetry pruning), or is deleted while the
+    budget lasts. It succeeds as soon as the vertices left can each open a
+    fresh class or be deleted."""
+    n = len(order)
     rows = [adj[v] for v in order]
     bits = [1 << v for v in order]
     classes = [0] * k  # invariant: classes[c] == 0 for every c >= used
@@ -70,17 +69,46 @@ def partiteness_within(adj, n: int, k: int, cap: int) -> int | None:
             classes[used] = 0
         return budget > 0 and place(i + 1, used, budget - 1)
 
-    for budget in range(cap + 1):
-        if place(0, 0, budget):
-            return budget
-    return None
+    return place
+
+
+def partiteness_within(adj, n: int, k: int, cap: int) -> int | None:
+    """Smallest deletion count <= cap whose removal leaves a k-partite graph.
+
+    Returns None when more than `cap` deletions are needed. Low-level form
+    used inside enumeration loops; adjacency rows are given directly.
+    Budgets 0, 1, ..., cap are searched in turn, so the first success is
+    the minimum."""
+    place = _searcher(adj, _by_degree(adj, n), k)
+    return next((budget for budget in range(cap + 1) if place(0, 0, budget)), None)
+
+
+def within_budget(adj, n: int, k: int, budget: int) -> bool:
+    """True iff deleting at most `budget` vertices leaves a k-partite graph.
+
+    A greedy pass in the search order (first free class, else delete) that
+    deletes at most `budget` vertices is a certificate; otherwise the exact
+    search runs once, at `budget`."""
+    order = _by_degree(adj, n)
+    classes, deleted = [0] * k, 0
+    for v in order:
+        row = adj[v]
+        for c, members in enumerate(classes):
+            if not members & row:
+                classes[c] = members | 1 << v
+                break
+        else:
+            deleted += 1
+            if deleted > budget:
+                return _searcher(adj, order, k)(0, 0, budget)
+    return True
 
 
 def is_k_partite(g: Graph, k: int) -> bool:
     """True iff the vertices admit a proper k-coloring (parts may be empty)."""
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
-    return partiteness_within(g.adj, g.n, k, 0) == 0
+    return within_budget(g.adj, g.n, k, 0)
 
 
 def vertex_k_partiteness(g: Graph, k: int) -> int:
@@ -101,4 +129,4 @@ def in_class(g: Graph, params: ClassParams) -> bool:
     """Membership test: right order and k-partiteness at most m."""
     if g.n != params.n:
         return False
-    return partiteness_within(g.adj, g.n, params.k, params.m) is not None
+    return within_budget(g.adj, g.n, params.k, params.m)

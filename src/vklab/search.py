@@ -29,7 +29,7 @@ from .graphs import (CanonicalCode, Graph, _canonical_search, _symmetric_graph, 
                      pair_count, parse_graph6, permute, to_graph6)
 from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
 from .metrics import compute_metrics
-from .partiteness import ClassParams, partiteness_within
+from .partiteness import ClassParams, partiteness_within, within_budget
 
 _ENUM_CAP = 7          # hard cap without opt-in
 _ENUM_CAP_LARGE = 8    # 2^28 codes; opt-in and parallel-only territory
@@ -285,13 +285,14 @@ def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
     class this reproduces the labelled scan's optimum and optimizer codes.
     """
     full = (1 << params.n) - 1
+    minimized = kind in _MINIMIZED
     best_val = None
     best_members: list[Graph] = []
     count = 0
     for g in graphs:
         if g.n != params.n or connected_mask(g.adj) != full:
             continue
-        if partiteness_within(g.adj, g.n, params.k, params.m) is None:
+        if not within_budget(g.adj, g.n, params.k, params.m):
             continue
         count += 1
         val = evaluate(kind, g)
@@ -299,7 +300,7 @@ def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
             best_val, best_members = val, [g]
         elif val == best_val:
             best_members.append(g)
-        elif (val < best_val) if kind in _MINIMIZED else (val > best_val):
+        elif (val < best_val) if minimized else (val > best_val):
             best_val, best_members = val, [g]
     if best_val is None:
         raise ValueError("corpus contains no class members")

@@ -109,6 +109,29 @@ def test_index_lenient_skips_bad_lines(tmp_path, capsys):
     assert err == "skipped line 2: expected 130 data characters for n=40, got 7\n"
 
 
+def test_index_runs_one_bfs_pass_per_connected_line(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = vklab.metrics.compute_metrics
+
+    def counting(g):
+        calls.append(vklab.to_graph6(g))
+        return real(g)
+
+    # `evaluate` falls back to its own import when handed no metrics
+    monkeypatch.setattr(vklab.cli, "compute_metrics", counting)
+    monkeypatch.setattr(vklab.indices, "compute_metrics", counting)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("D~{\nB?\nBg\nA_\n")  # B? is disconnected
+    code, out, _ = run(capsys, "index", "--file", str(corpus), "--kind", "all",
+                       "--format", "csv")
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 4 * 10
+    assert calls == ["D~{", "Bg", "A_"]
+    calls.clear()
+    code, _, _ = run(capsys, "index", "--file", str(corpus), "--kind", "zagreb_m1")
+    assert code == 0 and calls == []
+
+
 @pytest.mark.parametrize("argv,message", [
     (["vk", "--graph6", "A_", "--k", "3"], "need n >= k"),
     (["index", "--graph6", "@", "--kind", "wiener"], "n >= 2 only"),
@@ -229,6 +252,43 @@ def test_golden_json(golden, argv, capsys):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == (DATA / golden).read_text()
+
+
+def _value(v):
+    """A verdict value: {num, den} as p/q (p alone when den is 1), or text."""
+    if not isinstance(v, dict):
+        return v
+    return str(v["num"]) if v["den"] == 1 else f"{v['num']}/{v['den']}"
+
+
+def ledger_text(envelopes) -> str:
+    """Each claim's verdict counts, then every verdict that is not
+    confirmed with both values; a note line precedes each run of equal
+    notes."""
+    lines = []
+    for env in envelopes:
+        flags = env["flags"]
+        lines.append(f"{env['claim']}: confirmed {flags['confirmed']}, refuted "
+                     f"{flags['refuted']}, regime_flagged {flags['regime_flagged']}")
+        note = None
+        for v in env["verdicts"]:
+            if v["verdict"] == "confirmed":
+                continue
+            if v["note"] != note:
+                note = v["note"]
+                lines.append(f"  note: {note}")
+            p = v["params"]
+            lines.append(f"  {v['verdict']} {v['kind']} ({p['n']},{p['m']},{p['k']}): "
+                         f"expected {_value(v['expected'])}; actual {_value(v['actual'])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_errata_ledger_is_frozen(capsys):
+    """The CI errata gate's ledger; any drift in a verdict or value fails."""
+    code, out, _ = run(capsys, "verify", "--claim", "all", "--nmax", "10",
+                       "--scan-nmax", "6", "--format", "json")
+    assert code == 2
+    assert ledger_text(json.loads(out)) == (DATA / "ledger_n10_scan6.txt").read_text()
 
 
 def test_json_schema_keys_are_stable(capsys):

@@ -4,11 +4,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vklab import (ALL_KINDS, ClassParams, Direction, IndexKind, InvalidParamsError,
                    closed_form, closed_form_bipartite, closed_form_corrected,
-                   complete_graph, complete_multipartite, direction, evaluate,
-                   extremal_graph, is_isomorphic, join, join_family_graph,
+                   complete_graph, complete_multipartite, compute_metrics, direction,
+                   evaluate, extremal_graph, is_isomorphic, join, join_family_graph,
                    part_sizes, predicted_difference, shift_vertex,
                    vertex_k_partiteness)
 from vklab.extremal import EVEN, ODD
@@ -77,6 +79,28 @@ def test_closed_form_matches_oracle_in_regime():
                         cf = closed_form(kind, p)
                         assert cf.value == oracle, (kind, n, m, k)
                         assert not cf.regime_restricted
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_forms_match_evaluation_up_to_64_vertices(data):
+    """The printed forms in regime and the corrected M2 form against direct
+    evaluation on the construction, at random (n, m, k) up to n = 64."""
+    n = data.draw(st.integers(3, 64), label="n")
+    k = data.draw(st.integers(2, n - 1), label="k")
+    p = ClassParams(n, data.draw(st.integers(1, n - k), label="m"), k)
+    g = extremal_graph(p)
+    metrics = compute_metrics(g)
+    for kind in ALL_KINDS:
+        oracle = evaluate(kind, g, metrics)
+        if kind is IndexKind.ZAGREB_M2:
+            assert closed_form_corrected(kind, p).value == oracle
+            continue
+        cf = closed_form(kind, p)
+        assert cf.regime_restricted == (kind in ECCENTRICITY_KINDS
+                                        and part_sizes(p).s < 2)
+        if not cf.regime_restricted:
+            assert cf.value == oracle, (kind, p)
 
 
 def test_closed_form_regime_flags():

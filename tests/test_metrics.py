@@ -3,8 +3,8 @@
 import pytest
 
 from vklab import (DisconnectedGraphError, add_edge, complete_graph,
-                   complete_multipartite, compute_metrics, empty_graph, join,
-                   path_graph, wiener)
+                   complete_multipartite, compute_metrics, empty_graph, from_edges,
+                   join, path_graph, wiener)
 
 from conftest import brute_distances, random_connected
 
@@ -33,8 +33,14 @@ def test_join_family_metrics():
 
 
 def test_disconnected_is_an_error():
-    with pytest.raises(DisconnectedGraphError):
-        compute_metrics(empty_graph(3))
+    for g in (empty_graph(3),
+              from_edges(4, [(1, 2), (2, 3)]),                  # isolated first vertex
+              from_edges(4, [(0, 1), (1, 2)]),                  # isolated last vertex
+              from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two paths
+              from_edges(7, [(0, 1), (0, 2), (1, 2),            # a triangle and
+                             (3, 4), (4, 5), (5, 6), (6, 3)])):  # a 4-cycle
+        with pytest.raises(DisconnectedGraphError):
+            compute_metrics(g)
 
 
 def test_matches_brute_bfs(rng):
@@ -48,8 +54,14 @@ def test_matches_brute_bfs(rng):
 
 
 def test_per_distance_sums_match_brute_bfs(rng):
-    for _ in range(40):
-        g = random_connected(rng, rng.randint(2, 20), rng.choice((0.2, 0.5, 0.8)))
+    graphs = [random_connected(rng, rng.randint(2, 20), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(40)]
+    # every source of a complete graph, and the centre of a star, sees the
+    # whole graph at distance 1; paths give the longest diameters
+    graphs += [complete_graph(n) for n in range(2, 9)]
+    graphs += [complete_multipartite([1, n - 1]) for n in range(2, 9)]
+    graphs += [path_graph(n) for n in (2, 3, 4, 9, 20, 64)]
+    for g in graphs:
         m = compute_metrics(g)
         ref = brute_distances(g)
         deg = g.degrees()

@@ -11,7 +11,8 @@ from vklab import (ClassParams, InvalidParamsError, complete_graph,
                    complete_multipartite, cycle_graph, from_edges, in_class,
                    induced_subgraph, is_k_partite, join, join_family_graph,
                    vertex_k_partiteness)
-from vklab.partiteness import partiteness_within
+from vklab import partiteness
+from vklab.partiteness import partiteness_within, within_budget
 
 from conftest import nx_of, random_graph
 
@@ -73,18 +74,60 @@ def test_vertex_k_partiteness_against_brute(rng):
                 assert vertex_k_partiteness(g, k) == brute_vk(g, k)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_partiteness_within_every_cap_against_brute(data):
+def _random_graph_up_to_8(data):
     k = data.draw(st.sampled_from((2, 3, 4)), label="k")
     n = data.draw(st.integers(k, 8), label="n")
     pairs = list(itertools.combinations(range(n), 2))
     present = data.draw(st.lists(st.booleans(), min_size=len(pairs),
                                  max_size=len(pairs)), label="edges")
-    g = from_edges(n, [p for p, keep in zip(pairs, present) if keep])
+    return from_edges(n, [p for p, keep in zip(pairs, present) if keep]), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partiteness_within_every_cap_against_brute(data):
+    g, k = _random_graph_up_to_8(data)
     want = brute_vk(g, k)
-    for cap in range(n - k + 1):
-        assert partiteness_within(g.adj, n, k, cap) == (want if want <= cap else None)
+    for cap in range(g.n - k + 1):
+        assert partiteness_within(g.adj, g.n, k, cap) == (want if want <= cap else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_within_budget_every_budget_against_brute(data):
+    g, k = _random_graph_up_to_8(data)
+    want = brute_vk(g, k)
+    for budget in range(g.n - k + 1):
+        assert within_budget(g.adj, g.n, k, budget) == (want <= budget)
+
+
+# P6 labelled 5-0-1-4-3-2: first-fit in descending-degree order (0, 1, 3, 4,
+# 2, 5) puts 0 and 3 in one class and 1 in the other, and then finds no
+# class for 4, which is adjacent to 1 and 3, although the path is bipartite
+_GREEDY_OVERSHOOTS = from_edges(6, [(0, 1), (0, 5), (1, 4), (2, 3), (3, 4)])
+
+
+def test_within_budget_takes_the_certificate_or_the_search(monkeypatch):
+    searches = []
+    real = partiteness._searcher
+
+    def counting(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partiteness, "_searcher", counting)
+    # the greedy colours these outright
+    assert within_budget(complete_multipartite([2, 2, 2]).adj, 6, 3, 0)
+    assert within_budget(complete_graph(5).adj, 5, 3, 2)
+    assert searches == []
+    # the greedy deletes one vertex, over budget 0: one search decides
+    assert within_budget(_GREEDY_OVERSHOOTS.adj, 6, 2, 0)
+    assert len(searches) == 1
+    assert is_k_partite(_GREEDY_OVERSHOOTS, 2)
+    assert len(searches) == 2
+    # and a search that fails: C5 needs one deletion
+    assert not within_budget(cycle_graph(5).adj, 5, 2, 0)
+    assert len(searches) == 3
 
 
 def test_vk_zero_iff_k_partite(rng):
