@@ -35,6 +35,9 @@ from .verify import REFUTED, known_claims, verify_theorem
 
 _KIND_NAMES = {kind.value: kind for kind in ALL_KINDS}
 
+_LARGE_HELP = ("opt in to n = 8 scans: 11,117 isomorphism classes, "
+               "needs --workers >= 2")
+
 
 def _value_json(v):
     if isinstance(v, bool) or v is None or isinstance(v, str):
@@ -314,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", default="all")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--large", action="store_true",
-                   help="opt in to n = 8 scans (2^28 graphs)")
+    p.add_argument("--large", action="store_true", help=_LARGE_HELP)
     add_common(p)
     p.set_defaults(func=_cmd_scan)
 
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-nmax", type=int, default=5, dest="scan_nmax",
                    help="grid cap for scan-backed claims")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--large", action="store_true")
+    p.add_argument("--large", action="store_true", help=_LARGE_HELP)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -83,7 +83,8 @@ def load_graph6_corpus(lines, strict: bool = True, errors: list | None = None):
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Outcome of one class scan for one index."""
+    """Outcome of one class scan for one index; `opposite` is the class's
+    extreme on the other side of `optimum` (the minimum of a maximized index)."""
 
     params: ClassParams
     kind: IndexKind
@@ -92,6 +93,7 @@ class ExtremalReport:
     class_size: int
     matches_construction: bool
     matches_closed_form: bool
+    opposite: int | Fraction
 
     def optimizer_graph6(self) -> list[str]:
         """graph6 of each optimizer under its canonical labelling, sorted."""
@@ -197,13 +199,68 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
     return level
 
 
-def class_members(n: int, k: int, m_max: int, workers: int = 1,
-                  large: bool = False) -> list[tuple[int, CatalogueEntry]]:
-    """(vertex k-partiteness, entry) for every connected class on n vertices
-    whose k-partiteness is at most m_max, in catalogue order.
+class Extremum:
+    """Running minimum and maximum of (value, item) pairs, with every item
+    tied at each: the one "better or tied" comparison of every scan."""
 
-    n = 8 requires the explicit `large` opt-in and workers >= 2.
+    __slots__ = ("min", "min_items", "max", "max_items")
+
+    def __init__(self):
+        self.min = self.max = None
+        self.min_items: list = []
+        self.max_items: list = []
+
+    def add(self, value, item) -> None:
+        if not self.min_items or value < self.min:
+            self.min, self.min_items = value, [item]
+        elif value == self.min:
+            self.min_items.append(item)
+        if not self.max_items or value > self.max:
+            self.max, self.max_items = value, [item]
+        elif value == self.max:
+            self.max_items.append(item)
+
+    def toward(self, lowest: bool):
+        """(value, tied items) at the minimum if `lowest`, else at the maximum."""
+        return (self.min, self.min_items) if lowest else (self.max, self.max_items)
+
+
+def _report(params: ClassParams, kind: IndexKind, ext: Extremum, class_size: int,
+            ghat: CanonicalCode, canon=None) -> ExtremalReport:
+    """The report of one class and index from its reduced values; `canon`
+    maps the optimizer items to canonical codes when they are not codes."""
+    lowest = kind in _MINIMIZED
+    optimum, items = ext.toward(lowest)
+    codes = frozenset(map(canon, items) if canon else items)
+    return ExtremalReport(
+        params=params,
+        kind=kind,
+        optimum=optimum,
+        optimizer_codes=codes,
+        class_size=class_size,
+        matches_construction=codes == {ghat},
+        matches_closed_form=optimum == closed_form(kind, params).value,
+        opposite=ext.toward(not lowest)[0],
+    )
+
+
+def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
+              large: bool = False) -> dict:
+    """Scan one class family in a single pass over the catalogue.
+
+    Returns {(m, kind): ExtremalReport} for every requested m and kind.
+    Each member's k-partiteness and index values are computed once and
+    folded into one `Extremum` per (m, kind). A member stands for
+    n!/|Aut(G)| labelled graphs in `class_size`; optimizers are catalogue
+    codes, so ties need no canonicalisation. Reports are identical for
+    every worker count. n = 8 requires the explicit `large` opt-in and
+    workers >= 2; no m or no kind is an InvalidParamsError.
     """
+    m_values = tuple(sorted(set(m_values)))
+    kinds = tuple(kind for kind in ALL_KINDS if kind in set(kinds))
+    if not m_values or not kinds:
+        raise InvalidParamsError("a scan needs at least one m and one kind")
+    params_by_m = {m: ClassParams(n, m, k) for m in m_values}  # validates
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     cap = _ENUM_CAP_LARGE if large else _ENUM_CAP
@@ -212,31 +269,14 @@ def class_members(n: int, k: int, m_max: int, workers: int = 1,
             f"scans support 2 <= n <= {cap} (n=8 needs large=True), got {n}")
     if n == 8 and workers < 2:
         raise SizeCapError("n=8 scans are parallel-only; pass workers >= 2")
-    members = []
-    for entry in catalogue(n, workers):
-        v = partiteness_within(entry.graph.adj, n, k, m_max)
-        if v is not None:
-            members.append((v, entry))
-    return members
-
-
-def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
-              large: bool = False) -> dict:
-    """Scan one class family in a single pass over the catalogue.
-
-    Returns {(m, kind): ExtremalReport} for every requested m and kind.
-    Each catalogue member stands for n!/|Aut(G)| labelled graphs in
-    `class_size`; optimizers are catalogue codes, so ties need no
-    canonicalisation. Reports are identical for every worker count.
-    """
-    m_values = tuple(sorted(set(m_values)))
-    kinds = tuple(kind for kind in ALL_KINDS if kind in set(kinds))
-    params_by_m = {m: ClassParams(n, m, k) for m in m_values}  # validates
     need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
     class_counts = dict.fromkeys(m_values, 0)
-    best: dict = {}
-    for v, entry in class_members(n, k, max(m_values), workers, large):
+    reducers = {(m, kind): Extremum() for m in m_values for kind in kinds}
+    for entry in catalogue(n, workers):
         g = entry.graph
+        v = partiteness_within(g.adj, n, k, m_values[-1])
+        if v is None:
+            continue
         metrics = compute_metrics(g) if need_metrics else None
         vals = [(kind, evaluate(kind, g, metrics)) for kind in kinds]
         labelled = factorial(n) // entry.aut
@@ -245,27 +285,13 @@ def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
                 continue
             class_counts[m] += labelled
             for kind, val in vals:
-                cur = best.get((m, kind))
-                if cur is None or ((val < cur[0]) if kind in _MINIMIZED
-                                   else (val > cur[0])):
-                    best[(m, kind)] = (val, [entry.code])
-                elif val == cur[0]:
-                    cur[1].append(entry.code)
+                reducers[(m, kind)].add(val, entry.code)
     reports = {}
     for m, params in params_by_m.items():
         ghat = canonical_form(extremal_graph(params))
         for kind in kinds:
-            val, codes = best[(m, kind)]
-            canon = frozenset(codes)
-            reports[(m, kind)] = ExtremalReport(
-                params=params,
-                kind=kind,
-                optimum=val,
-                optimizer_codes=canon,
-                class_size=class_counts[m],
-                matches_construction=canon == {ghat},
-                matches_closed_form=val == closed_form(kind, params).value,
-            )
+            reports[(m, kind)] = _report(params, kind, reducers[(m, kind)],
+                                         class_counts[m], ghat)
     return reports
 
 
@@ -281,13 +307,12 @@ def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
     """Scan an externally supplied corpus instead of the labelled code space.
 
     Graphs of the wrong order, disconnected graphs, and non-members are
-    skipped. On a corpus containing one representative per isomorphism
-    class this reproduces the labelled scan's optimum and optimizer codes.
+    skipped; a corpus with no class member is an InvalidParamsError. On a
+    corpus containing one representative per isomorphism class this
+    reproduces the labelled scan's optimum and optimizer codes.
     """
     full = (1 << params.n) - 1
-    minimized = kind in _MINIMIZED
-    best_val = None
-    best_members: list[Graph] = []
+    ext = Extremum()
     count = 0
     for g in graphs:
         if g.n != params.n or connected_mask(g.adj) != full:
@@ -295,26 +320,11 @@ def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
         if not within_budget(g.adj, g.n, params.k, params.m):
             continue
         count += 1
-        val = evaluate(kind, g)
-        if best_val is None:
-            best_val, best_members = val, [g]
-        elif val == best_val:
-            best_members.append(g)
-        elif (val < best_val) if minimized else (val > best_val):
-            best_val, best_members = val, [g]
-    if best_val is None:
-        raise ValueError("corpus contains no class members")
-    canon = frozenset(canonical_form(g) for g in best_members)
-    ghat = canonical_form(extremal_graph(params))
-    return ExtremalReport(
-        params=params,
-        kind=kind,
-        optimum=best_val,
-        optimizer_codes=canon,
-        class_size=count,
-        matches_construction=canon == {ghat},
-        matches_closed_form=best_val == closed_form(kind, params).value,
-    )
+        ext.add(evaluate(kind, g), g)
+    if not count:
+        raise InvalidParamsError("corpus contains no class members")
+    return _report(params, kind, ext, count, canonical_form(extremal_graph(params)),
+                   canon=canonical_form)
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +338,10 @@ def family_scan(params: ClassParams, kind: IndexKind):
     count below k is the same as allowing empty parts). Returns
     (optimum, [sorted size lists attaining it]).
     """
-    best_val = None
-    best_sizes: list[tuple[int, ...]] = []
+    ext = Extremum()
     for sizes in _partitions_at_most(params.n - params.m, params.k):
-        g = join_family_graph(params.m, sizes)
-        val = evaluate(kind, g)
-        if best_val is None:
-            best_val, best_sizes = val, [sizes]
-            continue
-        if val == best_val:
-            best_sizes.append(sizes)
-        elif (val < best_val) if kind in _MINIMIZED else (val > best_val):
-            best_val, best_sizes = val, [sizes]
-    return best_val, best_sizes
+        ext.add(evaluate(kind, join_family_graph(params.m, sizes)), sizes)
+    return ext.toward(kind in _MINIMIZED)
 
 
 def _partitions_at_most(total: int, parts: int):

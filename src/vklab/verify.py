@@ -14,7 +14,10 @@ one claim over a grid of class parameters and returns a verdict per tuple:
                   being judged
 
 Formula claims compare the printed closed form against direct evaluation on
-the construction; extremality claims delegate to the exhaustive scan.
+the construction. Scan-backed claims group their grid by (n, k) and read
+every m and kind of a group from one exhaustive `scan_many` pass; the
+direction claim reads the class minimum off the same reducer that gives the
+optimum.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .extremal import (EVEN, ODD, closed_form, closed_form_bipartite, extremal_g
 from .graphs import canonical_form
 from .indices import ALL_KINDS, Direction, IndexKind, direction, evaluate
 from .partiteness import ClassParams
-from .search import class_members, family_scan, scan_class
+from .search import ExtremalReport, family_scan, scan_many
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -99,15 +102,19 @@ _COROLLARY_CLAIMS = {
     "cor4.7-pi2": IndexKind.MULT_ZAGREB_PI2,
 }
 
+# claim id -> (description, kinds) for the claims read off exhaustive scans
 _SCAN_CLAIMS = {
-    "thm3.1": Direction.DECREASING,
-    "thm3.2": Direction.INCREASING,
+    "thm3.1": ("extremal structure, monotone decreasing indices",
+               tuple(k for k in ALL_KINDS if direction(k) is Direction.DECREASING)),
+    "thm3.2": ("extremal structure, monotone increasing indices",
+               tuple(k for k in ALL_KINDS if direction(k) is Direction.INCREASING)),
+    "thm4.6-direction": ("printed inequality direction of the connective "
+                         "eccentricity statement", (IndexKind.CONN_ECC,)),
 }
 
 
 def known_claims() -> list[str]:
-    return (sorted(_FORMULA_CLAIMS) + sorted(_COROLLARY_CLAIMS)
-            + sorted(_SCAN_CLAIMS) + ["thm4.6-direction"])
+    return sorted(_FORMULA_CLAIMS) + sorted(_COROLLARY_CLAIMS) + sorted(_SCAN_CLAIMS)
 
 
 def default_grid(n_max: int = 10, k_values=(2, 3, 4), n_min: int = 4) -> list[ClassParams]:
@@ -161,24 +168,18 @@ def verify_theorem(claim: str, grid=None, workers: int = 1,
             claim=claim,
             description=f"bipartite-case corollary for {kind.value}",
             verdicts=tuple(verdicts))
-    if claim in _SCAN_CLAIMS:
-        wanted = _SCAN_CLAIMS[claim]
-        verdicts = []
-        for p in grid:
-            for kind in ALL_KINDS:
-                if direction(kind) is wanted:
-                    verdicts.append(_check_structure(kind, p, workers, large))
-        return VerificationReport(
-            claim=claim,
-            description=("extremal structure, monotone decreasing indices"
-                         if wanted is Direction.DECREASING
-                         else "extremal structure, monotone increasing indices"),
-            verdicts=tuple(verdicts))
+    desc, kinds = _SCAN_CLAIMS[claim]
+    check = _check_direction if claim == "thm4.6-direction" else _check_structure
+    m_values: dict = {}
+    for p in grid:
+        m_values.setdefault((p.n, p.k), set()).add(p.m)
+    reports = {}
+    for (n, k), ms in m_values.items():
+        for (m, kind), report in scan_many(n, k, ms, kinds, workers, large).items():
+            reports[ClassParams(n, m, k), kind] = report
     return VerificationReport(
-        claim=claim,
-        description="printed inequality direction of the connective "
-                    "eccentricity statement",
-        verdicts=tuple(_check_direction(p, workers, large) for p in grid))
+        claim=claim, description=desc,
+        verdicts=tuple(check(reports[p, kind]) for p in grid for kind in kinds))
 
 
 def _check_formula(kind: IndexKind, params: ClassParams) -> ClaimVerdict:
@@ -221,18 +222,21 @@ def _check_corollary(kind: IndexKind, params: ClassParams) -> ClaimVerdict:
                         note=f"{note_parity}; {detail}")
 
 
-def _check_structure(kind: IndexKind, params: ClassParams, workers: int,
-                     large: bool) -> ClaimVerdict:
+def _check_structure(report: ExtremalReport) -> ClaimVerdict:
     """Scan-backed: the class optimum is attained on the join family, uniquely.
 
     This is the structural statement: the extremal graph is a clique joined
     onto a complete multipartite graph for SOME part sizes (balance is the
-    separate per-index refinement checked by the formula claims).
+    separate per-index refinement checked by the formula claims). A class
+    optimizer that is a family graph with the family optimum ties in
+    `family_scan`, so only the tied sizes are canonicalised.
     """
-    report = scan_class(params, kind, workers=workers, large=large)
-    family_value, _ = family_scan(params, kind)
+    params, kind = report.params, report.kind
+    family_value, family_sizes = family_scan(params, kind)
     optimizers = set(report.optimizer_codes)
-    if report.optimum != family_value or not optimizers <= _all_family_codes(params):
+    family_codes = {canonical_form(join_family_graph(params.m, sizes))
+                    for sizes in family_sizes}
+    if report.optimum != family_value or not optimizers <= family_codes:
         return ClaimVerdict(
             params=params, kind=kind, verdict=REFUTED,
             expected=family_value, actual=report.optimum,
@@ -247,10 +251,13 @@ def _check_structure(kind: IndexKind, params: ClassParams, workers: int,
                         note="unique optimizer lies in the join family")
 
 
-def _check_direction(params: ClassParams, workers: int, large: bool) -> ClaimVerdict:
-    """The statement prints a lower bound (>=); enumeration decides empirically."""
-    kind = IndexKind.CONN_ECC
-    lo, hi = _class_min_max(params, kind, workers, large)
+def _check_direction(report: ExtremalReport) -> ClaimVerdict:
+    """The statement prints a lower bound (>=); enumeration decides empirically.
+
+    The index is maximized, so the class minimum is the report's `opposite`.
+    """
+    params, kind = report.params, report.kind
+    lo, hi = report.opposite, report.optimum
     ghat_value = evaluate(kind, extremal_graph(params))
     if lo < ghat_value:
         side = ("the construction attains the class maximum"
@@ -265,17 +272,3 @@ def _check_direction(params: ClassParams, workers: int, large: bool) -> ClaimVer
     return ClaimVerdict(params=params, kind=kind, verdict=CONFIRMED,
                         expected=f"every class member >= {ghat_value}",
                         actual=f"class minimum is {lo}")
-
-
-def _class_min_max(params: ClassParams, kind: IndexKind, workers: int, large: bool):
-    values = [evaluate(kind, entry.graph)
-              for _, entry in class_members(params.n, params.k, params.m, workers, large)]
-    return min(values), max(values)
-
-
-def _all_family_codes(params: ClassParams):
-    from .search import _partitions_at_most
-    return {
-        canonical_form(join_family_graph(params.m, sizes))
-        for sizes in _partitions_at_most(params.n - params.m, params.k)
-    }

@@ -283,12 +283,15 @@ def ledger_text(envelopes) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_errata_ledger_is_frozen(capsys):
-    """The CI errata gate's ledger; any drift in a verdict or value fails."""
+@pytest.mark.parametrize("scan_nmax", [6, 7])
+def test_errata_ledger_is_frozen(capsys, scan_nmax):
+    """The CI errata gate's ledger, and the same with the scan-backed claims
+    up to n = 7; any drift in a verdict or value fails."""
     code, out, _ = run(capsys, "verify", "--claim", "all", "--nmax", "10",
-                       "--scan-nmax", "6", "--format", "json")
+                       "--scan-nmax", str(scan_nmax), "--format", "json")
     assert code == 2
-    assert ledger_text(json.loads(out)) == (DATA / "ledger_n10_scan6.txt").read_text()
+    want = (DATA / f"ledger_n10_scan{scan_nmax}.txt").read_text()
+    assert ledger_text(json.loads(out)) == want
 
 
 def test_json_schema_keys_are_stable(capsys):

@@ -62,8 +62,9 @@ def test_orbit_stabilizer_counts_match_labelled_walk():
 
 
 def _brute_force_reports(n):
-    """(k, m, kind) -> (optimum, optimizer codes, class size) by a plain loop
-    over every labelled connected graph on n vertices."""
+    """(k, m, kind) -> (optimum, optimizer codes, class size, opposite
+    extreme) by a plain loop over every labelled connected graph on n
+    vertices."""
     graphs = []
     for g in enumerate_graphs(n, connected_only=True):
         metrics = compute_metrics(g)
@@ -74,11 +75,13 @@ def _brute_force_reports(n):
         for m in range(1, n - k + 1):
             members = [member for member, v in zip(graphs, v_k) if v <= m]
             for kind in ALL_KINDS:
-                pick = min if direction(kind) is Direction.DECREASING else max
+                pick, other = ((min, max) if direction(kind) is Direction.DECREASING
+                               else (max, min))
                 best = pick(vals[kind] for _, vals in members)
                 codes = frozenset(canonical_form(g)
                                   for g, vals in members if vals[kind] == best)
-                out[(k, m, kind)] = (best, codes, len(members))
+                out[(k, m, kind)] = (best, codes, len(members),
+                                     other(vals[kind] for _, vals in members))
     return out
 
 
@@ -88,8 +91,26 @@ def test_scan_many_matches_labelled_brute_force(n):
     for k in range(2, n):
         reports = scan_many(n, k, range(1, n - k + 1))
         for (m, kind), report in reports.items():
+            want = expected[(k, m, kind)]
             assert (report.optimum, report.optimizer_codes, report.class_size) \
-                == expected[(k, m, kind)], (n, k, m, kind)
+                == want[:3], (n, k, m, kind)
+            assert report.opposite == want[3], (n, k, m, kind)
+
+
+_VALUES = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=30),
+    st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+             min_size=1, max_size=30))
+
+
+@given(_VALUES)
+def test_extremum_agrees_with_min_max_and_ties(values):
+    ext = search.Extremum()
+    for i, value in enumerate(values):
+        ext.add(value, i)
+    for lowest, pick in ((True, min), (False, max)):
+        best = pick(values)
+        assert ext.toward(lowest) == (best, [i for i, v in enumerate(values) if v == best])
 
 
 @settings(max_examples=20, deadline=None)
@@ -138,6 +159,18 @@ def test_nonpositive_workers_rejected():
             scan_many(5, 2, (1,), workers=workers)
         with pytest.raises(InvalidParamsError):
             scan_class(ClassParams(5, 1, 2), IndexKind.WIENER, workers=workers)
+
+
+def test_empty_scan_inputs_are_package_errors():
+    """No m, no kind, or a corpus without a class member certifies nothing."""
+    with pytest.raises(InvalidParamsError):
+        scan_many(5, 2, ())
+    with pytest.raises(InvalidParamsError):
+        scan_many(5, 2, (1,), kinds=())
+    # a blank line, K4 (wrong order) and K5 minus an edge (v_2 = 2, not <= 1)
+    corpus = ["", to_graph6(complete_graph(4)), "D^{"]
+    with pytest.raises(InvalidParamsError):
+        scan_corpus(load_graph6_corpus(corpus), ClassParams(5, 1, 2), IndexKind.WIENER)
 
 
 def test_corpus_round_trip():

@@ -1,9 +1,11 @@
 """Claim certification: confirmations where the statements hold, flagged
 refutations where they do not, and never a silent pass."""
 
+from collections import Counter
+
 import pytest
 
-from vklab import ClassParams, IndexKind, InvalidParamsError, verify_theorem
+from vklab import ClassParams, IndexKind, InvalidParamsError, verify, verify_theorem
 from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, known_claims
 
 
@@ -114,6 +116,27 @@ def test_structure_claims_small_grid():
                 assert v.verdict == REFUTED and "uniqueness" in v.note
             else:
                 assert v.verdict == CONFIRMED, (claim, v)
+
+
+def test_scan_claims_make_one_pass_per_n_and_k(monkeypatch):
+    """Every m and kind of one (n, k) comes from a single scan, whatever
+    the grid order."""
+    grid = _grid(4, 6, (2, 3))[::-1]
+    scan_many = verify.scan_many
+    for claim in ("thm3.1", "thm3.2", "thm4.6-direction"):
+        calls = Counter()
+
+        def counted(n, k, *args):
+            calls[n, k] += 1
+            return scan_many(n, k, *args)
+
+        monkeypatch.setattr(verify, "scan_many", counted)
+        report = verify_theorem(claim, grid)
+        assert calls == Counter({(p.n, p.k): 1 for p in grid}), claim
+        # verdicts still follow the grid order
+        per_tuple = len(report.verdicts) // len(grid)
+        assert [v.params for v in report.verdicts] == [p for p in grid
+                                                       for _ in range(per_tuple)]
 
 
 def test_never_silently_passed():
