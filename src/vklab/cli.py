@@ -31,7 +31,7 @@ from .indices import ALL_KINDS, DEGREE_ONLY, IndexKind, evaluate
 from .metrics import compute_metrics
 from .partiteness import ClassParams, vertex_k_partiteness
 from .search import monotonicity_fuzz, numbered_graph6, scan_many
-from .verify import REFUTED, known_claims, verify_theorem
+from .verify import REFUTED, claim_grid, known_claims, verify_theorem
 
 _KIND_NAMES = {kind.value: kind for kind in ALL_KINDS}
 
@@ -208,13 +208,7 @@ def _cmd_verify(args) -> int:
     envelopes, rows = [], []
     any_refuted = False
     for claim in claims:
-        from .verify import default_grid
-        if claim.startswith("cor"):
-            grid = default_grid(n_max=args.nmax, k_values=(2,))
-        elif claim in ("thm3.1", "thm3.2", "thm4.6-direction"):
-            grid = default_grid(n_max=min(args.nmax, args.scan_nmax), k_values=k_values)
-        else:
-            grid = default_grid(n_max=args.nmax, k_values=k_values)
+        grid = claim_grid(claim, args.nmax, k_values, args.scan_nmax)
         report = verify_theorem(claim, grid, workers=args.workers, large=args.large)
         verdict_objs = []
         for v in report.verdicts:

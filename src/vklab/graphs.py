@@ -441,18 +441,17 @@ def canonical_form(g: Graph) -> CanonicalCode:
     while the refinement keeps the ordering count under the budget, and a
     SizeCapError is raised otherwise.
     """
-    code, _, _ = _canonical_search(g)
+    code, _ = _canonical_search(g)
     return CanonicalCode(n=g.n, bits=code)
 
 
-def _canonical_search(g: Graph) -> tuple[int, int, list[int]]:
-    """The search behind `canonical_form`: (code bits, |Aut(g)|, ordering).
+def _canonical_search(g: Graph) -> tuple[int, int]:
+    """The search behind `canonical_form`: (code bits, |Aut(g)|).
 
     The admissible orderings reaching the minimum code form one coset of
     Aut(g) (refinement colours are automorphism-invariant, and two orderings
     give the same code exactly when they differ by an automorphism), so
-    their count is |Aut(g)|. `ordering[i]` is the vertex of g placed at
-    position i of the first minimising ordering found.
+    their count is |Aut(g)|.
     """
     classes = _refinement_classes(g)
     space = prod(factorial(len(c)) for c in classes)
@@ -463,7 +462,7 @@ def _canonical_search(g: Graph) -> tuple[int, int, list[int]]:
     adj = g.adj
     n = g.n
     pairs = _ROW_MAJOR_PAIRS.get(n) or _row_major_pairs(n)
-    best = best_order = None
+    best = None
     aut = 0
     # packing MSB-first makes integer < equal to lexicographic bit order
     for parts in itertools.product(*[itertools.permutations(c) for c in classes]):
@@ -472,7 +471,7 @@ def _canonical_search(g: Graph) -> tuple[int, int, list[int]]:
         for u, v in pairs:
             bits = bits << 1 | (adj[order[u]] >> order[v] & 1)
         if best is None or bits < best:
-            best, best_order, aut = bits, order, 1
+            best, aut = bits, 1
         elif bits == best:
             aut += 1
     total = len(pairs)
@@ -480,7 +479,7 @@ def _canonical_search(g: Graph) -> tuple[int, int, list[int]]:
     for i in range(total):
         if best >> (total - 1 - i) & 1:
             code |= 1 << i
-    return code, aut, best_order
+    return code, aut
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -2,11 +2,11 @@
 membership for graphs with bounded k-partiteness.
 
 A graph is k-partite exactly when it is properly k-colorable (parts may be
-empty). The partiteness parameter comes from one backtracking search in
-which every vertex either joins a colour class or, while a deletion budget
-remains, is deleted; the budget deepens from 0 until the search succeeds.
-Membership ("at most m deletions?") takes a greedy colouring as its
-certificate when it can and otherwise runs that search once, at budget m.
+empty). The partiteness parameter and membership ("at most m deletions?")
+are one search over ascending deletion budgets: a greedy colouring
+certifies every budget from its deletion count up, and each smaller budget
+is decided by a backtracking search in which every vertex joins a colour
+class or, while the budget lasts, is deleted.
 Everything here is exact, sized for graphs of at most a dozen vertices
 inside enumeration loops.
 """
@@ -72,23 +72,12 @@ def _searcher(adj, order, k: int):
     return place
 
 
-def partiteness_within(adj, n: int, k: int, cap: int) -> int | None:
-    """Smallest deletion count <= cap whose removal leaves a k-partite graph.
-
-    Returns None when more than `cap` deletions are needed. Low-level form
-    used inside enumeration loops; adjacency rows are given directly.
-    Budgets 0, 1, ..., cap are searched in turn, so the first success is
-    the minimum."""
-    place = _searcher(adj, _by_degree(adj, n), k)
-    return next((budget for budget in range(cap + 1) if place(0, 0, budget)), None)
-
-
-def within_budget(adj, n: int, k: int, budget: int) -> bool:
-    """True iff deleting at most `budget` vertices leaves a k-partite graph.
-
-    A greedy pass in the search order (first free class, else delete) that
-    deletes at most `budget` vertices is a certificate; otherwise the exact
-    search runs once, at `budget`."""
+def partiteness_within(adj, n: int, k: int, budgets) -> int | None:
+    """Smallest b in the ascending `budgets` such that deleting at most b
+    vertices leaves a k-partite graph, or None; adjacency rows are given
+    directly. A greedy pass in the search order (first free class, else
+    delete) deleting d vertices certifies every b >= d, since v_k <= d; each
+    b < d is decided in turn by the exact search at budget b."""
     order = _by_degree(adj, n)
     classes, deleted = [0] * k, 0
     for v in order:
@@ -99,16 +88,24 @@ def within_budget(adj, n: int, k: int, budget: int) -> bool:
                 break
         else:
             deleted += 1
-            if deleted > budget:
-                return _searcher(adj, order, k)(0, 0, budget)
-    return True
+            if deleted > budgets[-1]:
+                break
+    place = None
+    for budget in budgets:
+        if budget >= deleted:
+            return budget
+        if place is None:
+            place = _searcher(adj, order, k)
+        if place(0, 0, budget):
+            return budget
+    return None
 
 
 def is_k_partite(g: Graph, k: int) -> bool:
     """True iff the vertices admit a proper k-coloring (parts may be empty)."""
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
-    return within_budget(g.adj, g.n, k, 0)
+    return partiteness_within(g.adj, g.n, k, (0,)) is not None
 
 
 def vertex_k_partiteness(g: Graph, k: int) -> int:
@@ -120,7 +117,7 @@ def vertex_k_partiteness(g: Graph, k: int) -> int:
         raise InvalidParamsError(f"k must be >= 2, got {k}")
     if g.n < k:
         raise InvalidParamsError(f"need n >= k, got n={g.n} k={k}")
-    result = partiteness_within(g.adj, g.n, k, g.n - k)
+    result = partiteness_within(g.adj, g.n, k, range(g.n - k + 1))
     assert result is not None, "v_k <= n - k must always be attainable"
     return result
 
@@ -129,4 +126,4 @@ def in_class(g: Graph, params: ClassParams) -> bool:
     """Membership test: right order and k-partiteness at most m."""
     if g.n != params.n:
         return False
-    return within_budget(g.adj, g.n, params.k, params.m)
+    return partiteness_within(g.adj, g.n, params.k, (params.m,)) is not None

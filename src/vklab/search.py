@@ -8,9 +8,10 @@ size is the orbit-stabilizer sum of n!/|Aut(G)| over its members, and
 optimizers are canonical codes from the start. The catalogue is cached per
 n and is identical however its construction is split across workers.
 
-Per-graph pipeline order: the k-partiteness filter, then distance metrics,
-then index evaluation. The labelled walk `enumerate_graphs` stays as the
-independent reference the tests compare the catalogue against.
+Catalogue and graph6 corpus scans share one per-graph pipeline: one
+membership search over every m, then distance metrics, then index
+evaluation. The labelled walk `enumerate_graphs` stays as the independent
+reference the tests compare the catalogue against.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from .errors import Graph6ParseError, InvalidParamsError, SizeCapError
 from .extremal import closed_form, extremal_graph, join_family_graph
 from .graphs import (CanonicalCode, Graph, _canonical_search, _symmetric_graph, add_edge,
                      canonical_form, code_to_adj, code_to_graph, connected_mask,
-                     pair_count, parse_graph6, permute, to_graph6)
+                     pair_count, parse_graph6, to_graph6)
 from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
 from .metrics import compute_metrics
-from .partiteness import ClassParams, partiteness_within, within_budget
+from .partiteness import ClassParams, partiteness_within
 
 _ENUM_CAP = 7          # hard cap without opt-in
-_ENUM_CAP_LARGE = 8    # 2^28 codes; opt-in and parallel-only territory
+_ENUM_CAP_LARGE = 8    # opt-in: 2^28 labelled codes, or 11,117 classes to scan
 
 
 def enumerate_graphs(n: int, connected_only: bool = False, large: bool = False):
@@ -118,8 +119,8 @@ class CatalogueEntry(NamedTuple):
 
 
 def _extend(parents) -> dict:
-    """Canonical code bits -> (|Aut|, canonical adjacency) for every
-    one-vertex extension of `parents`; the parallel unit of work.
+    """Canonical code bits -> |Aut| for every one-vertex extension of
+    `parents`; the parallel unit of work.
 
     The new vertex takes each nonempty neighbourhood in turn, so connected
     parents give connected children. A child's rows are valid by
@@ -134,29 +135,24 @@ def _extend(parents) -> dict:
         for nbhd in range(1, new):
             adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
             adj.append(nbhd)
-            child = _symmetric_graph(n, tuple(adj))
-            bits, aut, order = _canonical_search(child)
-            if bits not in found:
-                perm = [0] * n
-                for i, v in enumerate(order):
-                    perm[v] = i
-                found[bits] = (aut, permute(child, perm).adj)
+            bits, aut = _canonical_search(_symmetric_graph(n, tuple(adj)))
+            found[bits] = aut
     return found
 
 
 def _merge(parts, n: int) -> tuple[CatalogueEntry, ...]:
-    """Level n from `_extend` results, sorted by canonical code.
+    """Level n from `_extend` results, sorted by canonical code; each
+    entry's graph is the graph of its code (the canonical labelling).
 
-    Equal codes carry equal values, so the level is the same for every
+    Equal codes carry equal |Aut|, so the level is the same for every
     split of the parent list. Parts are consumed one at a time, so only
     new codes are kept while pool results stream in.
     """
     found: dict = {}
     for part in parts:
-        for bits, value in part.items():
-            found.setdefault(bits, value)
-    return tuple(CatalogueEntry(CanonicalCode(n, bits), _symmetric_graph(n, adj), aut)
-                 for bits, (aut, adj) in sorted(found.items()))
+        found.update(part)
+    return tuple(CatalogueEntry(CanonicalCode(n, bits), code_to_graph(bits, n), aut)
+                 for bits, aut in sorted(found.items()))
 
 
 _CATALOGUES: dict[int, tuple[CatalogueEntry, ...]] = {}
@@ -211,6 +207,8 @@ class Extremum:
         self.max_items: list = []
 
     def add(self, value, item) -> None:
+        if self.min_items and self.min < value < self.max:
+            return
         if not self.min_items or value < self.min:
             self.min, self.min_items = value, [item]
         elif value == self.min:
@@ -225,42 +223,71 @@ class Extremum:
         return (self.min, self.min_items) if lowest else (self.max, self.max_items)
 
 
-def _report(params: ClassParams, kind: IndexKind, ext: Extremum, class_size: int,
-            ghat: CanonicalCode, canon=None) -> ExtremalReport:
-    """The report of one class and index from its reduced values; `canon`
-    maps the optimizer items to canonical codes when they are not codes."""
-    lowest = kind in _MINIMIZED
-    optimum, items = ext.toward(lowest)
-    codes = frozenset(map(canon, items) if canon else items)
-    return ExtremalReport(
-        params=params,
-        kind=kind,
-        optimum=optimum,
-        optimizer_codes=codes,
-        class_size=class_size,
-        matches_construction=codes == {ghat},
-        matches_closed_form=optimum == closed_form(kind, params).value,
-        opposite=ext.toward(not lowest)[0],
-    )
+def _scan(source, n: int, k: int, m_values, kinds, canon=None) -> dict:
+    """{(m, kind): ExtremalReport} from one pass over `source`, which yields
+    (graph, labelled count, optimizer item) for connected graphs on n
+    vertices. Each graph's values fold into one `Extremum` per (m, kind);
+    `canon` maps optimizer items to canonical codes when they are not codes.
+    No m, no kind, or a class without a member is an InvalidParamsError."""
+    m_values = tuple(sorted(set(m_values)))
+    kinds = tuple(kind for kind in ALL_KINDS if kind in set(kinds))
+    if not m_values or not kinds:
+        raise InvalidParamsError("a scan needs at least one m and one kind")
+    params_by_m = {m: ClassParams(n, m, k) for m in m_values}  # validates
+    need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
+    class_counts = dict.fromkeys(m_values, 0)
+    reducers = {m: [Extremum() for _ in kinds] for m in m_values}
+    for g, labelled, item in source:
+        least = partiteness_within(g.adj, n, k, m_values)
+        if least is None:
+            continue
+        metrics = compute_metrics(g) if need_metrics else None
+        vals = [evaluate(kind, g, metrics) for kind in kinds]
+        for m in m_values:
+            if m < least:
+                continue
+            class_counts[m] += labelled
+            for ext, val in zip(reducers[m], vals):
+                ext.add(val, item)
+    reports = {}
+    for m, params in params_by_m.items():
+        if not class_counts[m]:
+            raise InvalidParamsError(f"the scanned graphs contain no member of {params}")
+        ghat = canonical_form(extremal_graph(params))
+        for kind, ext in zip(kinds, reducers[m]):
+            lowest = kind in _MINIMIZED
+            optimum, items = ext.toward(lowest)
+            codes = frozenset(map(canon, items) if canon else items)
+            reports[(m, kind)] = ExtremalReport(
+                params=params,
+                kind=kind,
+                optimum=optimum,
+                optimizer_codes=codes,
+                class_size=class_counts[m],
+                matches_construction=codes == {ghat},
+                matches_closed_form=optimum == closed_form(kind, params).value,
+                opposite=ext.toward(not lowest)[0],
+            )
+    return reports
+
+
+def _catalogue_items(n: int, workers: int):
+    labelled = factorial(n)
+    for entry in catalogue(n, workers):
+        yield entry.graph, labelled // entry.aut, entry.code
 
 
 def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
               large: bool = False) -> dict:
     """Scan one class family in a single pass over the catalogue.
 
-    Returns {(m, kind): ExtremalReport} for every requested m and kind.
-    Each member's k-partiteness and index values are computed once and
-    folded into one `Extremum` per (m, kind). A member stands for
-    n!/|Aut(G)| labelled graphs in `class_size`; optimizers are catalogue
-    codes, so ties need no canonicalisation. Reports are identical for
-    every worker count. n = 8 requires the explicit `large` opt-in and
-    workers >= 2; no m or no kind is an InvalidParamsError.
+    Returns {(m, kind): ExtremalReport} for every requested m and kind. A
+    member stands for n!/|Aut(G)| labelled graphs in `class_size`;
+    optimizers are catalogue codes, so ties need no canonicalisation.
+    Reports are identical for every worker count. n = 8 requires the
+    explicit `large` opt-in and workers >= 2; no m or no kind is an
+    InvalidParamsError.
     """
-    m_values = tuple(sorted(set(m_values)))
-    kinds = tuple(kind for kind in ALL_KINDS if kind in set(kinds))
-    if not m_values or not kinds:
-        raise InvalidParamsError("a scan needs at least one m and one kind")
-    params_by_m = {m: ClassParams(n, m, k) for m in m_values}  # validates
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     cap = _ENUM_CAP_LARGE if large else _ENUM_CAP
@@ -269,30 +296,7 @@ def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
             f"scans support 2 <= n <= {cap} (n=8 needs large=True), got {n}")
     if n == 8 and workers < 2:
         raise SizeCapError("n=8 scans are parallel-only; pass workers >= 2")
-    need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
-    class_counts = dict.fromkeys(m_values, 0)
-    reducers = {(m, kind): Extremum() for m in m_values for kind in kinds}
-    for entry in catalogue(n, workers):
-        g = entry.graph
-        v = partiteness_within(g.adj, n, k, m_values[-1])
-        if v is None:
-            continue
-        metrics = compute_metrics(g) if need_metrics else None
-        vals = [(kind, evaluate(kind, g, metrics)) for kind in kinds]
-        labelled = factorial(n) // entry.aut
-        for m in m_values:
-            if v > m:
-                continue
-            class_counts[m] += labelled
-            for kind, val in vals:
-                reducers[(m, kind)].add(val, entry.code)
-    reports = {}
-    for m, params in params_by_m.items():
-        ghat = canonical_form(extremal_graph(params))
-        for kind in kinds:
-            reports[(m, kind)] = _report(params, kind, reducers[(m, kind)],
-                                         class_counts[m], ghat)
-    return reports
+    return _scan(_catalogue_items(n, workers), n, k, m_values, kinds)
 
 
 def scan_class(params: ClassParams, kind: IndexKind, workers: int = 1,
@@ -303,28 +307,24 @@ def scan_class(params: ClassParams, kind: IndexKind, workers: int = 1,
     return reports[(params.m, kind)]
 
 
+def _corpus_items(graphs, n: int):
+    full = (1 << n) - 1
+    for g in graphs:
+        if g.n == n and connected_mask(g.adj) == full:
+            yield g, 1, g
+
+
 def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
-    """Scan an externally supplied corpus instead of the labelled code space.
+    """Scan an externally supplied corpus; each graph counts once.
 
     Graphs of the wrong order, disconnected graphs, and non-members are
     skipped; a corpus with no class member is an InvalidParamsError. On a
     corpus containing one representative per isomorphism class this
-    reproduces the labelled scan's optimum and optimizer codes.
+    reproduces the catalogue scan's optimum and optimizer codes.
     """
-    full = (1 << params.n) - 1
-    ext = Extremum()
-    count = 0
-    for g in graphs:
-        if g.n != params.n or connected_mask(g.adj) != full:
-            continue
-        if not within_budget(g.adj, g.n, params.k, params.m):
-            continue
-        count += 1
-        ext.add(evaluate(kind, g), g)
-    if not count:
-        raise InvalidParamsError("corpus contains no class members")
-    return _report(params, kind, ext, count, canonical_form(extremal_graph(params)),
-                   canon=canonical_form)
+    reports = _scan(_corpus_items(graphs, params.n), params.n, params.k, (params.m,),
+                    (kind,), canon=canonical_form)
+    return reports[(params.m, kind)]
 
 
 # ---------------------------------------------------------------------------

@@ -117,24 +117,26 @@ def known_claims() -> list[str]:
     return sorted(_FORMULA_CLAIMS) + sorted(_COROLLARY_CLAIMS) + sorted(_SCAN_CLAIMS)
 
 
-def default_grid(n_max: int = 10, k_values=(2, 3, 4), n_min: int = 4) -> list[ClassParams]:
-    """Every valid (n, m, k) with n_min <= n <= n_max and k in k_values."""
-    grid = []
-    for n in range(n_min, n_max + 1):
-        for k in k_values:
-            for m in range(1, n - k + 1):
-                grid.append(ClassParams(n, m, k))
-    return grid
+def claim_grid(claim: str, n_max: int = 10, k_values=(2, 3, 4),
+               scan_n_max: int = 5) -> list[ClassParams]:
+    """Every valid (n, m, k) with 4 <= n <= n_max and k in k_values that a
+    claim is checked on: corollary claims take k = 2 only, and scan-backed
+    claims stop at `scan_n_max`, since they enumerate the whole class.
+    Claim ids are case-insensitive, as in `verify_theorem`."""
+    claim = claim.lower()
+    if claim in _COROLLARY_CLAIMS:
+        k_values = (2,)
+    elif claim in _SCAN_CLAIMS:
+        n_max = min(n_max, scan_n_max)
+    return [ClassParams(n, m, k) for n in range(4, n_max + 1) for k in k_values
+            for m in range(1, n - k + 1)]
 
 
 def verify_theorem(claim: str, grid=None, workers: int = 1,
                    large: bool = False) -> VerificationReport:
-    """Check one published claim over a parameter grid.
-
-    Formula and corollary claims default to the construction grid
-    (n <= 10 / n <= 10 with k = 2); scan-backed claims default to a small
-    exhaustive grid (n <= 5) since they enumerate the whole class. An empty
-    grid raises InvalidParamsError: certifying nothing is not a pass.
+    """Check one published claim over a parameter grid, by default its
+    `claim_grid`. An empty grid raises InvalidParamsError: certifying
+    nothing is not a pass.
     """
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
@@ -142,14 +144,7 @@ def verify_theorem(claim: str, grid=None, workers: int = 1,
     if claim not in known_claims():
         raise InvalidParamsError(
             f"unknown claim {claim!r}; known: {', '.join(known_claims())}")
-    if grid is None:
-        if claim in _FORMULA_CLAIMS:
-            grid = default_grid()
-        elif claim in _COROLLARY_CLAIMS:
-            grid = default_grid(k_values=(2,))
-        else:
-            grid = default_grid(n_max=5)
-    grid = tuple(grid)
+    grid = tuple(claim_grid(claim) if grid is None else grid)
     if not grid:
         raise InvalidParamsError(f"empty parameter grid for claim {claim}")
     if claim in _FORMULA_CLAIMS:

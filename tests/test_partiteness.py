@@ -12,7 +12,7 @@ from vklab import (ClassParams, InvalidParamsError, complete_graph,
                    induced_subgraph, is_k_partite, join, join_family_graph,
                    vertex_k_partiteness)
 from vklab import partiteness
-from vklab.partiteness import partiteness_within, within_budget
+from vklab.partiteness import partiteness_within
 
 from conftest import nx_of, random_graph
 
@@ -85,20 +85,20 @@ def _random_graph_up_to_8(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_partiteness_within_every_cap_against_brute(data):
+def test_partiteness_within_every_budget_set_against_brute(data):
+    """The smallest budget b of an ascending set with v_k <= b, or None:
+    for every prefix range(cap + 1) (the exact parameter when cap = n - k),
+    every singleton (membership) and a few drawn subsets."""
     g, k = _random_graph_up_to_8(data)
     want = brute_vk(g, k)
-    for cap in range(g.n - k + 1):
-        assert partiteness_within(g.adj, g.n, k, cap) == (want if want <= cap else None)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_within_budget_every_budget_against_brute(data):
-    g, k = _random_graph_up_to_8(data)
-    want = brute_vk(g, k)
-    for budget in range(g.n - k + 1):
-        assert within_budget(g.adj, g.n, k, budget) == (want <= budget)
+    top = g.n - k
+    budget_sets = [range(cap + 1) for cap in range(top + 1)]
+    budget_sets += [(b,) for b in range(top + 1)]
+    budget_sets += data.draw(st.lists(st.sets(st.integers(0, top), min_size=1).map(sorted),
+                                      min_size=1, max_size=4), label="budget sets")
+    for budgets in budget_sets:
+        assert partiteness_within(g.adj, g.n, k, budgets) == \
+            next((b for b in budgets if want <= b), None), list(budgets)
 
 
 # P6 labelled 5-0-1-4-3-2: first-fit in descending-degree order (0, 1, 3, 4,
@@ -107,27 +107,46 @@ def test_within_budget_every_budget_against_brute(data):
 _GREEDY_OVERSHOOTS = from_edges(6, [(0, 1), (0, 5), (1, 4), (2, 3), (3, 4)])
 
 
-def test_within_budget_takes_the_certificate_or_the_search(monkeypatch):
-    searches = []
+def test_partiteness_within_takes_the_certificate_or_the_search(monkeypatch):
+    searches, budgets = [], []
     real = partiteness._searcher
 
     def counting(*args):
         searches.append(args)
-        return real(*args)
+        place = real(*args)
+
+        def traced(i, used, budget):
+            if i == 0:
+                budgets.append(budget)
+            return place(i, used, budget)
+        return traced
 
     monkeypatch.setattr(partiteness, "_searcher", counting)
-    # the greedy colours these outright
-    assert within_budget(complete_multipartite([2, 2, 2]).adj, 6, 3, 0)
-    assert within_budget(complete_graph(5).adj, 5, 3, 2)
+    # the greedy colours these outright, or deletes no more than the budget;
+    # the parameter of a greedy-colourable graph needs no search either
+    assert partiteness_within(complete_multipartite([2, 2, 2]).adj, 6, 3, (0,)) == 0
+    assert partiteness_within(complete_graph(5).adj, 5, 3, (2,)) == 2
+    assert vertex_k_partiteness(complete_multipartite([3, 2, 2]), 3) == 0
     assert searches == []
     # the greedy deletes one vertex, over budget 0: one search decides
-    assert within_budget(_GREEDY_OVERSHOOTS.adj, 6, 2, 0)
+    assert partiteness_within(_GREEDY_OVERSHOOTS.adj, 6, 2, (0,)) == 0
     assert len(searches) == 1
     assert is_k_partite(_GREEDY_OVERSHOOTS, 2)
     assert len(searches) == 2
     # and a search that fails: C5 needs one deletion
-    assert not within_budget(cycle_graph(5).adj, 5, 2, 0)
+    assert partiteness_within(cycle_graph(5).adj, 5, 2, (0,)) is None
     assert len(searches) == 3
+    # the greedy deletes 2 vertices of K5: budgets 0 and 1 are searched, in
+    # order and by one searcher, and 2 is certified without a search
+    budgets.clear()
+    assert vertex_k_partiteness(complete_graph(5), 3) == 2
+    assert len(searches) == 4 and budgets == [0, 1]
+    # a success stops the ascent: the greedy deletes 4 vertices of K2 joined
+    # to K(2,2), and the search at budget 2 succeeds, so 3 is never tried
+    budgets.clear()
+    g = join(complete_graph(2), complete_multipartite([2, 2]))
+    assert partiteness_within(g.adj, 6, 2, (0, 1, 2, 3)) == 2
+    assert len(searches) == 5 and budgets == [0, 1, 2]
 
 
 def test_vk_zero_iff_k_partite(rng):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKind,
                    InvalidParamsError, SizeCapError, canonical_form, complete_graph,
-                   compute_metrics, direction, enumerate_graphs, evaluate,
+                   compute_metrics, direction, empty_graph, enumerate_graphs, evaluate,
                    family_scan, is_connected, join_family_graph,
                    load_graph6_corpus, monotonicity_fuzz, scan_class, scan_corpus,
-                   scan_many, to_graph6)
+                   scan_many, to_graph6, vertex_k_partiteness)
 from vklab import search
 from vklab.graphs import code_to_graph
 from vklab.partiteness import partiteness_within
@@ -71,7 +71,7 @@ def _brute_force_reports(n):
         graphs.append((g, {kind: evaluate(kind, g, metrics) for kind in ALL_KINDS}))
     out = {}
     for k in range(2, n):
-        v_k = [partiteness_within(g.adj, n, k, n - k) for g, _ in graphs]
+        v_k = [partiteness_within(g.adj, n, k, range(n - k + 1)) for g, _ in graphs]
         for m in range(1, n - k + 1):
             members = [member for member, v in zip(graphs, v_k) if v <= m]
             for kind in ALL_KINDS:
@@ -254,12 +254,14 @@ def test_scan_corpus_agrees_with_enumeration():
         seen.setdefault(canonical_form(g), g)
     assert len(seen) == 112
     lines = [to_graph6(g) for g in seen.values()]
-    params = ClassParams(6, 2, 2)
-    for kind in (IndexKind.WIENER, IndexKind.CONN_ECC, IndexKind.ZAGREB_M2):
-        by_corpus = scan_corpus(load_graph6_corpus(lines), params, kind)
-        by_codes = scan_class(params, kind)
-        assert by_corpus.optimum == by_codes.optimum
-        assert by_corpus.optimizer_codes == by_codes.optimizer_codes
+    # and lines the scan skips: a disconnected graph and one of the wrong order
+    lines += [to_graph6(empty_graph(6)), to_graph6(complete_graph(5))]
+    by_codes = scan_many(6, 2, range(1, 5))
+    for (m, kind), want in by_codes.items():
+        got = scan_corpus(load_graph6_corpus(lines), ClassParams(6, m, 2), kind)
+        assert (got.optimum, got.optimizer_codes, got.opposite) == \
+            (want.optimum, want.optimizer_codes, want.opposite), (m, kind)
+        assert got.class_size == sum(vertex_k_partiteness(g, 2) <= m for g in seen.values())
 
 
 def test_no_silent_mismatches_below_seven():

@@ -148,3 +148,17 @@ def test_never_silently_passed():
         assert seen == [(p.n, p.m, p.k) for p in grid]
         counts = report.counts
         assert sum(counts.values()) == len(grid)
+
+
+def test_claim_grid_is_the_one_grid_policy():
+    """Corollaries take k = 2, scan-backed claims stop at their own cap,
+    and `verify_theorem` defaults to the same grids, whatever the case."""
+    assert verify.claim_grid("cor4.3", 7) == _grid(4, 7)
+    assert verify.claim_grid("COR4.3", 7) == _grid(4, 7)
+    assert verify.claim_grid("thm4.1", 7, (2, 3)) == _grid(4, 7, (2, 3))
+    for claim in ("thm3.1", "THM3.2", "thm4.6-direction"):
+        assert verify.claim_grid(claim, 10, (2, 3), 6) == _grid(4, 6, (2, 3))
+        assert verify.claim_grid(claim, 5, (2, 3), 6) == _grid(4, 5, (2, 3))
+    for claim in ("thm4.2", "cor4.2", "thm4.6-direction"):  # one kind each
+        report = verify_theorem(claim)
+        assert [v.params for v in report.verdicts] == verify.claim_grid(claim)
