@@ -85,20 +85,31 @@ def _random_graph_up_to_8(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_partiteness_within_every_budget_set_against_brute(data):
-    """The smallest budget b of an ascending set with v_k <= b, or None:
-    for every prefix range(cap + 1) (the exact parameter when cap = n - k),
-    every singleton (membership) and a few drawn subsets."""
+def test_partiteness_within_every_cap_against_brute(data):
+    """Over every prefix range(cap + 1), the least budget at or above v_k is
+    v_k itself when v_k <= cap, else None (cap = n - k gives the parameter)."""
+    g, k = _random_graph_up_to_8(data)
+    want = brute_vk(g, k)
+    for cap in range(g.n - k + 1):
+        assert partiteness_within(g.adj, g.n, k, range(cap + 1)) == \
+            (want if want <= cap else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_within_budget_every_budget_against_brute(data):
+    """Membership at every single budget b is v_k <= b; on a few drawn
+    ascending budget sets the answer is the smallest b with v_k <= b, or None."""
     g, k = _random_graph_up_to_8(data)
     want = brute_vk(g, k)
     top = g.n - k
-    budget_sets = [range(cap + 1) for cap in range(top + 1)]
-    budget_sets += [(b,) for b in range(top + 1)]
-    budget_sets += data.draw(st.lists(st.sets(st.integers(0, top), min_size=1).map(sorted),
-                                      min_size=1, max_size=4), label="budget sets")
-    for budgets in budget_sets:
+    for budget in range(top + 1):
+        assert (partiteness_within(g.adj, g.n, k, (budget,)) is not None) == (want <= budget)
+    drawn = data.draw(st.lists(st.sets(st.integers(0, top), min_size=1).map(sorted),
+                               min_size=1, max_size=4), label="budget sets")
+    for budgets in drawn:
         assert partiteness_within(g.adj, g.n, k, budgets) == \
-            next((b for b in budgets if want <= b), None), list(budgets)
+            next((b for b in budgets if want <= b), None), budgets
 
 
 # P6 labelled 5-0-1-4-3-2: first-fit in descending-degree order (0, 1, 3, 4,
