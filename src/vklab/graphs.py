@@ -5,12 +5,14 @@ so edge tests, complements and joins are plain integer arithmetic. Graphs
 are immutable values: every builder returns a new graph, and two graphs
 compare equal exactly when they have identical labelled adjacency.
 
-Also provides graph6 text I/O and a canonical form for small graphs
-(exhaustive over refinement-admissible relabelings, guaranteed complete
-for n <= 8). The graph6 codec is table-driven: a body is translated to
-its bit string by one `str.translate`, a cached per-n `itemgetter` picks
-all n adjacency rows out of it in one pass, and one `int(..., 2)` reads
-them as n-bit fields of a single integer.
+Also provides graph6 text I/O and a canonical form for small graphs:
+exhaustive over the refinement-admissible relabelings that keep each twin
+group (vertices with equal open or closed neighbourhoods) in label order,
+so it accepts every graph with n <= 8 and twin-rich larger ones such as
+K_n and most join-family graphs. The graph6 codec is table-driven: a body
+is translated to its bit string by one `str.translate`, a cached per-n
+`itemgetter` picks all n adjacency rows out of it in one pass, and one
+`int(..., 2)` reads them as n-bit fields of a single integer.
 
 `Graph(n, adj)` validates its rows: vertex range, no self-loops, symmetry.
 `_symmetric_graph(n, adj)` skips those checks and may be called only with
@@ -34,8 +36,9 @@ from .errors import Graph6ParseError, GraphSizeError, SizeCapError
 
 MAX_VERTICES = 64
 
-# Permutation search gives up beyond this many admissible orderings.
-# 8! = 40320 fits, which is what makes the n <= 8 guarantee unconditional.
+# Permutation search gives up beyond this many admissible orderings (twin
+# arrangements counted once). 8! = 40320 fits, which is what makes the
+# n <= 8 guarantee unconditional.
 _CANONICAL_BUDGET = 50_000
 
 
@@ -436,13 +439,59 @@ def canonical_form(g: Graph) -> CanonicalCode:
 
     Complete for every graph it accepts: the admissible orderings of two
     isomorphic graphs correspond one-to-one, so minimum codes agree, and a
-    shared code pins down a labelled graph. For n <= 8 the search space is
-    at most 8! and always within budget; larger graphs are accepted only
-    while the refinement keeps the ordering count under the budget, and a
-    SizeCapError is raised otherwise.
+    shared code pins down a labelled graph. Orderings that differ only
+    inside a twin group give the same code, so one per twin arrangement is
+    searched. For n <= 8 the search space is at most 8! and always within
+    budget; larger graphs are accepted while the refinement and the twin
+    groups keep the ordering count under the budget (K_n for every n, and
+    complete multipartite graphs with few equal parts: K(2,2,2,2,2) has
+    10! / 2^5 orderings and is refused), and a SizeCapError is raised
+    otherwise.
     """
     code, _ = _canonical_search(g)
     return CanonicalCode(n=g.n, bits=code)
+
+
+def _twin_groups(adj) -> list[list[int]]:
+    """Vertices with equal open (N(u) = N(v)) or equal closed (N[u] = N[v])
+    neighbourhoods, as groups of two or more in increasing order.
+
+    One dict holds both kinds of key: an open key N(u) equal to a closed
+    key N[v] holds v, so u is in N(v), which lies in N[v] = N(u), a loop.
+    No vertex is in two groups: an open twin v and a closed twin w of u
+    would give w in N(v), so v in N[w] = N[u] and v in N(u) = N(v), a loop.
+    """
+    twins: dict = {}
+    for u, row in enumerate(adj):
+        twins.setdefault(row, []).append(u)
+        twins.setdefault(row | 1 << u, []).append(u)
+    return [group for group in twins.values() if len(group) > 1]
+
+
+def _arrangements(groups):
+    """Every ordering of the vertices of `groups` (disjoint lists, each in
+    increasing order) that keeps each group in its order: (sum of sizes)! /
+    prod (size!) of them, as distinct permutations of a multiset of letters."""
+    if all(len(group) == 1 for group in groups):
+        # most classes have no twins, and permutations in C beat the letter walk
+        yield from itertools.permutations([group[0] for group in groups])
+        return
+    letters = [i for i, group in enumerate(groups) for _ in group]
+    last = len(letters) - 1
+    while True:
+        heads = [iter(group) for group in groups]
+        yield tuple([next(heads[i]) for i in letters])
+        # next arrangement: the next permutation of `letters` in lexicographic order
+        i = last - 1
+        while i >= 0 and letters[i] >= letters[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while letters[j] <= letters[i]:
+            j -= 1
+        letters[i], letters[j] = letters[j], letters[i]
+        letters[i + 1:] = reversed(letters[i + 1:])
 
 
 def _canonical_search(g: Graph) -> tuple[int, int]:
@@ -452,20 +501,40 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
     Aut(g) (refinement colours are automorphism-invariant, and two orderings
     give the same code exactly when they differ by an automorphism), so
     their count is |Aut(g)|.
+
+    Swapping two twins is an automorphism, and twins share a refinement
+    class, so the permutations of each twin group form a subgroup T of
+    Aut(g) of order prod (group size)!. T acts freely on the admissible
+    orderings without changing codes, and each T-orbit holds exactly one
+    ordering that lists every twin group in increasing label order. The
+    search visits only those: the minimum code is the same, and the
+    minimising coset of Aut(g) is a union of T-orbits, so |Aut(g)| is the
+    count of minimising orderings visited times |T|. The budget applies to
+    the visited count, prod (class size)! / |T|, which depends only on the
+    refinement classes and twin groups and so is isomorphism-invariant:
+    two isomorphic graphs are both searched or both refused.
     """
     classes = _refinement_classes(g)
-    space = prod(factorial(len(c)) for c in classes)
+    adj = g.adj
+    n = g.n
+    twin_groups = _twin_groups(adj)
+    twin_factor = prod(factorial(len(group)) for group in twin_groups)
+    space = prod(factorial(len(c)) for c in classes) // twin_factor
     if space > _CANONICAL_BUDGET:
         raise SizeCapError(
             f"canonical search space {space} exceeds budget {_CANONICAL_BUDGET} "
             f"(n={g.n}; guaranteed only for n <= 8)")
-    adj = g.adj
-    n = g.n
+    group_of = {u: [u] for u in range(n)}
+    for group in twin_groups:
+        for u in group:
+            group_of[u] = group
+    # each class as its twin groups and singletons (a twin group lies in one class)
+    class_groups = [[group_of[u] for u in c if group_of[u][0] == u] for c in classes]
     pairs = _ROW_MAJOR_PAIRS.get(n) or _row_major_pairs(n)
     best = None
     aut = 0
     # packing MSB-first makes integer < equal to lexicographic bit order
-    for parts in itertools.product(*[itertools.permutations(c) for c in classes]):
+    for parts in itertools.product(*map(_arrangements, class_groups)):
         order = [v for part in parts for v in part]
         bits = 0
         for u, v in pairs:
@@ -479,7 +548,7 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
     for i in range(total):
         if best >> (total - 1 - i) & 1:
             code |= 1 << i
-    return code, aut
+    return code, aut * twin_factor
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -3,14 +3,17 @@ bitset code paths: plain dict/list BFS, pair-by-pair sums, a bit-by-bit
 graph6 decoder, networkx for reference graph6 and isomorphism."""
 
 import collections
+import itertools
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import networkx as nx
 import pytest
 
-from vklab import Graph, Graph6ParseError, IndexKind
-from vklab.graphs import from_edges
+from vklab import Graph, Graph6ParseError, IndexKind, SizeCapError
+from vklab.graphs import (_CANONICAL_BUDGET, _ROW_MAJOR_PAIRS, _refinement_classes,
+                          _row_major_pairs, from_edges)
 
 
 def nx_of(g: Graph) -> nx.Graph:
@@ -75,6 +78,39 @@ def reference_parse_graph6(text: str) -> Graph:
                 adj[v] |= 1 << u
             i += 1
     return Graph(n, tuple(adj))
+
+
+def reference_canonical_search(g: Graph) -> tuple[int, int]:
+    """(code bits, |Aut(g)|) by the exhaustive lex-min search over every
+    refinement-admissible ordering, twins included: the minimising
+    orderings form one coset of Aut(g), so their count is |Aut(g)|."""
+    classes = _refinement_classes(g)
+    space = prod(factorial(len(c)) for c in classes)
+    if space > _CANONICAL_BUDGET:
+        raise SizeCapError(
+            f"canonical search space {space} exceeds budget {_CANONICAL_BUDGET} "
+            f"(n={g.n}; guaranteed only for n <= 8)")
+    adj = g.adj
+    n = g.n
+    pairs = _ROW_MAJOR_PAIRS.get(n) or _row_major_pairs(n)
+    best = None
+    aut = 0
+    # packing MSB-first makes integer < equal to lexicographic bit order
+    for parts in itertools.product(*[itertools.permutations(c) for c in classes]):
+        order = [v for part in parts for v in part]
+        bits = 0
+        for u, v in pairs:
+            bits = bits << 1 | (adj[order[u]] >> order[v] & 1)
+        if best is None or bits < best:
+            best, aut = bits, 1
+        elif bits == best:
+            aut += 1
+    total = len(pairs)
+    code = 0
+    for i in range(total):
+        if best >> (total - 1 - i) & 1:
+            code |= 1 << i
+    return code, aut
 
 
 def brute_distances(g: Graph):

@@ -1,19 +1,23 @@
 """Graph construction, graph6 I/O against the networkx reference and the
 bit-by-bit decoder, and the canonical form."""
 
+from collections import Counter
+from math import factorial, prod
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vklab import (Graph, GraphSizeError, Graph6ParseError, add_edge, canonical_form,
-                   canonical_graph, complement, complete_graph, complete_multipartite,
-                   cycle_graph, empty_graph, induced_subgraph,
-                   is_connected, is_isomorphic, join, parse_graph6, path_graph,
-                   permute, to_graph6)
-from vklab.graphs import code_to_graph, graph_to_code, pair_count
+from vklab import (Graph, GraphSizeError, Graph6ParseError, SizeCapError, add_edge,
+                   canonical_form, canonical_graph, complement, complete_graph,
+                   complete_multipartite, cycle_graph, empty_graph, induced_subgraph,
+                   is_connected, is_isomorphic, join, join_family_graph, parse_graph6,
+                   path_graph, permute, to_graph6)
+from vklab.graphs import _canonical_search, code_to_graph, graph_to_code, pair_count
+from vklab.search import _partitions_at_most, catalogue
 
-from conftest import nx_of, random_graph, reference_parse_graph6
+from conftest import nx_of, random_graph, reference_canonical_search, reference_parse_graph6
 
 
 def test_complete_and_empty_edge_counts():
@@ -284,3 +288,67 @@ def test_permute_roundtrip(rng):
     perm = [3, 1, 4, 0, 6, 2, 5]
     inverse = [perm.index(i) for i in range(7)]
     assert permute(permute(g, perm), inverse) == g
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permute(g, perm)
+
+
+def _join_family(nmin, nmax):
+    """K_m joined onto K(sizes) for every m >= 1 and every partition `sizes`
+    of n - m >= 2 (the join family of every class on nmin..nmax vertices)."""
+    return [join_family_graph(m, sizes) for n in range(nmin, nmax + 1)
+            for m in range(1, n - 1) for sizes in _partitions_at_most(n - m, n - m)]
+
+
+def test_canonical_search_matches_exhaustive_reference(rng):
+    graphs = []
+    for n in range(2, 7):  # every one-vertex extension the catalogue build tries
+        for parent in catalogue(n - 1):
+            for nbhd in range(1, 1 << (n - 1)):
+                adj = [row | 1 << (n - 1) if nbhd >> u & 1 else row
+                       for u, row in enumerate(parent.graph.adj)]
+                graphs.append(_shuffled(rng, Graph(n, (*adj, nbhd))))
+    graphs += [random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
+               for _ in range(200)]
+    graphs += [complete_graph(8), complete_multipartite([4, 4]),
+               complete_multipartite([3, 3, 2])]
+    graphs += set(_join_family(3, 8))
+    for g in graphs:
+        assert _canonical_search(g) == reference_canonical_search(g), g.adj
+
+
+def _multipartite_aut(sizes) -> int:
+    return (prod(factorial(s) for s in sizes)
+            * prod(factorial(c) for c in Counter(sizes).values()))
+
+
+def test_canonical_form_past_the_old_budget(rng):
+    # K9, K(3,3,3) and most join-family graphs on 9..12 vertices have more
+    # than the budget's 50,000 refinement-admissible orderings, but few
+    # once each twin group is kept in label order
+    for g in (complete_graph(9), complete_multipartite([3, 3, 3])):
+        with pytest.raises(SizeCapError):
+            reference_canonical_search(g)
+    graphs = [complete_graph(9), complete_multipartite([3, 3, 3]), *_join_family(9, 12)]
+    by_degrees = {}
+    for g in graphs:
+        sizes = sorted(Counter(g.adj).values())  # K_m counts as m parts of size 1
+        if sizes.count(2) >= 5:  # 10! / 2^5 orderings even with twins fixed
+            with pytest.raises(SizeCapError):
+                canonical_form(g)
+            continue
+        code, aut = _canonical_search(g)
+        assert aut == _multipartite_aut(sizes)
+        copy = _shuffled(rng, g)
+        assert canonical_form(copy).bits == code
+        by_degrees.setdefault(tuple(sorted(g.degrees())), []).append(((g.n, code), copy))
+    # a complete multipartite graph is fixed by its degree sequence, and
+    # K_m with singleton parts is one larger clique: one code per sequence
+    for same in by_degrees.values():
+        assert len({code for code, _ in same}) == 1
+        a, b = same[0][1], same[-1][1]
+        assert is_isomorphic(a, b) and nx.is_isomorphic(nx_of(a), nx_of(b))
+    assert len({same[0][0] for same in by_degrees.values()}) == len(by_degrees)

@@ -43,6 +43,7 @@ def test_enumeration_cap():
 
 def test_catalogue_sizes_match_a001349():
     assert [len(catalogue(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    assert len(catalogue(8, workers=2)) == 11_117
 
 
 def test_catalogue_entries_are_canonical_and_connected():
@@ -59,6 +60,9 @@ def test_orbit_stabilizer_counts_match_labelled_walk():
     for n in range(2, 7):
         labelled = sum(1 for _ in enumerate_graphs(n, connected_only=True))
         assert sum(factorial(n) // e.aut for e in catalogue(n)) == labelled
+    # past the walk's reach: the connected labelled graph counts of A001187
+    assert sum(factorial(7) // e.aut for e in catalogue(7)) == 1_866_256
+    assert sum(factorial(8) // e.aut for e in catalogue(8, workers=2)) == 251_548_592
 
 
 def _brute_force_reports(n):
