@@ -239,17 +239,18 @@ def is_connected(g: Graph) -> bool:
     return connected_mask(g.adj) == (1 << g.n) - 1
 
 
-def connected_mask(adj) -> int:
-    """Bitset of vertices reachable from vertex 0 (adjacency rows given directly)."""
-    seen = 1
-    frontier = 1
+def connected_mask(adj, seen: int = 1, keep: int = -1) -> int:
+    """Bitset of vertices reachable from the vertices of `seen` (vertex 0 by
+    default) through vertices of `keep` (all by default); adjacency rows
+    given directly."""
+    frontier = seen
     while frontier:
         nxt = 0
         while frontier:
             v = (frontier & -frontier).bit_length() - 1
             frontier &= frontier - 1
             nxt |= adj[v]
-        frontier = nxt & ~seen
+        frontier = nxt & keep & ~seen
         seen |= frontier
     return seen
 
@@ -472,10 +473,6 @@ def _arrangements(groups):
     """Every ordering of the vertices of `groups` (disjoint lists, each in
     increasing order) that keeps each group in its order: (sum of sizes)! /
     prod (size!) of them, as distinct permutations of a multiset of letters."""
-    if all(len(group) == 1 for group in groups):
-        # most classes have no twins, and permutations in C beat the letter walk
-        yield from itertools.permutations([group[0] for group in groups])
-        return
     letters = [i for i, group in enumerate(groups) for _ in group]
     last = len(letters) - 1
     while True:

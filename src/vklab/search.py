@@ -155,20 +155,10 @@ def _lighter_non_cut_vertex(adj, degree: int) -> bool:
     last = len(adj) - 1
     full = (1 << len(adj)) - 1
     for w in range(last):
-        if adj[w].bit_count() >= degree:
-            continue
-        keep = full ^ (1 << w)
-        seen = frontier = 1 << last
-        while frontier:
-            nxt = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= adj[v]
-            frontier = nxt & keep & ~seen
-            seen |= frontier
-        if seen == keep:
-            return True
+        if adj[w].bit_count() < degree:
+            keep = full ^ 1 << w
+            if connected_mask(adj, 1 << last, keep) == keep:
+                return True
     return False
 
 

@@ -14,7 +14,8 @@ from vklab import (Graph, GraphSizeError, Graph6ParseError, SizeCapError, add_ed
                    complete_multipartite, cycle_graph, empty_graph, induced_subgraph,
                    is_connected, is_isomorphic, join, join_family_graph, parse_graph6,
                    path_graph, permute, to_graph6)
-from vklab.graphs import _canonical_search, code_to_graph, graph_to_code, pair_count
+from vklab.graphs import (_canonical_search, code_to_graph, connected_mask, graph_to_code,
+                          pair_count)
 from vklab.search import _partitions_at_most, catalogue
 
 from conftest import nx_of, random_graph, reference_canonical_search, reference_parse_graph6
@@ -130,6 +131,24 @@ def test_is_connected():
     assert is_connected(complete_graph(4))
     assert not is_connected(empty_graph(3))
     assert not is_connected(complement(complete_multipartite([2, 3])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_connected_mask_from_seen_within_keep(data):
+    """The vertices reached from `seen` through `keep` are the components
+    of the seen vertices in the subgraph induced by keep and seen."""
+    n = data.draw(st.integers(1, 8))
+    g = code_to_graph(data.draw(st.integers(0, (1 << pair_count(n)) - 1)), n)
+    full = (1 << n) - 1
+    seen = data.draw(st.integers(1, full))
+    keep = data.draw(st.integers(0, full))
+    sub = nx_of(g).subgraph(v for v in range(n) if (seen | keep) >> v & 1)
+    reached = set().union(*(nx.node_connected_component(sub, v)
+                            for v in range(n) if seen >> v & 1))
+    assert connected_mask(g.adj, seen, keep) == sum(1 << v for v in reached)
+    from_zero = nx.node_connected_component(nx_of(g), 0)
+    assert connected_mask(g.adj) == sum(1 << v for v in from_zero)
 
 
 def test_add_edge_builder():

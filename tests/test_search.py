@@ -46,6 +46,22 @@ def test_catalogue_sizes_match_a001349():
     assert len(catalogue(8, workers=2)) == 11_117
 
 
+def test_extend_canonicalises_only_min_degree_children(monkeypatch):
+    """The pre-test leaves 2,796 of the 7,815 children of the n <= 7 levels
+    to canonicalise, and each level still comes out whole."""
+    calls = []
+    real = search._canonical_search
+    monkeypatch.setattr(search, "_canonical_search", lambda g: calls.append(g) or real(g))
+    counts = []
+    for n in range(2, 8):
+        parents = catalogue(n - 1)
+        before = len(calls)
+        found = search._extend(parents)
+        counts.append(len(calls) - before)
+        assert found == {e.code.bits: e.aut for e in catalogue(n)}
+    assert counts == [1, 3, 11, 53, 296, 2_432]
+
+
 def test_catalogue_entries_are_canonical_and_connected():
     for n in range(1, 7):
         codes = [entry.code.bits for entry in catalogue(n)]
