@@ -23,9 +23,8 @@ from .indices import (ALL_KINDS, Direction, IndexKind, adj_ecc_dist_sum, conn_ec
                       mult_zagreb_pi2, rdd, wiener, zagreb_m1, zagreb_m2)
 from .metrics import DistanceMetrics, compute_metrics
 from .partiteness import ClassParams, in_class, is_k_partite, vertex_k_partiteness
-from .search import (ExtremalReport, FuzzReport, enumerate_graphs, family_scan,
-                     load_graph6_corpus, monotonicity_fuzz, scan_class, scan_corpus,
-                     scan_many)
+from .search import (ExtremalReport, FuzzReport, family_scan, load_graph6_corpus,
+                     monotonicity_fuzz, scan_class, scan_corpus, scan_many)
 from .verify import ClaimVerdict, VerificationReport, known_claims, verify_theorem
 
 __version__ = "0.1.0"

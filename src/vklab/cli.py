@@ -12,7 +12,7 @@ One-shot batch commands over graph6 input or class parameters:
 Every report renders as plain text, JSON or CSV with identical exact values:
 rationals are {num, den} objects in JSON and "p/q" strings elsewhere, never
 floats. Exit status: 0 all claims confirmed, 2 refutations/violations found
-(CI can gate on errata), 1 operational error.
+(CI can gate on errata), 1 operational or usage error.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .search import monotonicity_fuzz, numbered_graph6, scan_many
 from .verify import REFUTED, claim_grid, known_claims, verify_theorem
 
 _KIND_NAMES = {kind.value: kind for kind in ALL_KINDS}
-
-_LARGE_HELP = ("opt in to n = 8 scans: 11,117 isomorphism classes, "
-               "needs --workers >= 2")
 
 
 def _value_json(v):
@@ -174,8 +171,7 @@ def _cmd_scan(args) -> int:
     kinds = _selected_kinds(args.kind)
     envelopes, rows = [], []
     findings = False
-    reports = scan_many(params.n, params.k, (params.m,), kinds,
-                        workers=args.workers, large=args.large)
+    reports = scan_many(params.n, params.k, (params.m,), kinds, workers=args.workers)
     for kind in kinds:
         report = reports[(params.m, kind)]
         optimizers = report.optimizer_graph6()
@@ -209,7 +205,7 @@ def _cmd_verify(args) -> int:
     any_refuted = False
     for claim in claims:
         grid = claim_grid(claim, args.nmax, k_values, args.scan_nmax)
-        report = verify_theorem(claim, grid, workers=args.workers, large=args.large)
+        report = verify_theorem(claim, grid, workers=args.workers)
         verdict_objs = []
         for v in report.verdicts:
             verdict_objs.append({
@@ -267,8 +263,16 @@ def _cmd_fuzz(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a VklabError, so it exits 1 like every other
+    operational error; argparse's own exit 2 would read as a finding."""
+
+    def error(self, message):
+        raise VklabError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vklab",
         description="Exact topological indices, vertex k-partiteness, extremal "
                     "constructions and exhaustive certification scans.")
@@ -311,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", default="all")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--large", action="store_true", help=_LARGE_HELP)
     add_common(p)
     p.set_defaults(func=_cmd_scan)
 
@@ -323,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-nmax", type=int, default=5, dest="scan_nmax",
                    help="grid cap for scan-backed claims")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--large", action="store_true", help=_LARGE_HELP)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -340,14 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except VklabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VklabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,4 +28,4 @@ class InvalidParamsError(VklabError, ValueError):
 
 
 class SizeCapError(VklabError, ValueError):
-    """An enumeration or canonical-form size cap was exceeded without opt-in."""
+    """A scan or canonical-form size cap was exceeded."""

@@ -277,7 +277,7 @@ def graph_to_code(g: Graph) -> int:
 def code_to_adj(code: int, n: int) -> list[int]:
     """Unpack a row-major upper-triangle code into adjacency bitset rows."""
     adj = [0] * n
-    pairs = _ROW_MAJOR_PAIRS.get(n) or _row_major_pairs(n)
+    pairs = _row_major_pairs(n)
     while code:
         b = (code & -code).bit_length() - 1
         code &= code - 1
@@ -293,11 +293,10 @@ def code_to_graph(code: int, n: int) -> Graph:
     return _symmetric_graph(n, tuple(code_to_adj(code, n)))
 
 
-def _row_major_pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-_ROW_MAJOR_PAIRS = {n: _row_major_pairs(n) for n in range(2, 13)}
+@cache
+def _row_major_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (u, v), u < v, in row-major code bit order."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +526,7 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
             group_of[u] = group
     # each class as its twin groups and singletons (a twin group lies in one class)
     class_groups = [[group_of[u] for u in c if group_of[u][0] == u] for c in classes]
-    pairs = _ROW_MAJOR_PAIRS.get(n) or _row_major_pairs(n)
+    pairs = _row_major_pairs(n)
     best = None
     aut = 0
     # packing MSB-first makes integer < equal to lexicographic bit order

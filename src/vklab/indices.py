@@ -107,12 +107,12 @@ def zagreb_m1(metrics: DistanceMetrics) -> int:
     return sum(d * d for d in metrics.degree)
 
 
-def zagreb_m2(g: Graph, metrics: DistanceMetrics) -> int:
+def zagreb_m2(metrics: DistanceMetrics) -> int:
     """Second Zagreb index: sum of degree products over edges."""
     deg = metrics.degree
     total = 0
-    for u in range(g.n):
-        row = g.adj[u] >> (u + 1) << (u + 1)
+    for u, row in enumerate(metrics.adj):
+        row = row >> (u + 1) << (u + 1)
         du = deg[u]
         while row:
             v = (row & -row).bit_length() - 1
@@ -169,18 +169,18 @@ def evaluate(kind: IndexKind, g: Graph,
         raise GraphSizeError(f"indices are defined for n >= 2 only, got n={g.n}")
     if metrics is None:
         metrics = _degree_only_metrics(g) if kind in DEGREE_ONLY else compute_metrics(g)
-    return _EVALUATORS[kind](g, metrics)
+    return _EVALUATORS[kind](metrics)
 
 
 _EVALUATORS = {
-    IndexKind.WIENER: lambda g, m: wiener(m),
-    IndexKind.HARARY: lambda g, m: harary(m),
-    IndexKind.RDD: lambda g, m: rdd(m),
-    IndexKind.ECC_DIST_SUM: lambda g, m: ecc_dist_sum(m),
-    IndexKind.CONN_ECC: lambda g, m: conn_ecc(m),
-    IndexKind.ADJ_ECC_DIST_SUM: lambda g, m: adj_ecc_dist_sum(m),
-    IndexKind.ZAGREB_M1: lambda g, m: zagreb_m1(m),
+    IndexKind.WIENER: wiener,
+    IndexKind.HARARY: harary,
+    IndexKind.RDD: rdd,
+    IndexKind.ECC_DIST_SUM: ecc_dist_sum,
+    IndexKind.CONN_ECC: conn_ecc,
+    IndexKind.ADJ_ECC_DIST_SUM: adj_ecc_dist_sum,
+    IndexKind.ZAGREB_M1: zagreb_m1,
     IndexKind.ZAGREB_M2: zagreb_m2,
-    IndexKind.MULT_ZAGREB_PI1: lambda g, m: mult_zagreb_pi1(m),
-    IndexKind.MULT_ZAGREB_PI2: lambda g, m: mult_zagreb_pi2(m),
+    IndexKind.MULT_ZAGREB_PI1: mult_zagreb_pi1,
+    IndexKind.MULT_ZAGREB_PI2: mult_zagreb_pi2,
 }

@@ -14,8 +14,8 @@ identical however its construction is split across workers.
 
 Catalogue and graph6 corpus scans share one per-graph pipeline: one
 membership search over every m, then distance metrics, then index
-evaluation. The labelled walk `enumerate_graphs` stays as the independent
-reference the tests compare the catalogue against.
+evaluation. Scans support 2 <= n <= 8 (11,117 classes at n = 8), with any
+worker count.
 """
 
 from __future__ import annotations
@@ -29,34 +29,14 @@ from typing import NamedTuple
 
 from .errors import Graph6ParseError, InvalidParamsError, SizeCapError
 from .extremal import closed_form, extremal_graph, join_family_graph
-from .graphs import (CanonicalCode, Graph, _canonical_search, _symmetric_graph, add_edge,
-                     canonical_form, code_to_adj, code_to_graph, connected_mask,
-                     pair_count, parse_graph6, to_graph6)
+from .graphs import (MAX_VERTICES, CanonicalCode, Graph, _canonical_search,
+                     _symmetric_graph, add_edge, canonical_form, code_to_adj,
+                     code_to_graph, connected_mask, pair_count, parse_graph6, to_graph6)
 from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
 from .metrics import compute_metrics
 from .partiteness import ClassParams, partiteness_within
 
-_ENUM_CAP = 7          # hard cap without opt-in
-_ENUM_CAP_LARGE = 8    # opt-in: 2^28 labelled codes, or 11,117 classes to scan
-
-
-def enumerate_graphs(n: int, connected_only: bool = False, large: bool = False):
-    """Yield every labelled simple graph on n vertices exactly once.
-
-    Walks all upper-triangle bit patterns in numeric order, so the stream is
-    deterministic. n = 8 (2^28 graphs) requires the explicit `large` opt-in.
-    """
-    cap = _ENUM_CAP_LARGE if large else _ENUM_CAP
-    if not 2 <= n <= cap:
-        raise SizeCapError(
-            f"enumeration supports 2 <= n <= {cap} "
-            f"(n=8 needs large=True), got {n}")
-    full = (1 << n) - 1
-    for code in range(1 << pair_count(n)):
-        adj = code_to_adj(code, n)
-        if connected_only and connected_mask(adj) != full:
-            continue
-        yield Graph(n, tuple(adj))
+_SCAN_CAP = 8  # 11,117 classes; n = 9 has 261,080
 
 
 def numbered_graph6(lines, strict: bool = True, errors: list | None = None):
@@ -304,33 +284,26 @@ def _catalogue_items(n: int, workers: int):
         yield entry.graph, labelled // entry.aut, entry.code
 
 
-def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1,
-              large: bool = False) -> dict:
+def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1) -> dict:
     """Scan one class family in a single pass over the catalogue.
 
     Returns {(m, kind): ExtremalReport} for every requested m and kind. A
     member stands for n!/|Aut(G)| labelled graphs in `class_size`;
     optimizers are catalogue codes, so ties need no canonicalisation.
-    Reports are identical for every worker count. n = 8 requires the
-    explicit `large` opt-in and workers >= 2; no m or no kind is an
-    InvalidParamsError.
+    Reports are identical for every worker count, which only splits the
+    catalogue build. n outside 2..8 is a SizeCapError; no m or no kind is
+    an InvalidParamsError.
     """
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
-    cap = _ENUM_CAP_LARGE if large else _ENUM_CAP
-    if not 2 <= n <= cap:
-        raise SizeCapError(
-            f"scans support 2 <= n <= {cap} (n=8 needs large=True), got {n}")
-    if n == 8 and workers < 2:
-        raise SizeCapError("n=8 scans are parallel-only; pass workers >= 2")
+    if not 2 <= n <= _SCAN_CAP:
+        raise SizeCapError(f"scans support 2 <= n <= {_SCAN_CAP}, got {n}")
     return _scan(_catalogue_items(n, workers), n, k, m_values, kinds)
 
 
-def scan_class(params: ClassParams, kind: IndexKind, workers: int = 1,
-               large: bool = False) -> ExtremalReport:
-    """Exhaustive extremal scan of one class for one index."""
-    reports = scan_many(params.n, params.k, (params.m,), (kind,),
-                        workers=workers, large=large)
+def scan_class(params: ClassParams, kind: IndexKind, workers: int = 1) -> ExtremalReport:
+    """Exhaustive extremal scan of one class for one index (see `scan_many`)."""
+    reports = scan_many(params.n, params.k, (params.m,), (kind,), workers=workers)
     return reports[(params.m, kind)]
 
 
@@ -431,6 +404,9 @@ def monotonicity_fuzz(kind: IndexKind, trials: int, n_range: tuple[int, int],
         raise InvalidParamsError(f"n_range must start at 3 or above, got {lo}")
     if hi < lo:
         raise InvalidParamsError(f"empty n_range {lo}..{hi}")
+    if hi > MAX_VERTICES:
+        raise InvalidParamsError(
+            f"n_range must end at {MAX_VERTICES} or below, got {hi}")
     rng = random.Random(seed)
     report = FuzzReport(kind=kind, trials=trials, violations=0, seed=seed)
     want = direction(kind)

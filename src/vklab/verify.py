@@ -132,8 +132,7 @@ def claim_grid(claim: str, n_max: int = 10, k_values=(2, 3, 4),
             for m in range(1, n - k + 1)]
 
 
-def verify_theorem(claim: str, grid=None, workers: int = 1,
-                   large: bool = False) -> VerificationReport:
+def verify_theorem(claim: str, grid=None, workers: int = 1) -> VerificationReport:
     """Check one published claim over a parameter grid, by default its
     `claim_grid`. An empty grid raises InvalidParamsError: certifying
     nothing is not a pass.
@@ -170,7 +169,7 @@ def verify_theorem(claim: str, grid=None, workers: int = 1,
         m_values.setdefault((p.n, p.k), set()).add(p.m)
     reports = {}
     for (n, k), ms in m_values.items():
-        for (m, kind), report in scan_many(n, k, ms, kinds, workers, large).items():
+        for (m, kind), report in scan_many(n, k, ms, kinds, workers).items():
             reports[ClassParams(n, m, k), kind] = report
     return VerificationReport(
         claim=claim, description=desc,

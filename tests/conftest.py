@@ -1,6 +1,7 @@
 """Shared brute-force oracles, deliberately independent of the package's
 bitset code paths: plain dict/list BFS, pair-by-pair sums, a bit-by-bit
-graph6 decoder, networkx for reference graph6 and isomorphism."""
+graph6 decoder, the labelled walk over every code, networkx for reference
+graph6 and isomorphism."""
 
 import collections
 import itertools
@@ -12,8 +13,8 @@ import networkx as nx
 import pytest
 
 from vklab import Graph, Graph6ParseError, IndexKind, SizeCapError
-from vklab.graphs import (_CANONICAL_BUDGET, _ROW_MAJOR_PAIRS, _refinement_classes,
-                          _row_major_pairs, from_edges)
+from vklab.graphs import (_CANONICAL_BUDGET, _refinement_classes, _row_major_pairs,
+                          code_to_adj, connected_mask, from_edges, pair_count)
 
 
 def nx_of(g: Graph) -> nx.Graph:
@@ -80,6 +81,21 @@ def reference_parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def enumerate_graphs(n: int, connected_only: bool = False):
+    """Yield every labelled simple graph on n vertices exactly once.
+
+    Walks all upper-triangle bit patterns in numeric order, so the stream is
+    deterministic: the labelled-walk oracle the catalogue scans are checked
+    against.
+    """
+    full = (1 << n) - 1
+    for code in range(1 << pair_count(n)):
+        adj = code_to_adj(code, n)
+        if connected_only and connected_mask(adj) != full:
+            continue
+        yield Graph(n, tuple(adj))
+
+
 def reference_canonical_search(g: Graph) -> tuple[int, int]:
     """(code bits, |Aut(g)|) by the exhaustive lex-min search over every
     refinement-admissible ordering, twins included: the minimising
@@ -92,7 +108,7 @@ def reference_canonical_search(g: Graph) -> tuple[int, int]:
             f"(n={g.n}; guaranteed only for n <= 8)")
     adj = g.adj
     n = g.n
-    pairs = _ROW_MAJOR_PAIRS.get(n) or _row_major_pairs(n)
+    pairs = _row_major_pairs(n)
     best = None
     aut = 0
     # packing MSB-first makes integer < equal to lexicographic bit order

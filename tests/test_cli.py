@@ -137,6 +137,8 @@ def test_index_runs_one_bfs_pass_per_connected_line(tmp_path, capsys, monkeypatc
     (["index", "--graph6", "@", "--kind", "wiener"], "n >= 2 only"),
     (["fuzz", "--kind", "wiener", "--trials", "0"], "trials must be >= 1"),
     (["verify", "--claim", "thm4.1", "--nmax", "3"], "empty parameter grid"),
+    (["fuzz", "--kind", "wiener", "--nmin", "64", "--nmax", "65"],
+     "n_range must end at 64 or below, got 65"),
 ])
 def test_degenerate_input_is_an_error_line(argv, message):
     code, out, err = run_process(*argv)
@@ -185,10 +187,33 @@ def test_scan_m2_erratum_exits_2(capsys):
     assert not report["flags"]["matches_closed_form"]
 
 
-def test_scan_cap_requires_large(capsys):
-    code, _, err = run(capsys, "scan", "--n", "8", "--m", "2", "--k", "2",
-                       "--kind", "wiener")
-    assert code == 1 and "large" in err
+def test_scan_cap_is_an_error_line(capsys):
+    code, out, err = run(capsys, "scan", "--n", "9", "--m", "2", "--k", "2",
+                         "--kind", "wiener")
+    assert code == 1 and out == ""
+    assert err == "error: scans support 2 <= n <= 8, got 9\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--n", "7", "--k", "3"], "the following arguments are required: --m"),
+    (["scan", "--n", "8", "--m", "2", "--k", "3", "--large"],
+     "unrecognized arguments: --large"),
+    (["scan", "--n", "7", "--m", "x", "--k", "3"], "invalid int value: 'x'"),
+    (["fuzz", "--kind", "bogus"], "unknown kind 'bogus'"),
+    (["fuzz", "--kind", "wiener", "--format", "xml"], "invalid choice: 'xml'"),
+])
+def test_usage_error_is_an_error_line(argv, message):
+    """A usage error exits 1 like any operational error, not argparse's 2,
+    which would read as a finding."""
+    code, out, err = run_process(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
+def test_help_exits_0():
+    code, out, _ = run_process("scan", "--help")
+    assert code == 0 and "--workers" in out and "--large" not in out
 
 
 @pytest.mark.parametrize("argv", [

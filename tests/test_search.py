@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKind,
                    InvalidParamsError, SizeCapError, canonical_form, complete_graph,
-                   compute_metrics, direction, empty_graph, enumerate_graphs, evaluate,
+                   compute_metrics, direction, empty_graph, evaluate,
                    family_scan, is_connected, join_family_graph,
                    load_graph6_corpus, monotonicity_fuzz, scan_class, scan_corpus,
                    scan_many, to_graph6, vertex_k_partiteness)
@@ -17,6 +17,8 @@ from vklab import search
 from vklab.graphs import code_to_graph
 from vklab.partiteness import partiteness_within
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
+
+from conftest import enumerate_graphs
 
 
 def test_enumeration_counts():
@@ -31,19 +33,15 @@ def test_enumeration_is_exact_and_deterministic():
     assert [g.adj for g in seen] == [g.adj for g in enumerate_graphs(4)]
 
 
-def test_enumeration_cap():
-    with pytest.raises(SizeCapError):
-        next(enumerate_graphs(8))
-    with pytest.raises(SizeCapError):
-        next(enumerate_graphs(9, large=True))
-    # n=8 with the opt-in starts fine
-    gen = enumerate_graphs(8, large=True)
-    assert next(gen).n == 8
-
-
 def test_catalogue_sizes_match_a001349():
     assert [len(catalogue(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
     assert len(catalogue(8, workers=2)) == 11_117
+    # a serial n = 8 scan over that level, as the CLI printed it with 2 workers
+    report = scan_many(8, 3, (2,), (IndexKind.ZAGREB_M1,), workers=1)[
+        (2, IndexKind.ZAGREB_M1)]
+    assert report.class_size == 251_349_147
+    assert report.optimum == 314
+    assert report.optimizer_graph6() == ["G]~v~{"]
 
 
 def test_extend_canonicalises_only_min_degree_children(monkeypatch):
@@ -263,8 +261,12 @@ def test_scan_determinism_across_workers():
 
 
 def test_scan_cap():
-    with pytest.raises(SizeCapError):
-        scan_class(ClassParams(8, 2, 2), IndexKind.WIENER)
+    # the whole message: it names the supported range and no opt-in
+    message = r"^scans support 2 <= n <= 8, got 9$"
+    with pytest.raises(SizeCapError, match=message):
+        scan_class(ClassParams(9, 2, 2), IndexKind.WIENER)
+    with pytest.raises(SizeCapError, match=message):
+        scan_many(9, 3, (2,), workers=2)
 
 
 def test_scan_corpus_agrees_with_enumeration():
@@ -352,6 +354,9 @@ def test_fuzz_complete_graph_resampling():
 def test_fuzz_rejects_degenerate_n_range():
     with pytest.raises(ValueError):
         monotonicity_fuzz(IndexKind.WIENER, 10, (2, 3), seed=1)
+    # past 64 vertices no graph can be built: refused before any trial runs
+    with pytest.raises(InvalidParamsError):
+        monotonicity_fuzz(IndexKind.WIENER, 1, (64, 65), seed=3)
 
 
 def test_scan_reports_class_size():
