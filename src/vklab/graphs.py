@@ -5,14 +5,15 @@ so edge tests, complements and joins are plain integer arithmetic. Graphs
 are immutable values: every builder returns a new graph, and two graphs
 compare equal exactly when they have identical labelled adjacency.
 
-Also provides graph6 text I/O and a canonical form for small graphs:
-exhaustive over the refinement-admissible relabelings that keep each twin
-group (vertices with equal open or closed neighbourhoods) in label order,
-so it accepts every graph with n <= 8 and twin-rich larger ones such as
-K_n and most join-family graphs. The graph6 codec is table-driven: a body
-is translated to its bit string by one `str.translate`, a cached per-n
-`itemgetter` picks all n adjacency rows out of it in one pass, and one
-`int(..., 2)` reads them as n-bit fields of a single integer.
+Also provides graph6 text I/O and a canonical form for small graphs: the
+least code over the relabelings admitted by colour refinement, found row
+by row by a branch and bound over bitset cells that tries one vertex per
+twin group (vertices with equal open or closed neighbourhoods). It accepts
+every graph with n <= 8 and twin-rich larger ones such as K_n and most
+join-family graphs. The graph6 codec is table-driven: a body is translated
+to its bit string by one `str.translate`, a cached per-n `itemgetter` picks
+all n adjacency rows out of it in one pass, and one `int(..., 2)` reads
+them as n-bit fields of a single integer.
 
 `Graph(n, adj)` validates its rows: vertex range, no self-loops, symmetry.
 `_symmetric_graph(n, adj)` skips those checks and may be called only with
@@ -26,7 +27,6 @@ anywhere else, including unpickling, go through `Graph`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
@@ -36,9 +36,10 @@ from .errors import Graph6ParseError, GraphSizeError, SizeCapError
 
 MAX_VERTICES = 64
 
-# Permutation search gives up beyond this many admissible orderings (twin
-# arrangements counted once). 8! = 40320 fits, which is what makes the
-# n <= 8 guarantee unconditional.
+# Graphs with more admissible orderings than this (twin arrangements
+# counted once) are refused. The budget fixes which graphs are accepted,
+# not what the row-by-row search costs, which is far less. 8! = 40320
+# fits, which is what makes the n <= 8 guarantee unconditional.
 _CANONICAL_BUDGET = 50_000
 
 
@@ -405,48 +406,53 @@ class CanonicalCode:
     bits: int
 
 
-def _refinement_classes(g: Graph) -> list[list[int]]:
-    """Partition vertices by iterated degree refinement (1-WL colours).
+def _refinement_classes(g: Graph) -> list[int]:
+    """Partition vertices by iterated degree refinement (1-WL colours), as
+    an ordered list of class bitsets.
 
-    Colour identifiers are rebuilt from sorted keys at every round, so the
-    resulting ordered class list is invariant under relabeling.
+    The classes start as the degree classes in increasing degree. Each
+    round splits every class by the key (|N(u) & C| for each class C of the
+    round), parts in decreasing key order, until no class splits. Vertices
+    of one class have equal degree, so this orders the parts as (colour,
+    sorted neighbour colours) would, and the ordered list is invariant
+    under relabeling.
     """
-    colors = list(g.degrees())
+    adj = g.adj
+    by_degree: dict = {}
+    for u, row in enumerate(adj):
+        by_degree[row.bit_count()] = by_degree.get(row.bit_count(), 0) | 1 << u
+    classes = [by_degree[d] for d in sorted(by_degree)]
     while True:
-        keys = []
-        for u in range(g.n):
-            neigh = []
-            row = g.adj[u]
-            while row:
-                v = (row & -row).bit_length() - 1
-                row &= row - 1
-                neigh.append(colors[v])
-            keys.append((colors[u], tuple(sorted(neigh))))
-        remap = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new_colors = [remap[k] for k in keys]
-        if new_colors == colors:
-            break
-        colors = new_colors
-    nclasses = max(colors) + 1 if colors else 0
-    classes: list[list[int]] = [[] for _ in range(nclasses)]
-    for u, c in enumerate(colors):
-        classes[c].append(u)
-    return classes
+        refined = []
+        for c in classes:
+            if not c & (c - 1):  # one vertex
+                refined.append(c)
+                continue
+            parts: dict = {}
+            while c:
+                bit = c & -c
+                c ^= bit
+                row = adj[bit.bit_length() - 1]
+                key = tuple([(row & d).bit_count() for d in classes])
+                parts[key] = parts.get(key, 0) | bit
+            refined += [parts[key] for key in sorted(parts, reverse=True)]
+        if len(refined) == len(classes):
+            return classes
+        classes = refined
 
 
 def canonical_form(g: Graph) -> CanonicalCode:
-    """Canonical code via exhaustive search over refinement-admissible orderings.
+    """Canonical code: the least code over the refinement-admissible orderings.
 
     Complete for every graph it accepts: the admissible orderings of two
     isomorphic graphs correspond one-to-one, so minimum codes agree, and a
-    shared code pins down a labelled graph. Orderings that differ only
-    inside a twin group give the same code, so one per twin arrangement is
-    searched. For n <= 8 the search space is at most 8! and always within
-    budget; larger graphs are accepted while the refinement and the twin
-    groups keep the ordering count under the budget (K_n for every n, and
-    complete multipartite graphs with few equal parts: K(2,2,2,2,2) has
-    10! / 2^5 orderings and is refused), and a SizeCapError is raised
-    otherwise.
+    shared code pins down a labelled graph. The least code is found row by
+    row (see `_canonical_search`). Every graph with n <= 8 is accepted;
+    larger graphs are accepted while the refinement and the twin groups
+    keep the count of admissible orderings, twin arrangements counted once,
+    under the budget (K_n for every n, and complete multipartite graphs
+    with few equal parts: K(2,2,2,2,2) has 10! / 2^5 orderings and is
+    refused), and a SizeCapError is raised otherwise.
     """
     code, _ = _canonical_search(g)
     return CanonicalCode(n=g.n, bits=code)
@@ -468,45 +474,35 @@ def _twin_groups(adj) -> list[list[int]]:
     return [group for group in twins.values() if len(group) > 1]
 
 
-def _arrangements(groups):
-    """Every ordering of the vertices of `groups` (disjoint lists, each in
-    increasing order) that keeps each group in its order: (sum of sizes)! /
-    prod (size!) of them, as distinct permutations of a multiset of letters."""
-    letters = [i for i, group in enumerate(groups) for _ in group]
-    last = len(letters) - 1
-    while True:
-        heads = [iter(group) for group in groups]
-        yield tuple([next(heads[i]) for i in letters])
-        # next arrangement: the next permutation of `letters` in lexicographic order
-        i = last - 1
-        while i >= 0 and letters[i] >= letters[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last
-        while letters[j] <= letters[i]:
-            j -= 1
-        letters[i], letters[j] = letters[j], letters[i]
-        letters[i + 1:] = reversed(letters[i + 1:])
-
-
 def _canonical_search(g: Graph) -> tuple[int, int]:
     """The search behind `canonical_form`: (code bits, |Aut(g)|).
 
-    The admissible orderings reaching the minimum code form one coset of
-    Aut(g) (refinement colours are automorphism-invariant, and two orderings
-    give the same code exactly when they differ by an automorphism), so
-    their count is |Aut(g)|.
+    Positions are filled in order. A node is an ordered list of cells,
+    bitsets of unplaced vertices, each holding the next block of positions;
+    the root's cells are the refinement classes. Placing a vertex w of the
+    first cell at position p fixes row p of the code (the pairs (p, q),
+    q > p, which come before every later row), and within each later block
+    that row is least with the non-neighbours of w first. So the child
+    splits every cell into non-neighbours, then neighbours, of w, and its
+    row is the tuple of neighbour counts per cell. The nodes of one depth
+    share every earlier row and so their cell sizes; depth by depth the
+    search keeps only the (node, w) pairs of least row. Once every cell is
+    one vertex, each node left fixes an ordering, and those of least code
+    are exactly the admissible orderings of least code.
 
-    Swapping two twins is an automorphism, and twins share a refinement
-    class, so the permutations of each twin group form a subgroup T of
-    Aut(g) of order prod (group size)!. T acts freely on the admissible
-    orderings without changing codes, and each T-orbit holds exactly one
-    ordering that lists every twin group in increasing label order. The
-    search visits only those: the minimum code is the same, and the
-    minimising coset of Aut(g) is a union of T-orbits, so |Aut(g)| is the
-    count of minimising orderings visited times |T|. The budget applies to
-    the visited count, prod (class size)! / |T|, which depends only on the
+    Those orderings form one coset of Aut(g) (refinement colours are
+    automorphism-invariant, and two orderings give the same code exactly
+    when they differ by an automorphism), so their count is |Aut(g)|.
+    Unplaced twins (equal open or closed neighbourhoods) share a cell, and
+    swapping two is an automorphism that fixes every other vertex and so
+    maps the subtree below one onto the subtree below the other. One
+    candidate per twin group of the first cell is tried, and its node
+    carries its count times the group's size in that cell; the counts of
+    the nodes of least code add up to |Aut(g)|, with no separate twin
+    factor.
+
+    The budget applies to prod (class size)! / prod (twin group size)!,
+    which bounds the nodes of every depth, and which depends only on the
     refinement classes and twin groups and so is isomorphism-invariant:
     two isomorphic graphs are both searched or both refused.
     """
@@ -514,37 +510,47 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
     adj = g.adj
     n = g.n
     twin_groups = _twin_groups(adj)
-    twin_factor = prod(factorial(len(group)) for group in twin_groups)
-    space = prod(factorial(len(c)) for c in classes) // twin_factor
+    space = (prod(factorial(c.bit_count()) for c in classes)
+             // prod(factorial(len(group)) for group in twin_groups))
     if space > _CANONICAL_BUDGET:
         raise SizeCapError(
             f"canonical search space {space} exceeds budget {_CANONICAL_BUDGET} "
             f"(n={g.n}; guaranteed only for n <= 8)")
-    group_of = {u: [u] for u in range(n)}
+    twins = [1 << u for u in range(n)]
     for group in twin_groups:
+        mask = sum(1 << u for u in group)
         for u in group:
-            group_of[u] = group
-    # each class as its twin groups and singletons (a twin group lies in one class)
-    class_groups = [[group_of[u] for u in c if group_of[u][0] == u] for c in classes]
-    pairs = _row_major_pairs(n)
-    best = None
-    aut = 0
-    # packing MSB-first makes integer < equal to lexicographic bit order
-    for parts in itertools.product(*map(_arrangements, class_groups)):
-        order = [v for part in parts for v in part]
+            twins[u] = mask
+    live = [(classes, 1, ())]
+    # the nodes of a depth share their cell sizes: stop once every cell is one vertex
+    while len(live[0][0]) < n - len(live[0][2]):
+        best = None
+        for cells, count, placed in live:
+            first = rest = cells[0]
+            while rest:
+                w = (rest & -rest).bit_length() - 1
+                group = twins[w] & first
+                rest ^= group
+                nbrs = adj[w]
+                row = [(c & nbrs).bit_count() for c in cells]  # w is not in nbrs
+                if best is None or row < best:
+                    best, kept = row, []
+                if row == best:
+                    kept.append((cells, w, count * group.bit_count(), placed))
+        live = [([part for c in (cells[0] ^ 1 << w, *cells[1:])
+                  for part in (c & ~adj[w], c & adj[w]) if part], count, (*placed, w))
+                for cells, w, count, placed in kept]
+    # each node left fixes its ordering; pack its code MSB-first, so that
+    # integer < is lexicographic order
+    counts: dict = {}
+    for cells, count, placed in live:
+        order = (*placed, *[c.bit_length() - 1 for c in cells])
         bits = 0
-        for u, v in pairs:
+        for u, v in _row_major_pairs(n):
             bits = bits << 1 | (adj[order[u]] >> order[v] & 1)
-        if best is None or bits < best:
-            best, aut = bits, 1
-        elif bits == best:
-            aut += 1
-    total = len(pairs)
-    code = 0
-    for i in range(total):
-        if best >> (total - 1 - i) & 1:
-            code |= 1 << i
-    return code, aut * twin_factor
+        counts[bits] = counts.get(bits, 0) + count
+    least = min(counts)
+    return int(format(least, f"0{pair_count(n)}b")[::-1], 2), counts[least]
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -21,6 +21,7 @@ worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -178,8 +179,8 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
     whose new vertex plays the part of v, and that copy passes the test,
     because isomorphisms preserve degrees and cut vertices. Levels are
     built on first use and cached per n; with `workers` > 1 the parents of
-    level n are split across a process pool. The result does not depend on
-    the worker count.
+    level n are split across a process pool of at most `os.cpu_count()`
+    processes. The result does not depend on the worker count.
     """
     if n in _CATALOGUES:
         return _CATALOGUES[n]
@@ -189,7 +190,7 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
         level = (CatalogueEntry(CanonicalCode(1, 0), Graph(1, (0,)), 1),)
     else:
         parents = catalogue(n - 1)
-        workers = min(workers, len(parents))
+        workers = min(workers, len(parents), os.cpu_count() or 1)
         if workers <= 1:
             level = _merge([_extend(parents)], n)
         else:

@@ -14,11 +14,12 @@ from vklab import (Graph, GraphSizeError, Graph6ParseError, SizeCapError, add_ed
                    complete_multipartite, cycle_graph, empty_graph, induced_subgraph,
                    is_connected, is_isomorphic, join, join_family_graph, parse_graph6,
                    path_graph, permute, to_graph6)
-from vklab.graphs import (_canonical_search, code_to_graph, connected_mask, graph_to_code,
-                          pair_count)
+from vklab.graphs import (_canonical_search, _refinement_classes, _twin_groups, code_to_graph,
+                          connected_mask, from_edges, graph_to_code, pair_count)
 from vklab.search import _partitions_at_most, catalogue
 
-from conftest import nx_of, random_graph, reference_canonical_search, reference_parse_graph6
+from conftest import (graph_of_nx, nx_of, random_graph, reference_canonical_search,
+                      reference_parse_graph6, reference_refinement_classes)
 
 
 def test_complete_and_empty_edge_counts():
@@ -337,6 +338,37 @@ def test_canonical_search_matches_exhaustive_reference(rng):
     graphs += set(_join_family(3, 8))
     for g in graphs:
         assert _canonical_search(g) == reference_canonical_search(g), g.adj
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_bitset_refinement_matches_the_list_reference(data):
+    """The bitset refinement gives the list reference's ordered classes,
+    and relabelling a graph relabels its classes."""
+    n = data.draw(st.integers(1, 10))
+    p = data.draw(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
+    g = random_graph(data.draw(st.randoms(use_true_random=False)), n, p)
+    perm = data.draw(st.permutations(range(n)))
+    h = permute(g, perm)
+    classes = _refinement_classes(h)
+    assert classes == [sum(1 << u for u in c) for c in reference_refinement_classes(h)]
+    assert classes == [sum(1 << perm[u] for u in range(n) if c >> u & 1)
+                       for c in _refinement_classes(g)]
+
+
+def test_aut_of_twin_free_symmetric_graphs_matches_networkx(rng):
+    # one refinement class and no twins: the search keeps the most nodes alive
+    moebius = from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+    graphs = (cycle_graph(7), cycle_graph(8), graph_of_nx(nx.hypercube_graph(3)), moebius)
+    auts = []
+    for g in graphs:
+        assert _twin_groups(g.adj) == [] and len(_refinement_classes(g)) == 1
+        h = nx_of(g)
+        auts.append(sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter()))
+        code, aut = _canonical_search(g)
+        assert aut == auts[-1]
+        assert _canonical_search(_shuffled(rng, g)) == (code, aut)
+    assert auts == [14, 16, 48, 16]
 
 
 def _multipartite_aut(sizes) -> int:

@@ -1,5 +1,7 @@
 """Enumeration, corpus ingestion, scans, and the monotonicity fuzzer."""
 
+import hashlib
+import multiprocessing
 from fractions import Fraction
 from math import factorial
 
@@ -35,7 +37,12 @@ def test_enumeration_is_exact_and_deterministic():
 
 def test_catalogue_sizes_match_a001349():
     assert [len(catalogue(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
-    assert len(catalogue(8, workers=2)) == 11_117
+    level = catalogue(8, workers=2)
+    assert len(level) == 11_117
+    # every (code, |Aut|) pair of the level, as the exhaustive labeller gave them
+    pairs = repr(sorted((entry.code.bits, entry.aut) for entry in level)).encode()
+    assert hashlib.sha256(pairs).hexdigest() == \
+        "06ead3e9312b60d7734a71724d81c36c921d8677a3ab3826a433ff6c86db9c4d"
     # a serial n = 8 scan over that level, as the CLI printed it with 2 workers
     report = scan_many(8, 3, (2,), (IndexKind.ZAGREB_M1,), workers=1)[
         (2, IndexKind.ZAGREB_M1)]
@@ -58,6 +65,35 @@ def test_extend_canonicalises_only_min_degree_children(monkeypatch):
         counts.append(len(calls) - before)
         assert found == {e.code.bits: e.aut for e in catalogue(n)}
     assert counts == [1, 3, 11, 53, 296, 2_432]
+
+
+def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
+    """A `workers` above the CPU count asks for one process per CPU, and
+    an unknown CPU count for none; a recorder stands in for the pool, so
+    no process is started."""
+    expected = catalogue(6)
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
+    for cpus, asked in ((3, [3]), (None, [])):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(search, "_CATALOGUES", {})
+        pools.clear()
+        assert catalogue(6, workers=1000) == expected
+        assert pools == asked
 
 
 def test_catalogue_entries_are_canonical_and_connected():
