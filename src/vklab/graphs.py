@@ -8,9 +8,10 @@ compare equal exactly when they have identical labelled adjacency.
 Also provides graph6 text I/O and a canonical form for small graphs: the
 least code over the relabelings admitted by colour refinement, found row
 by row by a branch and bound over bitset cells that tries one vertex per
-twin group (vertices with equal open or closed neighbourhoods). It accepts
-every graph with n <= 8 and twin-rich larger ones such as K_n and most
-join-family graphs. The graph6 codec is table-driven: a body is translated
+twin group (vertices with equal open or closed neighbourhoods). It refuses
+a graph only when the search would hold too many nodes at once, which no
+graph with n <= 9 does; K_n and the join-family graphs up to 12 vertices
+are accepted too. The graph6 codec is table-driven: a body is translated
 to its bit string by one `str.translate`, a cached per-n `itemgetter` picks
 all n adjacency rows out of it in one pass, and one `int(..., 2)` reads
 them as n-bit fields of a single integer.
@@ -29,17 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial, prod
 from operator import itemgetter
 
 from .errors import Graph6ParseError, GraphSizeError, SizeCapError
 
 MAX_VERTICES = 64
 
-# Graphs with more admissible orderings than this (twin arrangements
-# counted once) are refused. The budget fixes which graphs are accepted,
-# not what the row-by-row search costs, which is far less. 8! = 40320
-# fits, which is what makes the n <= 8 guarantee unconditional.
+# The most live nodes the canonical search may hold at one depth. No graph
+# with n <= 9 comes near it: the widest live set over every 9-vertex graph
+# is 72 nodes (the 3x3 rook's graph), so the n <= 9 guarantee is unconditional.
 _CANONICAL_BUDGET = 50_000
 
 
@@ -263,17 +262,6 @@ def connected_mask(adj, seen: int = 1, keep: int = -1) -> int:
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
-def graph_to_code(g: Graph) -> int:
-    """Pack the upper triangle row-major: bit 0 is pair (0,1), then (0,2), ..."""
-    code = 0
-    bit = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] >> v & 1:
-                code |= 1 << bit
-            bit += 1
-    return code
-
 
 def code_to_adj(code: int, n: int) -> list[int]:
     """Unpack a row-major upper-triangle code into adjacency bitset rows."""
@@ -447,12 +435,11 @@ def canonical_form(g: Graph) -> CanonicalCode:
     Complete for every graph it accepts: the admissible orderings of two
     isomorphic graphs correspond one-to-one, so minimum codes agree, and a
     shared code pins down a labelled graph. The least code is found row by
-    row (see `_canonical_search`). Every graph with n <= 8 is accepted;
-    larger graphs are accepted while the refinement and the twin groups
-    keep the count of admissible orderings, twin arrangements counted once,
-    under the budget (K_n for every n, and complete multipartite graphs
-    with few equal parts: K(2,2,2,2,2) has 10! / 2^5 orderings and is
-    refused), and a SizeCapError is raised otherwise.
+    row (see `_canonical_search`). Every graph with n <= 9 is accepted.
+    A larger graph is accepted while the search holds at most the budget's
+    count of live nodes at every depth (K_n for every n, and complete
+    multipartite graphs such as K(2,2,2,2,2)), and a SizeCapError is raised
+    otherwise (K2 x K8, with 80,640 automorphisms and no twins).
     """
     code, _ = _canonical_search(g)
     return CanonicalCode(n=g.n, bits=code)
@@ -501,23 +488,18 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
     the nodes of least code add up to |Aut(g)|, with no separate twin
     factor.
 
-    The budget applies to prod (class size)! / prod (twin group size)!,
-    which bounds the nodes of every depth, and which depends only on the
-    refinement classes and twin groups and so is isomorphism-invariant:
-    two isomorphic graphs are both searched or both refused.
+    The budget applies to the live nodes: once a depth's candidates are
+    compared, more than `_CANONICAL_BUDGET` kept (node, w) pairs is a
+    SizeCapError, raised before any child is built, so no depth builds
+    more children than the budget. An isomorphism carries the kept pairs of one graph onto
+    those of the other, so two isomorphic graphs are both labelled or both
+    refused. The budget never enters the code or the count.
     """
     classes = _refinement_classes(g)
     adj = g.adj
     n = g.n
-    twin_groups = _twin_groups(adj)
-    space = (prod(factorial(c.bit_count()) for c in classes)
-             // prod(factorial(len(group)) for group in twin_groups))
-    if space > _CANONICAL_BUDGET:
-        raise SizeCapError(
-            f"canonical search space {space} exceeds budget {_CANONICAL_BUDGET} "
-            f"(n={g.n}; guaranteed only for n <= 8)")
     twins = [1 << u for u in range(n)]
-    for group in twin_groups:
+    for group in _twin_groups(adj):
         mask = sum(1 << u for u in group)
         for u in group:
             twins[u] = mask
@@ -537,6 +519,9 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
                     best, kept = row, []
                 if row == best:
                     kept.append((cells, w, count * group.bit_count(), placed))
+        if len(kept) > _CANONICAL_BUDGET:
+            raise SizeCapError(f"canonical search holds {len(kept)} live nodes, over the "
+                               f"budget {_CANONICAL_BUDGET} (n={n})")
         live = [([part for c in (cells[0] ^ 1 << w, *cells[1:])
                   for part in (c & ~adj[w], c & adj[w]) if part], count, (*placed, w))
                 for cells, w, count, placed in kept]

@@ -6,8 +6,7 @@ Each BFS keeps only layer sums: the transmission of its source is
 sum d * |L_d|, the eccentricity is the index of the last layer, and every
 layer adds its pair count and degree sum to the per-distance totals. A BFS
 stops once every vertex is seen: the last layer's degree sum is the total
-degree less the layers before it. No per-pair rows are written;
-`DistanceMetrics.dist` builds them on first use.
+degree less the layers before it. No per-pair rows are written.
 
 Metrics are computed once per graph and passed around; evaluators never
 recompute them. Only connected graphs have metrics: disconnected input is
@@ -23,11 +22,10 @@ from .graphs import Graph
 class DistanceMetrics:
     """Transmissions D(u), eccentricities and degrees per vertex, plus
     `pair_counts[d]` (unordered pairs at distance d) and `degree_sums[d]`
-    (sum of d(u) + d(v) over those pairs), both indexed from d = 0.
-    The distance matrix `dist` (8-bit rows) is built on first access."""
+    (sum of d(u) + d(v) over those pairs), both indexed from d = 0."""
 
     __slots__ = ("n", "adj", "transmission", "ecc", "degree", "pair_counts",
-                 "degree_sums", "_dist")
+                 "degree_sums")
 
     def __init__(self, n, adj, transmission, ecc, degree, pair_counts=None,
                  degree_sums=None):
@@ -38,39 +36,6 @@ class DistanceMetrics:
         self.degree = degree
         self.pair_counts = pair_counts
         self.degree_sums = degree_sums
-        self._dist = None
-
-    @property
-    def dist(self) -> list[bytes]:
-        if self._dist is None:
-            self._dist = distance_rows(self.adj, self.n)
-        return self._dist
-
-
-def distance_rows(adj, n: int) -> list[bytes]:
-    """BFS distance row per source vertex; raises DisconnectedGraphError when
-    some vertex is unreachable."""
-    full = (1 << n) - 1
-    rows = []
-    for src in range(n):
-        row = bytearray(n)
-        seen = frontier = 1 << src
-        d = 0
-        while seen != full:
-            nxt = 0
-            for v in range(n):
-                if frontier >> v & 1:
-                    nxt |= adj[v]
-            frontier = nxt & ~seen
-            if not frontier:
-                raise DisconnectedGraphError("graph is not connected")
-            d += 1
-            seen |= frontier
-            for v in range(n):
-                if frontier >> v & 1:
-                    row[v] = d
-        rows.append(bytes(row))
-    return rows
 
 
 def compute_metrics(g: Graph) -> DistanceMetrics:

@@ -14,7 +14,7 @@ identical however its construction is split across workers.
 
 Catalogue and graph6 corpus scans share one per-graph pipeline: one
 membership search over every m, then distance metrics, then index
-evaluation. Scans support 2 <= n <= 8 (11,117 classes at n = 8), with any
+evaluation. Scans support 2 <= n <= 9 (261,080 classes at n = 9), with any
 worker count.
 """
 
@@ -37,7 +37,7 @@ from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, ev
 from .metrics import compute_metrics
 from .partiteness import ClassParams, partiteness_within
 
-_SCAN_CAP = 8  # 11,117 classes; n = 9 has 261,080
+_SCAN_CAP = 9  # 261,080 classes; n = 10 has 11,716,571
 
 
 def numbered_graph6(lines, strict: bool = True, errors: list | None = None):
@@ -292,7 +292,7 @@ def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1) -> di
     member stands for n!/|Aut(G)| labelled graphs in `class_size`;
     optimizers are catalogue codes, so ties need no canonicalisation.
     Reports are identical for every worker count, which only splits the
-    catalogue build. n outside 2..8 is a SizeCapError; no m or no kind is
+    catalogue build. n outside 2..9 is a SizeCapError; no m or no kind is
     an InvalidParamsError.
     """
     if workers < 1:

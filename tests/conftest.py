@@ -81,6 +81,18 @@ def reference_parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def graph_to_code(g: Graph) -> int:
+    """Pack the upper triangle row-major: bit 0 is pair (0,1), then (0,2), ..."""
+    code = 0
+    bit = 0
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.adj[u] >> v & 1:
+                code |= 1 << bit
+            bit += 1
+    return code
+
+
 def enumerate_graphs(n: int, connected_only: bool = False):
     """Yield every labelled simple graph on n vertices exactly once.
 
@@ -121,13 +133,15 @@ def reference_refinement_classes(g: Graph) -> list[list[int]]:
 def reference_canonical_search(g: Graph) -> tuple[int, int]:
     """(code bits, |Aut(g)|) by the exhaustive lex-min search over every
     refinement-admissible ordering, twins included: the minimising
-    orderings form one coset of Aut(g), so their count is |Aut(g)|."""
+    orderings form one coset of Aut(g), so their count is |Aut(g)|.
+    It visits every ordering, so it refuses a graph with more of them than
+    the package's live-node budget."""
     classes = reference_refinement_classes(g)
     space = prod(factorial(len(c)) for c in classes)
     if space > _CANONICAL_BUDGET:
         raise SizeCapError(
-            f"canonical search space {space} exceeds budget {_CANONICAL_BUDGET} "
-            f"(n={g.n}; guaranteed only for n <= 8)")
+            f"reference search would visit {space} orderings, over the budget "
+            f"{_CANONICAL_BUDGET} (n={g.n})")
     adj = g.adj
     n = g.n
     pairs = _row_major_pairs(n)

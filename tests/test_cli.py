@@ -188,10 +188,10 @@ def test_scan_m2_erratum_exits_2(capsys):
 
 
 def test_scan_cap_is_an_error_line(capsys):
-    code, out, err = run(capsys, "scan", "--n", "9", "--m", "2", "--k", "2",
+    code, out, err = run(capsys, "scan", "--n", "10", "--m", "2", "--k", "2",
                          "--kind", "wiener")
     assert code == 1 and out == ""
-    assert err == "error: scans support 2 <= n <= 8, got 9\n"
+    assert err == "error: scans support 2 <= n <= 9, got 10\n"
 
 
 @pytest.mark.parametrize("argv,message", [

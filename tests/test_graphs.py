@@ -15,11 +15,12 @@ from vklab import (Graph, GraphSizeError, Graph6ParseError, SizeCapError, add_ed
                    is_connected, is_isomorphic, join, join_family_graph, parse_graph6,
                    path_graph, permute, to_graph6)
 from vklab.graphs import (_canonical_search, _refinement_classes, _twin_groups, code_to_graph,
-                          connected_mask, from_edges, graph_to_code, pair_count)
-from vklab.search import _partitions_at_most, catalogue
+                          connected_mask, from_edges, pair_count)
+from vklab.search import _lighter_non_cut_vertex, _partitions_at_most, catalogue
 
-from conftest import (graph_of_nx, nx_of, random_graph, reference_canonical_search,
-                      reference_parse_graph6, reference_refinement_classes)
+from conftest import (graph_of_nx, graph_to_code, nx_of, random_graph,
+                      reference_canonical_search, reference_parse_graph6,
+                      reference_refinement_classes)
 
 
 def test_complete_and_empty_edge_counts():
@@ -377,9 +378,9 @@ def _multipartite_aut(sizes) -> int:
 
 
 def test_canonical_form_past_the_old_budget(rng):
-    # K9, K(3,3,3) and most join-family graphs on 9..12 vertices have more
-    # than the budget's 50,000 refinement-admissible orderings, but few
-    # once each twin group is kept in label order
+    # K9, K(3,3,3) and the join-family graphs on 9..12 vertices have more
+    # than the budget's 50,000 refinement-admissible orderings, but the
+    # search keeps one vertex per twin group and so few nodes alive
     for g in (complete_graph(9), complete_multipartite([3, 3, 3])):
         with pytest.raises(SizeCapError):
             reference_canonical_search(g)
@@ -387,10 +388,6 @@ def test_canonical_form_past_the_old_budget(rng):
     by_degrees = {}
     for g in graphs:
         sizes = sorted(Counter(g.adj).values())  # K_m counts as m parts of size 1
-        if sizes.count(2) >= 5:  # 10! / 2^5 orderings even with twins fixed
-            with pytest.raises(SizeCapError):
-                canonical_form(g)
-            continue
         code, aut = _canonical_search(g)
         assert aut == _multipartite_aut(sizes)
         copy = _shuffled(rng, g)
@@ -403,3 +400,42 @@ def test_canonical_form_past_the_old_budget(rng):
         a, b = same[0][1], same[-1][1]
         assert is_isomorphic(a, b) and nx.is_isomorphic(nx_of(a), nx_of(b))
     assert len({same[0][0] for same in by_degrees.values()}) == len(by_degrees)
+
+
+def _rook(a: int, b: int) -> Graph:
+    return graph_of_nx(nx.cartesian_product(nx.complete_graph(a), nx.complete_graph(b)))
+
+
+def test_budget_counts_live_nodes(rng):
+    # K2 x K_r has no twins and one refinement class, so every automorphism
+    # is a live node at the last depths: 2 * 8! = 80,640 is over the budget
+    # in every labelling, 2 * 7! is not
+    for g in (_rook(2, 8), _shuffled(rng, _rook(2, 8))):
+        with pytest.raises(SizeCapError, match=r"^canonical search holds \d+ live nodes, "
+                                               r"over the budget 50000 \(n=16\)$"):
+            canonical_form(g)
+    assert _canonical_search(_rook(2, 7))[1] == 2 * factorial(7)
+
+
+def test_canonical_search_on_nine_vertices(rng):
+    # the children the n = 9 catalogue build canonicalises, from a seeded
+    # sample of n = 8 parents: |Aut| against networkx, codes against the
+    # exhaustive reference wherever it takes them
+    checked = 0
+    for parent in rng.sample(catalogue(8), 12):
+        for nbhd in range(1, 1 << 8):
+            adj = [row | 1 << 8 if nbhd >> u & 1 else row for u, row in enumerate(parent.graph.adj)]
+            adj.append(nbhd)
+            if _lighter_non_cut_vertex(adj, nbhd.bit_count()):
+                continue
+            g = Graph(9, tuple(adj))
+            code, aut = _canonical_search(g)
+            h = nx_of(g)
+            assert aut == sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            assert _canonical_search(_shuffled(rng, g)) == (code, aut)
+            try:
+                assert reference_canonical_search(g) == (code, aut)
+                checked += 1
+            except SizeCapError:
+                pass
+    assert checked

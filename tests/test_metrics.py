@@ -11,7 +11,7 @@ from conftest import brute_distances, random_connected
 
 def test_complete_graph_metrics():
     m = compute_metrics(complete_graph(6))
-    assert all(m.dist[u][v] == 1 for u in range(6) for v in range(6) if u != v)
+    assert m.pair_counts == [0, 15]
     assert m.ecc == [1] * 6
     assert m.transmission == [5] * 6
     assert m.degree == [5] * 6
@@ -19,7 +19,7 @@ def test_complete_graph_metrics():
 
 def test_path_metrics():
     m = compute_metrics(path_graph(3))
-    assert m.dist[0][2] == 2
+    assert m.pair_counts == [0, 2, 1]
     assert m.ecc == [2, 1, 2]
     assert m.transmission == [3, 2, 3]
 
@@ -48,9 +48,8 @@ def test_matches_brute_bfs(rng):
         g = random_connected(rng, rng.randint(2, 10))
         m = compute_metrics(g)
         ref = brute_distances(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                assert m.dist[u][v] == ref[u][v]
+        assert m.transmission == [sum(row) for row in ref]
+        assert m.ecc == [max(row) for row in ref]
 
 
 def test_per_distance_sums_match_brute_bfs(rng):
@@ -82,24 +81,22 @@ def test_symmetry_zero_diagonal_and_triangle_inequality(rng):
     for _ in range(30):
         g = random_connected(rng, rng.randint(3, 9))
         m = compute_metrics(g)
-        n = g.n
-        for u in range(n):
-            assert m.dist[u][u] == 0
-            for v in range(n):
-                assert m.dist[u][v] == m.dist[v][u]
-                if u != v:
-                    assert m.dist[u][v] >= 1
-                for w in range(n):
-                    assert m.dist[u][w] <= m.dist[u][v] + m.dist[v][w]
+        # each unordered pair once, none at distance 0
+        assert m.pair_counts[0] == 0
+        assert sum(m.pair_counts) == g.n * (g.n - 1) // 2
+        # d(u, w) <= d(u, v) + d(v, w): adjacent eccentricities differ by at
+        # most one, and the diameter is at most twice the radius
+        assert all(abs(m.ecc[u] - m.ecc[v]) <= 1 for u, v in g.edges())
+        assert max(m.ecc) <= 2 * min(m.ecc)
 
 
 def test_distance_one_iff_edge(rng):
     for _ in range(30):
         g = random_connected(rng, rng.randint(2, 9))
         m = compute_metrics(g)
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                assert (m.dist[u][v] == 1) == g.has_edge(u, v)
+        deg = g.degrees()
+        assert m.pair_counts[1] == g.edge_count()
+        assert m.degree_sums[1] == sum(deg[u] + deg[v] for u, v in g.edges())
 
 
 def test_total_transmission_is_twice_wiener(rng):
@@ -118,6 +115,9 @@ def test_edge_addition_never_increases_distances(rng):
         u, v = non_edges[rng.randrange(len(non_edges))]
         before = compute_metrics(g)
         after = compute_metrics(add_edge(g, u, v))
-        assert all(after.dist[a][b] <= before.dist[a][b]
-                   for a in range(g.n) for b in range(g.n))
-        assert after.dist[u][v] == 1 < before.dist[u][v]
+        assert all(a <= b for a, b in zip(after.transmission, before.transmission))
+        assert all(a <= b for a, b in zip(after.ecc, before.ecc))
+        # d(u, v) falls from at least 2 to 1
+        assert after.transmission[u] < before.transmission[u]
+        assert after.transmission[v] < before.transmission[v]
+        assert after.pair_counts[1] == before.pair_counts[1] + 1

@@ -298,11 +298,11 @@ def test_scan_determinism_across_workers():
 
 def test_scan_cap():
     # the whole message: it names the supported range and no opt-in
-    message = r"^scans support 2 <= n <= 8, got 9$"
+    message = r"^scans support 2 <= n <= 9, got 10$"
     with pytest.raises(SizeCapError, match=message):
-        scan_class(ClassParams(9, 2, 2), IndexKind.WIENER)
+        scan_class(ClassParams(10, 2, 2), IndexKind.WIENER)
     with pytest.raises(SizeCapError, match=message):
-        scan_many(9, 3, (2,), workers=2)
+        scan_many(10, 3, (2,), workers=2)
 
 
 def test_scan_corpus_agrees_with_enumeration():
