@@ -90,13 +90,14 @@ def _input_graphs(args):
     """Yield (label, Graph) from --graph6 or --file; label is the source line.
 
     Under --lenient, each skipped corpus line is reported on stderr once the
-    file has been read.
+    file has been read. graph6 is ASCII: the file is decoded as such, and a
+    byte outside it becomes one invalid character of its line.
     """
-    if args.graph6:
+    if args.graph6 is not None:
         yield "-", parse_graph6(args.graph6)
         return
     skipped = []
-    with open(args.file) as fh:
+    with open(args.file, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, g in numbered_graph6(fh, args.strict, skipped):
             yield str(lineno), g
     for lineno, message in skipped:

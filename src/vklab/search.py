@@ -1,16 +1,17 @@
 """Exhaustive enumeration and extremal scans.
 
 Scans run over a catalogue of connected graphs up to isomorphism, built by
-vertex extension (each level n - 1 representative gains one vertex in every
-possible way, deduplicated by canonical code), instead of over all
-2^C(n,2) labelled codes. Only the extensions whose new vertex has the
-least degree among the non-cut vertices (ties allowed) are canonicalised,
-about a third of them: the cheap pre-test of canonical augmentation
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998). Each
-entry carries |Aut(G)|, so a class's labelled size is the
-orbit-stabilizer sum of n!/|Aut(G)| over its members, and optimizers are
-canonical codes from the start. The catalogue is cached per n and is
-identical however its construction is split across workers.
+vertex extension (each level n - 1 representative gains one vertex,
+deduplicated by canonical code), instead of over all 2^C(n,2) labelled
+codes. Two isomorphism-invariant steps of canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998) leave about 15%
+of the extensions to canonicalise: a parent gains one neighbourhood per
+orbit of its twin swaps, and an extension is kept only when its new vertex
+has the least (degree, sum of neighbour degrees) among the non-cut
+vertices (ties allowed). Each entry carries |Aut(G)|, so a class's
+labelled size is the orbit-stabilizer sum of n!/|Aut(G)| over its members,
+and optimizers are canonical codes from the start. The catalogue is cached
+per n and is identical however its construction is split across workers.
 
 Catalogue and graph6 corpus scans share one per-graph pipeline: one
 membership search over every m, then distance metrics, then index
@@ -31,8 +32,9 @@ from typing import NamedTuple
 from .errors import Graph6ParseError, InvalidParamsError, SizeCapError
 from .extremal import closed_form, extremal_graph, join_family_graph
 from .graphs import (MAX_VERTICES, CanonicalCode, Graph, _canonical_search,
-                     _symmetric_graph, add_edge, canonical_form, code_to_adj,
-                     code_to_graph, connected_mask, pair_count, parse_graph6, to_graph6)
+                     _symmetric_graph, _twin_groups, add_edge, canonical_form,
+                     code_to_adj, code_to_graph, connected_mask, pair_count,
+                     parse_graph6, to_graph6)
 from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
 from .metrics import compute_metrics
 from .partiteness import ClassParams, partiteness_within
@@ -105,42 +107,81 @@ class CatalogueEntry(NamedTuple):
 
 def _extend(parents) -> dict:
     """Canonical code bits -> |Aut| for the one-vertex extensions of
-    `parents` that pass the min-degree pre-test; the parallel unit of work.
+    `parents` that survive twin-orbit pruning and the pre-test; the
+    parallel unit of work.
 
-    The new vertex takes each nonempty neighbourhood in turn, so connected
-    parents give connected children. A child is canonicalised only when no
-    vertex of lower degree than the new one is a non-cut vertex (see
-    `catalogue` for why that loses no class). A child's rows are valid by
-    construction: the new vertex's bit is set on exactly the rows of its
-    neighbours, and its own row is that neighbourhood.
+    The new vertex takes each nonempty neighbourhood of `_neighbourhoods`
+    in turn, so connected parents give connected children. A child is
+    canonicalised only when no non-cut vertex has a smaller (degree, sum
+    of neighbour degrees) than the new one (see `catalogue` for why that
+    loses no class). A child's rows are valid by construction: the new
+    vertex's bit is set on exactly the rows of its neighbours, and its own
+    row is that neighbourhood.
     """
     found: dict = {}
     for parent in parents:
         g = parent.graph
         n = g.n + 1
         new = 1 << g.n
-        for nbhd in range(1, new):
+        for nbhd in _neighbourhoods(g.adj):
             adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
             adj.append(nbhd)
-            if _lighter_non_cut_vertex(adj, nbhd.bit_count()):
+            if _lighter_non_cut_vertex(adj):
                 continue
             bits, aut = _canonical_search(_symmetric_graph(n, tuple(adj)))
             found[bits] = aut
     return found
 
 
-def _lighter_non_cut_vertex(adj, degree: int) -> bool:
+def _neighbourhoods(adj) -> list[int]:
+    """The nonempty vertex sets of `adj` that meet each twin group in its
+    lowest vertices. Swapping two twins is an automorphism and the groups
+    are disjoint, so these are one set per orbit of the subgroup of Aut
+    that the twin swaps generate; each other vertex is a group of one."""
+    groups = _twin_groups(adj)
+    grouped = {u for group in groups for u in group}
+    sets = [0]
+    for group in groups + [[u] for u in range(len(adj)) if u not in grouped]:
+        prefix, prefixes = 0, [0]
+        for u in group:
+            prefix |= 1 << u
+            prefixes.append(prefix)
+        sets = [s | p for s in sets for p in prefixes]
+    return sets[1:]  # sets[0] is the empty set
+
+
+def _lighter_non_cut_vertex(adj) -> bool:
     """Whether some vertex of the connected graph `adj`, other than the
-    last, has degree below `degree` and leaves the graph connected when
-    deleted (a search from the last vertex that avoids it reaches all)."""
+    last, has a smaller (degree, sum of neighbour degrees) than the last
+    and leaves the graph connected when deleted (a search from the last
+    vertex that avoids it reaches all). The sums are computed only for
+    vertices that tie the last vertex's degree."""
     last = len(adj) - 1
+    degree = adj[last].bit_count()
     full = (1 << len(adj)) - 1
+    weight = None
     for w in range(last):
-        if adj[w].bit_count() < degree:
-            keep = full ^ 1 << w
-            if connected_mask(adj, 1 << last, keep) == keep:
-                return True
+        d = adj[w].bit_count()
+        if d > degree:
+            continue
+        if d == degree:
+            if weight is None:
+                weight = _neighbour_degree_sum(adj, last)
+            if _neighbour_degree_sum(adj, w) >= weight:
+                continue
+        keep = full ^ 1 << w
+        if connected_mask(adj, 1 << last, keep) == keep:
+            return True
     return False
+
+
+def _neighbour_degree_sum(adj, u: int) -> int:
+    total, rest = 0, adj[u]
+    while rest:
+        low = rest & -rest
+        total += adj[low.bit_length() - 1].bit_count()
+        rest ^= low
+    return total
 
 
 def _merge(parts, n: int) -> tuple[CatalogueEntry, ...]:
@@ -169,18 +210,23 @@ def clear_sweep_cache() -> None:
 def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
     """Every connected graph on n vertices up to isomorphism, by canonical code.
 
-    Level n extends each level n - 1 representative by one vertex, for every
-    nonempty neighbourhood, keeps the children in which no vertex of lower
-    degree than the new one is a non-cut vertex, and dedups them by
-    canonical code. That is complete. Every connected G has non-cut
-    vertices (the leaves of a spanning tree); let v be one of least degree
-    among them. G - v is connected, so it is isomorphic to some level n - 1
-    representative P. Extending P by the image of N(v) gives a copy of G
-    whose new vertex plays the part of v, and that copy passes the test,
-    because isomorphisms preserve degrees and cut vertices. Levels are
-    built on first use and cached per n; with `workers` > 1 the parents of
-    level n are split across a process pool of at most `os.cpu_count()`
-    processes. The result does not depend on the worker count.
+    Level n extends each level n - 1 representative P by one vertex, for
+    every nonempty neighbourhood that meets each twin group of P in its
+    lowest vertices, keeps the children in which no non-cut vertex has a
+    smaller key (degree, sum of neighbour degrees) than the new one, and
+    dedups them by canonical code. That is complete. Every connected G has
+    non-cut vertices (the leaves of a spanning tree); let v be one of least
+    key among them. G - v is connected, so it is isomorphic to some level
+    n - 1 representative P, and extending P by the image S of N(v) gives a
+    copy of G whose new vertex plays the part of v. A product of twin swaps
+    of P takes S to the set that meets each twin group in its lowest
+    vertices; it is an automorphism of P, and with the new vertex fixed it
+    maps that copy onto the child P is extended to. So the child is a copy
+    of G in which the new vertex plays v, and it passes the test, because
+    isomorphisms preserve keys and cut vertices. Levels are built on first
+    use and cached per n; with `workers` > 1 the parents of level n are
+    split across a process pool of at most `os.cpu_count()` processes. The
+    result does not depend on the worker count.
     """
     if n in _CATALOGUES:
         return _CATALOGUES[n]

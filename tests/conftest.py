@@ -165,6 +165,28 @@ def reference_canonical_search(g: Graph) -> tuple[int, int]:
     return code, aut
 
 
+def reference_pretest_rejects(g: Graph) -> bool:
+    """The catalogue pre-test by its definition, on neighbour lists: whether
+    some vertex other than the last has a smaller (degree, sum of neighbour
+    degrees) than the last and is not a cut vertex (deleting it leaves
+    every other vertex reachable from the last)."""
+    neigh = [[v for v in range(g.n) if g.adj[u] >> v & 1] for u in range(g.n)]
+    key = [(len(neigh[u]), sum(len(neigh[v]) for v in neigh[u])) for u in range(g.n)]
+    last = g.n - 1
+
+    def reachable_without(w):
+        seen = {last}
+        stack = [last]
+        while stack:
+            for v in neigh[stack.pop()]:
+                if v != w and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == g.n - 1
+
+    return any(key[w] < key[last] and reachable_without(w) for w in range(last))
+
+
 def brute_distances(g: Graph):
     """Queue BFS over explicit neighbour lists."""
     neigh = {u: [] for u in range(g.n)}

@@ -109,6 +109,23 @@ def test_index_lenient_skips_bad_lines(tmp_path, capsys):
     assert err == "skipped line 2: expected 130 data characters for n=40, got 7\n"
 
 
+def test_non_ascii_bytes_are_invalid_characters(tmp_path):
+    # graph6 is ASCII; a byte outside it is an invalid character of its own
+    # line under either mode, never a decoding traceback
+    corpus = tmp_path / "bytes.g6"
+    corpus.write_bytes(b"A_\nA\xff\n\xfe\nBg\n")
+    argv = ["index", "--file", str(corpus), "--kind", "wiener", "--format", "csv"]
+    code, out, err = run_process(*argv)
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: invalid character '\\udcff'\n"
+    code, out, err = run_process(*argv, "--lenient")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["line"], r["value"]) for r in rows] == [("1", "1"), ("4", "4")]
+    assert err == ("skipped line 2: invalid character '\\udcff'\n"
+                   "skipped line 3: vertex count 56511 outside 1..64\n")
+
+
 def test_index_runs_one_bfs_pass_per_connected_line(tmp_path, capsys, monkeypatch):
     calls = []
     real = vklab.metrics.compute_metrics
@@ -139,6 +156,8 @@ def test_index_runs_one_bfs_pass_per_connected_line(tmp_path, capsys, monkeypatc
     (["verify", "--claim", "thm4.1", "--nmax", "3"], "empty parameter grid"),
     (["fuzz", "--kind", "wiener", "--nmin", "64", "--nmax", "65"],
      "n_range must end at 64 or below, got 65"),
+    (["index", "--graph6", "", "--kind", "all"], "empty line"),
+    (["vk", "--graph6", "", "--k", "2"], "empty line"),
 ])
 def test_degenerate_input_is_an_error_line(argv, message):
     code, out, err = run_process(*argv)

@@ -16,11 +16,12 @@ from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKin
                    load_graph6_corpus, monotonicity_fuzz, scan_class, scan_corpus,
                    scan_many, to_graph6, vertex_k_partiteness)
 from vklab import search
-from vklab.graphs import code_to_graph
+from vklab.graphs import Graph, _twin_groups, code_to_graph
 from vklab.partiteness import partiteness_within
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 
-from conftest import enumerate_graphs
+from conftest import (enumerate_graphs, reference_canonical_search,
+                      reference_pretest_rejects)
 
 
 def test_enumeration_counts():
@@ -52,8 +53,9 @@ def test_catalogue_sizes_match_a001349():
 
 
 def test_extend_canonicalises_only_min_degree_children(monkeypatch):
-    """The pre-test leaves 2,796 of the 7,815 children of the n <= 7 levels
-    to canonicalise, and each level still comes out whole."""
+    """Twin-orbit pruning and the (degree, neighbour-degree sum) pre-test
+    leave 1,322 of the 7,815 children of the n <= 7 levels to canonicalise,
+    and each level still comes out whole."""
     calls = []
     real = search._canonical_search
     monkeypatch.setattr(search, "_canonical_search", lambda g: calls.append(g) or real(g))
@@ -64,7 +66,57 @@ def test_extend_canonicalises_only_min_degree_children(monkeypatch):
         found = search._extend(parents)
         counts.append(len(calls) - before)
         assert found == {e.code.bits: e.aut for e in catalogue(n)}
-    assert counts == [1, 3, 11, 53, 296, 2_432]
+    assert counts == [1, 2, 6, 24, 137, 1_152]
+
+
+def _unfiltered_children(parent):
+    """Every one-vertex extension of a catalogue parent, new vertex last."""
+    g = parent.graph
+    for nbhd in range(1, 1 << g.n):
+        adj = [row | 1 << g.n if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
+        yield Graph(g.n + 1, (*adj, nbhd))
+
+
+def test_extend_equals_the_unfiltered_reference_level():
+    # every extension of every parent on <= 6 vertices, canonicalised by the
+    # exhaustive reference search with no pruning and no pre-test
+    for n in range(2, 8):
+        parents = catalogue(n - 1)
+        expected = {}
+        for parent in parents:
+            for child in _unfiltered_children(parent):
+                bits, aut = reference_canonical_search(child)
+                expected[bits] = aut
+        assert search._extend(parents) == expected
+
+
+def test_pretest_verdict_matches_its_definition():
+    rejected = 0
+    for n in range(2, 8):
+        for parent in catalogue(n - 1):
+            for child in _unfiltered_children(parent):
+                verdict = search._lighter_non_cut_vertex(list(child.adj))
+                assert verdict == reference_pretest_rejects(child), child
+                rejected += verdict
+    assert rejected
+
+
+def test_neighbourhoods_are_twin_prefix_sets():
+    # one set per orbit of the twin-swap subgroup: every nonempty set, each
+    # twin group's share replaced by that many of its lowest vertices
+    for n in range(1, 7):
+        for parent in catalogue(n):
+            adj = parent.graph.adj
+            groups = _twin_groups(adj)
+            reps = set()
+            for nbhd in range(1, 1 << n):
+                for group in groups:
+                    inside = [u for u in group if nbhd >> u & 1]
+                    nbhd &= ~sum(1 << u for u in inside)
+                    nbhd |= sum(1 << u for u in group[:len(inside)])
+                reps.add(nbhd)
+            got = search._neighbourhoods(adj)
+            assert len(got) == len(reps) and set(got) == reps
 
 
 def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
