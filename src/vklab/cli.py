@@ -96,11 +96,11 @@ def _input_graphs(args):
     if args.graph6 is not None:
         yield "-", parse_graph6(args.graph6)
         return
-    skipped = []
+    skipped = [] if args.lenient else None
     with open(args.file, encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, g in numbered_graph6(fh, args.strict, skipped):
+        for lineno, g in numbered_graph6(fh, skipped):
             yield str(lineno), g
-    for lineno, message in skipped:
+    for lineno, message in skipped or ():
         print(f"skipped line {lineno}: {message}", file=sys.stderr)
 
 
@@ -287,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph6", help="one inline graph6 line")
         src.add_argument("--file", help="graph6 corpus, one graph per line")
-        p.add_argument("--strict", action="store_true", default=True)
-        p.add_argument("--lenient", dest="strict", action="store_false",
+        p.add_argument("--lenient", action="store_true",
                        help="skip malformed corpus lines instead of aborting")
 
     p = sub.add_parser("index", help="evaluate topological indices")

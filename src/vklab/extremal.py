@@ -109,7 +109,7 @@ def extremal_graph(params: ClassParams) -> Graph:
     return join_family_graph(params.m, part_sizes(params).sizes)
 
 
-def shift_vertex(m: int, sizes, i: int, j: int) -> list[int]:
+def shift_vertex(sizes, i: int, j: int) -> list[int]:
     """Move one vertex from part i to part j; requires sizes[i] >= sizes[j] + 2."""
     sizes = list(sizes)
     if not (0 <= i < len(sizes) and 0 <= j < len(sizes)) or i == j:
@@ -199,22 +199,19 @@ def closed_form_corrected(kind: IndexKind, params: ClassParams) -> ClosedFormVal
 # printed k = 2 corollary forms (even / odd residue of n - m)
 # ---------------------------------------------------------------------------
 
-def closed_form_bipartite(kind: IndexKind, n: int, m: int, parity: str) -> ClosedFormValue:
-    """Printed bipartite-case corollary value; parity must match n - m.
+def closed_form_bipartite(kind: IndexKind, n: int, m: int) -> ClosedFormValue:
+    """Printed bipartite-case corollary value, from the line for the parity
+    of n - m.
 
     The odd-case lines for the adjacent eccentric distance sum (garbled
     "(n-m-11)" factor) and the eccentricity distance sum (trailing constant
     printed as -1 instead of +1) are returned as printed and flagged
     erratum-suspect.
     """
-    if parity not in (EVEN, ODD):
-        raise InvalidParamsError(f"parity must be '{EVEN}' or '{ODD}', got {parity!r}")
     ClassParams(n, m, 2)  # validates the ranges
-    if ((n - m) % 2 == 0) != (parity == EVEN):
-        raise InvalidParamsError(f"n - m = {n - m} does not have parity {parity!r}")
     F = Fraction
     erratum = False
-    if parity == EVEN:
+    if (n - m) % 2 == 0:
         if kind is IndexKind.WIENER:
             val = F(3 * n * n + m * m - 2 * m * n - 4 * n + 2 * m, 4)
         elif kind is IndexKind.HARARY:
@@ -291,9 +288,10 @@ _EXACT_SHIFT_KINDS = frozenset({
 })
 
 
-def predicted_difference(kind: IndexKind, n: int, m: int, sizes,
+def predicted_difference(kind: IndexKind, m: int, sizes,
                          i: int, j: int) -> DifferencePrediction:
-    """Predicted change of moving one vertex from part i to part j.
+    """Predicted change of moving one vertex from part i to part j of the
+    construction on n = m + sum(sizes) vertices.
 
     The prediction compares the unbalanced construction against the shifted
     one. Exact values exist for five kinds; the rest are sign-only because
@@ -302,9 +300,8 @@ def predicted_difference(kind: IndexKind, n: int, m: int, sizes,
     and `sign` are None and the prediction is flagged.
     """
     sizes = list(sizes)
-    shift_vertex(m, sizes, i, j)  # validates the shift precondition
-    if m + sum(sizes) != n:
-        raise InvalidParamsError("m + sum(sizes) must equal n")
+    shift_vertex(sizes, i, j)  # validates the shift precondition
+    n = m + sum(sizes)
     si, sj = sizes[i], sizes[j]
     gap = si - sj - 1
     sign = 1 if direction(kind) is Direction.DECREASING else -1

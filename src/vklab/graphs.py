@@ -16,8 +16,9 @@ to its bit string by one `str.translate`, a cached per-n `itemgetter` picks
 all n adjacency rows out of it in one pass, and one `int(..., 2)` reads
 them as n-bit fields of a single integer.
 
-`Graph(n, adj)` validates its rows: vertex range, no self-loops, symmetry.
-`_symmetric_graph(n, adj)` skips those checks and may be called only with
+`Graph(adj)` takes one neighbour bitset per vertex, so n is `len(adj)`,
+and validates the rows: vertex range, no self-loops, symmetry.
+`_symmetric_graph(adj)` skips those checks and may be called only with
 rows that are symmetric, loop-free and inside 0..n-1 by construction, for
 1 <= n <= 64: the graph6 decoder (its table reads pairs (u, v) and
 (v, u) from one bit and the diagonal from a constant '0'), `code_to_graph`
@@ -47,11 +48,8 @@ class Graph:
 
     __slots__ = ("n", "adj", "_hash")
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
-        if not 1 <= n <= MAX_VERTICES:
-            raise GraphSizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-        if len(adj) != n:
-            raise ValueError("adjacency row count does not match n")
+    def __init__(self, adj: tuple[int, ...]):
+        n = _order(len(adj))
         full = (1 << n) - 1
         for u, row in enumerate(adj):
             if row & ~full:
@@ -71,14 +69,14 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         # rebuild through __init__; the default slot restore hits __setattr__
-        return Graph, (self.n, self.adj)
+        return Graph, (self.adj,)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -116,41 +114,49 @@ class Graph:
 _SET_N, _SET_ADJ, _SET_HASH = Graph.n.__set__, Graph.adj.__set__, Graph._hash.__set__
 
 
-def _symmetric_graph(n: int, adj: tuple[int, ...]) -> Graph:
+def _symmetric_graph(adj: tuple[int, ...]) -> Graph:
     """A Graph from rows that are valid by construction, without `Graph`'s
     O(n^2) checks; see the module docstring for who may call it."""
     g = object.__new__(Graph)
+    n = len(adj)
     _SET_N(g, n)
     _SET_ADJ(g, adj)
     _SET_HASH(g, hash((n, adj)))
     return g
 
 
+def _order(n: int) -> int:
+    """n itself, once it is checked to be a supported vertex count."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise GraphSizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    return n
+
+
 def from_edges(n: int, edges) -> Graph:
     """Build a graph from an edge list; duplicate edges are harmless."""
-    adj = [0] * n
+    adj = [0] * _order(n)
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def empty_graph(n: int) -> Graph:
     """Graph on n vertices with no edges (the complement of K_n)."""
-    return Graph(n, (0,) * n)
+    return Graph((0,) * _order(n))
 
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << u) for u in range(n)))
+    return Graph(tuple(full ^ (1 << u) for u in range(n)))
 
 
 def complement(g: Graph) -> Graph:
     """Edge present in the result exactly when absent in g; an involution."""
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ row ^ (1 << u)) for u, row in enumerate(g.adj)))
+    return Graph(tuple((full ^ row ^ (1 << u)) for u, row in enumerate(g.adj)))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -162,7 +168,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     mask2 = ((1 << g2.n) - 1) << g1.n
     adj = [row | mask2 for row in g1.adj]
     adj += [(row << g1.n) | mask1 for row in g2.adj]
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def complete_multipartite(sizes) -> Graph:
@@ -195,7 +201,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     adj = list(g.adj)
     adj[u] |= 1 << v
     adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -214,7 +220,7 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
             row &= row - 1
             if w in index:
                 adj[index[v]] |= 1 << index[w]
-    return Graph(len(verts), tuple(adj))
+    return Graph(tuple(adj))
 
 
 def permute(g: Graph, perm) -> Graph:
@@ -231,7 +237,7 @@ def permute(g: Graph, perm) -> Graph:
             row &= row - 1
             new_row |= 1 << perm[v]
         adj[perm[u]] = new_row
-    return Graph(g.n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def is_connected(g: Graph) -> bool:
@@ -277,9 +283,7 @@ def code_to_adj(code: int, n: int) -> list[int]:
 
 
 def code_to_graph(code: int, n: int) -> Graph:
-    if not 1 <= n <= MAX_VERTICES:
-        raise GraphSizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-    return _symmetric_graph(n, tuple(code_to_adj(code, n)))
+    return _symmetric_graph(tuple(code_to_adj(code, _order(n))))
 
 
 @cache
@@ -340,22 +344,20 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise Graph6ParseError("empty line")
-    pos = 0
     if line[0] == "~":
         if len(line) >= 2 and line[1] == "~":
             raise Graph6ParseError("graphs beyond 64 vertices are unsupported")
         if len(line) < 4:
             raise Graph6ParseError("truncated extended vertex count")
-        n = 0
-        for ch in line[1:4]:
-            val = ord(ch) - 63
-            if not 0 <= val <= 63:
-                raise Graph6ParseError(f"invalid character {ch!r}")
-            n = n << 6 | val
-        pos = 4
+        head, pos = line[1:4], 4
     else:
-        n = ord(line[0]) - 63
-        pos = 1
+        head, pos = line[0], 1
+    n = 0
+    for ch in head:
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise Graph6ParseError(f"invalid character {ch!r}")
+        n = n << 6 | val
     if not 1 <= n <= MAX_VERTICES:
         raise Graph6ParseError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     nbits = pair_count(n)
@@ -374,8 +376,8 @@ def parse_graph6(text: str) -> Graph:
     getter, _ = _graph6_tables(n)
     rows = int("".join(getter(bits + "0")), 2)
     mask = (1 << n) - 1
-    return _symmetric_graph(n, tuple([rows >> shift & mask
-                                      for shift in range(n * n - n, -1, -n)]))
+    return _symmetric_graph(tuple([rows >> shift & mask
+                                   for shift in range(n * n - n, -1, -n)]))
 
 
 # ---------------------------------------------------------------------------

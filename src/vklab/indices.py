@@ -153,8 +153,7 @@ def _ratio_sum(nums, dens) -> Fraction:
 
 def _degree_only_metrics(g: Graph) -> DistanceMetrics:
     # enough structure for the four degree-based evaluators; distances unset
-    return DistanceMetrics(n=g.n, adj=g.adj, transmission=None, ecc=None,
-                           degree=g.degrees())
+    return DistanceMetrics(adj=g.adj, transmission=None, ecc=None, degree=g.degrees())
 
 
 def evaluate(kind: IndexKind, g: Graph,

@@ -24,12 +24,10 @@ class DistanceMetrics:
     `pair_counts[d]` (unordered pairs at distance d) and `degree_sums[d]`
     (sum of d(u) + d(v) over those pairs), both indexed from d = 0."""
 
-    __slots__ = ("n", "adj", "transmission", "ecc", "degree", "pair_counts",
-                 "degree_sums")
+    __slots__ = ("adj", "transmission", "ecc", "degree", "pair_counts", "degree_sums")
 
-    def __init__(self, n, adj, transmission, ecc, degree, pair_counts=None,
+    def __init__(self, adj, transmission, ecc, degree, pair_counts=None,
                  degree_sums=None):
-        self.n = n
         self.adj = adj
         self.transmission = transmission
         self.ecc = ecc
@@ -86,6 +84,6 @@ def compute_metrics(g: Graph) -> DistanceMetrics:
         ecc[src] = d
     diameter = max(ecc)
     return DistanceMetrics(
-        n=n, adj=adj, transmission=transmission, ecc=ecc, degree=degree,
+        adj=adj, transmission=transmission, ecc=ecc, degree=degree,
         pair_counts=[c // 2 for c in pairs[:diameter + 1]],
         degree_sums=degree_sums[:diameter + 1])

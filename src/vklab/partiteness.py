@@ -37,8 +37,8 @@ class ClassParams:
                 f"m must satisfy 1 <= m <= n - k = {self.n - self.k}, got {self.m}")
 
 
-def _by_degree(adj, n: int) -> list[int]:  # the order of every pass
-    return sorted(range(n), key=[row.bit_count() for row in adj].__getitem__, reverse=True)
+def _by_degree(adj) -> list[int]:  # the order of every pass
+    return sorted(range(len(adj)), key=[row.bit_count() for row in adj].__getitem__, reverse=True)
 
 
 def _searcher(adj, order, k: int):
@@ -72,13 +72,13 @@ def _searcher(adj, order, k: int):
     return place
 
 
-def partiteness_within(adj, n: int, k: int, budgets) -> int | None:
+def partiteness_within(adj, k: int, budgets) -> int | None:
     """Smallest b in the ascending `budgets` such that deleting at most b
     vertices leaves a k-partite graph, or None; adjacency rows are given
     directly. A greedy pass in the search order (first free class, else
     delete) deleting d vertices certifies every b >= d, since v_k <= d; each
     b < d is decided in turn by the exact search at budget b."""
-    order = _by_degree(adj, n)
+    order = _by_degree(adj)
     classes, deleted = [0] * k, 0
     for v in order:
         row = adj[v]
@@ -105,7 +105,7 @@ def is_k_partite(g: Graph, k: int) -> bool:
     """True iff the vertices admit a proper k-coloring (parts may be empty)."""
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
-    return partiteness_within(g.adj, g.n, k, (0,)) is not None
+    return partiteness_within(g.adj, k, (0,)) is not None
 
 
 def vertex_k_partiteness(g: Graph, k: int) -> int:
@@ -117,7 +117,7 @@ def vertex_k_partiteness(g: Graph, k: int) -> int:
         raise InvalidParamsError(f"k must be >= 2, got {k}")
     if g.n < k:
         raise InvalidParamsError(f"need n >= k, got n={g.n} k={k}")
-    result = partiteness_within(g.adj, g.n, k, range(g.n - k + 1))
+    result = partiteness_within(g.adj, k, range(g.n - k + 1))
     assert result is not None, "v_k <= n - k must always be attainable"
     return result
 
@@ -126,4 +126,4 @@ def in_class(g: Graph, params: ClassParams) -> bool:
     """Membership test: right order and k-partiteness at most m."""
     if g.n != params.n:
         return False
-    return partiteness_within(g.adj, g.n, params.k, (params.m,)) is not None
+    return partiteness_within(g.adj, params.k, (params.m,)) is not None

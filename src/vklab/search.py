@@ -42,13 +42,13 @@ from .partiteness import ClassParams, partiteness_within
 _SCAN_CAP = 9  # 261,080 classes; n = 10 has 11,716,571
 
 
-def numbered_graph6(lines, strict: bool = True, errors: list | None = None):
+def numbered_graph6(lines, errors: list | None = None):
     """Yield (1-based line number, graph) for each graph6 line, in file order.
 
-    Malformed lines are addressed by line number: under `strict` the
-    generator raises immediately; otherwise the line is skipped and
-    (line_number, message) is appended to `errors` when a list is supplied.
-    Blank lines are ignored.
+    Blank lines are ignored. A malformed line raises a Graph6ParseError that
+    carries its line number. To read leniently, pass a list as `errors`:
+    each malformed line is then skipped and (line number, message) is
+    appended to it, so no line is dropped unreported.
     """
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -57,15 +57,14 @@ def numbered_graph6(lines, strict: bool = True, errors: list | None = None):
         try:
             yield lineno, parse_graph6(line)
         except Graph6ParseError as exc:
-            if strict:
+            if errors is None:
                 raise Graph6ParseError(str(exc), lineno) from None
-            if errors is not None:
-                errors.append((lineno, str(exc)))
+            errors.append((lineno, str(exc)))
 
 
-def load_graph6_corpus(lines, strict: bool = True, errors: list | None = None):
+def load_graph6_corpus(lines, errors: list | None = None):
     """Yield the graphs of `numbered_graph6`, without their line numbers."""
-    for _, g in numbered_graph6(lines, strict, errors):
+    for _, g in numbered_graph6(lines, errors):
         yield g
 
 
@@ -121,14 +120,13 @@ def _extend(parents) -> dict:
     found: dict = {}
     for parent in parents:
         g = parent.graph
-        n = g.n + 1
         new = 1 << g.n
         for nbhd in _neighbourhoods(g.adj):
             adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
             adj.append(nbhd)
             if _lighter_non_cut_vertex(adj):
                 continue
-            bits, aut = _canonical_search(_symmetric_graph(n, tuple(adj)))
+            bits, aut = _canonical_search(_symmetric_graph(tuple(adj)))
             found[bits] = aut
     return found
 
@@ -233,7 +231,7 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
     if n < 1:
         raise ValueError(f"catalogue needs n >= 1, got {n}")
     if n == 1:
-        level = (CatalogueEntry(CanonicalCode(1, 0), Graph(1, (0,)), 1),)
+        level = (CatalogueEntry(CanonicalCode(1, 0), Graph((0,)), 1),)
     else:
         parents = catalogue(n - 1)
         workers = min(workers, len(parents), os.cpu_count() or 1)
@@ -292,7 +290,7 @@ def _scan(source, n: int, k: int, m_values, kinds, canon=None) -> dict:
     class_counts = dict.fromkeys(m_values, 0)
     reducers = {m: [Extremum() for _ in kinds] for m in m_values}
     for g, labelled, item in source:
-        least = partiteness_within(g.adj, n, k, m_values)
+        least = partiteness_within(g.adj, k, m_values)
         if least is None:
             continue
         metrics = compute_metrics(g) if need_metrics else None
@@ -428,7 +426,7 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     while True:
         adj = code_to_adj(rng.getrandbits(bits), n)
         if connected_mask(adj) == full:
-            return Graph(n, tuple(adj))
+            return Graph(tuple(adj))
 
 
 def monotonicity_fuzz(kind: IndexKind, trials: int, n_range: tuple[int, int],

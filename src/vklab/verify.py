@@ -196,7 +196,7 @@ def _check_formula(kind: IndexKind, params: ClassParams) -> ClaimVerdict:
 
 def _check_corollary(kind: IndexKind, params: ClassParams) -> ClaimVerdict:
     parity = EVEN if (params.n - params.m) % 2 == 0 else ODD
-    printed = closed_form_bipartite(kind, params.n, params.m, parity)
+    printed = closed_form_bipartite(kind, params.n, params.m)
     oracle = evaluate(kind, extremal_graph(params))
     theorem_value = closed_form(kind, params).value
     note_parity = f"{parity} case (n - m = {params.n - params.m})"

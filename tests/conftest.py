@@ -53,6 +53,8 @@ def reference_parse_graph6(text: str) -> Graph:
         pos = 4
     else:
         n = ord(line[0]) - 63
+        if not 0 <= n <= 63:
+            raise Graph6ParseError(f"invalid character {line[0]!r}")
         pos = 1
     if not 1 <= n <= 64:
         raise Graph6ParseError(f"vertex count {n} outside 1..64")
@@ -78,7 +80,7 @@ def reference_parse_graph6(text: str) -> Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             i += 1
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def graph_to_code(g: Graph) -> int:
@@ -105,7 +107,7 @@ def enumerate_graphs(n: int, connected_only: bool = False):
         adj = code_to_adj(code, n)
         if connected_only and connected_mask(adj) != full:
             continue
-        yield Graph(n, tuple(adj))
+        yield Graph(tuple(adj))
 
 
 def reference_refinement_classes(g: Graph) -> list[list[int]]:

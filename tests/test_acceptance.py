@@ -262,7 +262,7 @@ def test_criterion_5_shift_differences():
             after = evaluate_all(join_family_graph(m, shifted))
             for kind in ALL_KINDS:
                 got = before[kind] - after[kind]
-                pred = predicted_difference(kind, n, m, sizes, i, j)
+                pred = predicted_difference(kind, m, sizes, i, j)
                 assert pred.sign in (1, -1)
                 assert got != 0 and (got > 0) == (pred.sign == 1), (kind, n, m, sizes)
                 if kind in _EXACT_SHIFT_KINDS:

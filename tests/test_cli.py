@@ -123,7 +123,7 @@ def test_non_ascii_bytes_are_invalid_characters(tmp_path):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(r["line"], r["value"]) for r in rows] == [("1", "1"), ("4", "4")]
     assert err == ("skipped line 2: invalid character '\\udcff'\n"
-                   "skipped line 3: vertex count 56511 outside 1..64\n")
+                   "skipped line 3: invalid character '\\udcfe'\n")
 
 
 def test_index_runs_one_bfs_pass_per_connected_line(tmp_path, capsys, monkeypatch):
@@ -220,6 +220,7 @@ def test_scan_cap_is_an_error_line(capsys):
     (["scan", "--n", "7", "--m", "x", "--k", "3"], "invalid int value: 'x'"),
     (["fuzz", "--kind", "bogus"], "unknown kind 'bogus'"),
     (["fuzz", "--kind", "wiener", "--format", "xml"], "invalid choice: 'xml'"),
+    (["index", "--strict", "--graph6", "A_"], "unrecognized arguments: --strict"),
 ])
 def test_usage_error_is_an_error_line(argv, message):
     """A usage error exits 1 like any operational error, not argparse's 2,

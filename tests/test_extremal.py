@@ -127,16 +127,9 @@ def test_closed_form_corrected_equals_printed_for_other_kinds():
 # ---------------------------------------------------------------------------
 
 def test_bipartite_worked_values():
-    assert closed_form_bipartite(IndexKind.WIENER, 6, 2, EVEN).value == 17
-    assert closed_form_bipartite(IndexKind.WIENER, 6, 1, ODD).value == 19
-    assert closed_form_bipartite(IndexKind.HARARY, 5, 1, EVEN).value == 9
-
-
-def test_bipartite_parity_mismatch():
-    with pytest.raises(InvalidParamsError):
-        closed_form_bipartite(IndexKind.WIENER, 6, 2, ODD)
-    with pytest.raises(InvalidParamsError):
-        closed_form_bipartite(IndexKind.WIENER, 6, 1, EVEN)
+    assert closed_form_bipartite(IndexKind.WIENER, 6, 2).value == 17
+    assert closed_form_bipartite(IndexKind.WIENER, 6, 1).value == 19
+    assert closed_form_bipartite(IndexKind.HARARY, 5, 1).value == 9
 
 
 def test_bipartite_consistency_with_theorem_forms():
@@ -149,7 +142,7 @@ def test_bipartite_consistency_with_theorem_forms():
             p = ClassParams(n, m, 2)
             parity = EVEN if (n - m) % 2 == 0 else ODD
             for kind in ALL_KINDS:
-                cor = closed_form_bipartite(kind, n, m, parity)
+                cor = closed_form_bipartite(kind, n, m)
                 thm = (closed_form_corrected(kind, p)
                        if kind is IndexKind.ZAGREB_M2 else closed_form(kind, p))
                 if cor.value != thm.value:
@@ -161,13 +154,13 @@ def test_bipartite_consistency_with_theorem_forms():
 
 def test_bipartite_m2_matches_corrected_not_printed_theorem():
     # the corollary's second-Zagreb line is right; the theorem's line is not
-    cor = closed_form_bipartite(IndexKind.ZAGREB_M2, 6, 2, EVEN)
+    cor = closed_form_bipartite(IndexKind.ZAGREB_M2, 6, 2)
     assert cor.value == 249 and not cor.erratum_suspect
 
 
 def test_bipartite_ecc_dist_sum_odd_constant_erratum():
     # printed odd case is short by 2: the trailing constant should be +1
-    cor = closed_form_bipartite(IndexKind.ECC_DIST_SUM, 6, 1, ODD)
+    cor = closed_form_bipartite(IndexKind.ECC_DIST_SUM, 6, 1)
     thm = closed_form(IndexKind.ECC_DIST_SUM, ClassParams(6, 1, 2))
     oracle = evaluate(IndexKind.ECC_DIST_SUM, extremal_graph(ClassParams(6, 1, 2)))
     assert cor.value == 69 and cor.erratum_suspect
@@ -179,10 +172,10 @@ def test_bipartite_ecc_dist_sum_odd_constant_erratum():
 # ---------------------------------------------------------------------------
 
 def test_shift_vertex():
-    assert shift_vertex(1, [3, 1], 0, 1) == [2, 2]
-    assert shift_vertex(1, [4, 2, 2], 0, 1) == [3, 3, 2]
+    assert shift_vertex([3, 1], 0, 1) == [2, 2]
+    assert shift_vertex([4, 2, 2], 0, 1) == [3, 3, 2]
     with pytest.raises(InvalidParamsError):
-        shift_vertex(1, [2, 2], 0, 1)
+        shift_vertex([2, 2], 0, 1)
 
 
 def test_balancedness_termination(rng):
@@ -196,7 +189,7 @@ def test_balancedness_termination(rng):
         while max(sizes) - min(sizes) > 1:
             i = sizes.index(max(sizes))
             j = sizes.index(min(sizes))
-            sizes = shift_vertex(1, sizes, i, j)
+            sizes = shift_vertex(sizes, i, j)
             steps += 1
             assert steps < 100
         assert sorted(sizes) == target
@@ -212,9 +205,9 @@ def _random_composition(rng, total, k):
     return parts
 
 
-def _shift_oracle(kind, n, m, sizes, i, j):
+def _shift_oracle(kind, m, sizes, i, j):
     before = join_family_graph(m, sizes)
-    after = join_family_graph(m, shift_vertex(m, sizes, i, j))
+    after = join_family_graph(m, shift_vertex(sizes, i, j))
     return evaluate(kind, before) - evaluate(kind, after)
 
 
@@ -239,8 +232,8 @@ def test_exact_predictions_in_regime():
     for n, m, sizes in _unbalanced_specs(min_part=2, n_max=12):
         i, j = 0, len(sizes) - 1
         for kind in exact_kinds:
-            pred = predicted_difference(kind, n, m, sizes, i, j)
-            assert pred.exact == _shift_oracle(kind, n, m, sizes, i, j), (kind, n, m, sizes)
+            pred = predicted_difference(kind, m, sizes, i, j)
+            assert pred.exact == _shift_oracle(kind, m, sizes, i, j), (kind, n, m, sizes)
         checked += 1
     assert checked > 50
 
@@ -249,8 +242,8 @@ def test_sign_predictions_all_kinds_in_regime():
     for n, m, sizes in _unbalanced_specs(min_part=2, n_max=11):
         i, j = 0, len(sizes) - 1
         for kind in ALL_KINDS:
-            pred = predicted_difference(kind, n, m, sizes, i, j)
-            got = _shift_oracle(kind, n, m, sizes, i, j)
+            pred = predicted_difference(kind, m, sizes, i, j)
+            got = _shift_oracle(kind, m, sizes, i, j)
             assert pred.sign in (1, -1)
             assert (got > 0) == (pred.sign == 1) and got != 0, (kind, n, m, sizes)
 
@@ -260,22 +253,22 @@ def test_distance_and_degree_predictions_allow_singleton_parts():
     for n, m, sizes in _unbalanced_specs(min_part=1, n_max=10):
         i, j = 0, len(sizes) - 1
         for kind in (IndexKind.WIENER, IndexKind.HARARY, IndexKind.ZAGREB_M1):
-            pred = predicted_difference(kind, n, m, sizes, i, j)
-            assert pred.exact == _shift_oracle(kind, n, m, sizes, i, j)
+            pred = predicted_difference(kind, m, sizes, i, j)
+            assert pred.exact == _shift_oracle(kind, m, sizes, i, j)
         for kind in (IndexKind.RDD, IndexKind.ZAGREB_M2,
                      IndexKind.MULT_ZAGREB_PI1, IndexKind.MULT_ZAGREB_PI2):
-            pred = predicted_difference(kind, n, m, sizes, i, j)
-            got = _shift_oracle(kind, n, m, sizes, i, j)
+            pred = predicted_difference(kind, m, sizes, i, j)
+            got = _shift_oracle(kind, m, sizes, i, j)
             assert (got > 0) == (pred.sign == 1) and got != 0
 
 
 def test_rdd_difference_refutation_case():
     """Direct computation gives -8 where the printed expression gives -16."""
-    got = _shift_oracle(IndexKind.RDD, 5, 1, [3, 1], 0, 1)
+    got = _shift_oracle(IndexKind.RDD, 1, [3, 1], 0, 1)
     assert got == -8
     printed = -(6 * 5 - 2 - 3 * 3 - 3 * 1) * (3 - 1 - 1)
     assert printed == -16 and got != printed
-    pred = predicted_difference(IndexKind.RDD, 5, 1, [3, 1], 0, 1)
+    pred = predicted_difference(IndexKind.RDD, 1, [3, 1], 0, 1)
     assert pred.exact is None and pred.sign == -1
     assert (got > 0) == (pred.sign == 1)
 
@@ -285,17 +278,17 @@ def test_eccentricity_predictions_flagged_out_of_regime():
     (the shifted pair at n=5, m=1, sizes (3,1) has difference 0 for the
     eccentricity distance sum and +1 for the connective eccentricity), so the
     prediction declines to predict."""
-    assert _shift_oracle(IndexKind.ECC_DIST_SUM, 5, 1, [3, 1], 0, 1) == 0
-    assert _shift_oracle(IndexKind.CONN_ECC, 5, 1, [3, 1], 0, 1) == 1
+    assert _shift_oracle(IndexKind.ECC_DIST_SUM, 1, [3, 1], 0, 1) == 0
+    assert _shift_oracle(IndexKind.CONN_ECC, 1, [3, 1], 0, 1) == 1
     for kind in ECCENTRICITY_KINDS:
-        pred = predicted_difference(kind, 5, 1, [3, 1], 0, 1)
+        pred = predicted_difference(kind, 1, [3, 1], 0, 1)
         assert pred.regime_restricted
         assert pred.exact is None and pred.sign is None
 
 
 def test_predicted_difference_sign_convention():
     for kind in ALL_KINDS:
-        pred = predicted_difference(kind, 9, 1, [4, 2, 2], 0, 1)
+        pred = predicted_difference(kind, 1, [4, 2, 2], 0, 1)
         want = 1 if direction(kind) is Direction.DECREASING else -1
         assert pred.sign == want
 

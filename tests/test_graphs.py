@@ -1,6 +1,8 @@
 """Graph construction, graph6 I/O against the networkx reference and the
 bit-by-bit decoder, and the canonical form."""
 
+import pickle
+import random
 from collections import Counter
 from math import factorial, prod
 
@@ -47,15 +49,16 @@ def test_graph_is_immutable_value():
         g.n = 6
     assert g == cycle_graph(5)
     assert hash(g) == hash(cycle_graph(5))
+    assert pickle.loads(pickle.dumps(g)) == g  # rebuilt by Graph(adj)
 
 
 def test_adjacency_validation():
     with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
+        Graph((1, 0))  # asymmetric
     with pytest.raises(ValueError):
-        Graph(3, (2, 0, 0))  # asymmetric
+        Graph((2, 0, 0))  # asymmetric
     with pytest.raises(ValueError):
-        Graph(2, (1 | 2, 1))  # self-loop at 0
+        Graph((1 | 2, 1))  # self-loop at 0
 
 
 def test_complement_of_complete_is_empty():
@@ -211,6 +214,9 @@ def test_graph6_malformed():
     ("~?@", "truncated extended vertex count"),
     ("~~??", "graphs beyond 64 vertices are unsupported"),
     ("~?@@", "vertex count 65 outside 1..64"),
+    (">", "invalid character '>'"),
+    ("\x1c_", "expected 83 data characters for n=32, got 0"),  # str.strip drops '\x1c'
+    ("?", "vertex count 0 outside 1..64"),
 ])
 def test_graph6_malformed_messages(bad, message):
     for parse in (parse_graph6, reference_parse_graph6):
@@ -231,11 +237,14 @@ _GRAPH6_NOISE = st.one_of(st.characters(min_codepoint=0x3A, max_codepoint=0x83),
                           st.characters(max_codepoint=0x2FF))
 
 
-@given(st.integers(min_value=1, max_value=64), st.randoms(use_true_random=False),
+# one integer seed per example: a hypothesis `randoms()` object would cost one
+# draw per vertex pair, about 122,000 draws over the 300 examples
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1),
        st.lists(st.tuples(st.sampled_from(["replace", "delete", "insert", "truncate"]),
                           st.integers(min_value=0), _GRAPH6_NOISE), max_size=3))
 @settings(max_examples=300, deadline=None)
-def test_graph6_decoder_matches_bit_by_bit_oracle(n, rnd, edits):
+def test_graph6_decoder_matches_bit_by_bit_oracle(n, seed, edits):
+    rnd = random.Random(seed)
     g = random_graph(rnd, n, p=rnd.random())
     text = to_graph6(g)
     if not edits:
@@ -332,7 +341,7 @@ def test_canonical_search_matches_exhaustive_reference(rng):
             for nbhd in range(1, 1 << (n - 1)):
                 adj = [row | 1 << (n - 1) if nbhd >> u & 1 else row
                        for u, row in enumerate(parent.graph.adj)]
-                graphs.append(_shuffled(rng, Graph(n, (*adj, nbhd))))
+                graphs.append(_shuffled(rng, Graph((*adj, nbhd))))
     graphs += [random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
                for _ in range(200)]
     graphs += [complete_graph(8), complete_multipartite([4, 4]),
@@ -430,7 +439,7 @@ def test_canonical_search_on_nine_vertices(rng):
             adj.append(nbhd)
             if _lighter_non_cut_vertex(adj):
                 continue
-            g = Graph(9, tuple(adj))
+            g = Graph(tuple(adj))
             code, aut = _canonical_search(g)
             h = nx_of(g)
             assert aut == sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())

@@ -91,7 +91,7 @@ def test_partiteness_within_every_cap_against_brute(data):
     g, k = _random_graph_up_to_8(data)
     want = brute_vk(g, k)
     for cap in range(g.n - k + 1):
-        assert partiteness_within(g.adj, g.n, k, range(cap + 1)) == \
+        assert partiteness_within(g.adj, k, range(cap + 1)) == \
             (want if want <= cap else None)
 
 
@@ -104,11 +104,11 @@ def test_within_budget_every_budget_against_brute(data):
     want = brute_vk(g, k)
     top = g.n - k
     for budget in range(top + 1):
-        assert (partiteness_within(g.adj, g.n, k, (budget,)) is not None) == (want <= budget)
+        assert (partiteness_within(g.adj, k, (budget,)) is not None) == (want <= budget)
     drawn = data.draw(st.lists(st.sets(st.integers(0, top), min_size=1).map(sorted),
                                min_size=1, max_size=4), label="budget sets")
     for budgets in drawn:
-        assert partiteness_within(g.adj, g.n, k, budgets) == \
+        assert partiteness_within(g.adj, k, budgets) == \
             next((b for b in budgets if want <= b), None), budgets
 
 
@@ -135,17 +135,17 @@ def test_partiteness_within_takes_the_certificate_or_the_search(monkeypatch):
     monkeypatch.setattr(partiteness, "_searcher", counting)
     # the greedy colours these outright, or deletes no more than the budget;
     # the parameter of a greedy-colourable graph needs no search either
-    assert partiteness_within(complete_multipartite([2, 2, 2]).adj, 6, 3, (0,)) == 0
-    assert partiteness_within(complete_graph(5).adj, 5, 3, (2,)) == 2
+    assert partiteness_within(complete_multipartite([2, 2, 2]).adj, 3, (0,)) == 0
+    assert partiteness_within(complete_graph(5).adj, 3, (2,)) == 2
     assert vertex_k_partiteness(complete_multipartite([3, 2, 2]), 3) == 0
     assert searches == []
     # the greedy deletes one vertex, over budget 0: one search decides
-    assert partiteness_within(_GREEDY_OVERSHOOTS.adj, 6, 2, (0,)) == 0
+    assert partiteness_within(_GREEDY_OVERSHOOTS.adj, 2, (0,)) == 0
     assert len(searches) == 1
     assert is_k_partite(_GREEDY_OVERSHOOTS, 2)
     assert len(searches) == 2
     # and a search that fails: C5 needs one deletion
-    assert partiteness_within(cycle_graph(5).adj, 5, 2, (0,)) is None
+    assert partiteness_within(cycle_graph(5).adj, 2, (0,)) is None
     assert len(searches) == 3
     # the greedy deletes 2 vertices of K5: budgets 0 and 1 are searched, in
     # order and by one searcher, and 2 is certified without a search
@@ -156,7 +156,7 @@ def test_partiteness_within_takes_the_certificate_or_the_search(monkeypatch):
     # to K(2,2), and the search at budget 2 succeeds, so 3 is never tried
     budgets.clear()
     g = join(complete_graph(2), complete_multipartite([2, 2]))
-    assert partiteness_within(g.adj, 6, 2, (0, 1, 2, 3)) == 2
+    assert partiteness_within(g.adj, 2, (0, 1, 2, 3)) == 2
     assert len(searches) == 5 and budgets == [0, 1, 2]
 
 

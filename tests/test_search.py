@@ -13,8 +13,8 @@ from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKin
                    InvalidParamsError, SizeCapError, canonical_form, complete_graph,
                    compute_metrics, direction, empty_graph, evaluate,
                    family_scan, is_connected, join_family_graph,
-                   load_graph6_corpus, monotonicity_fuzz, scan_class, scan_corpus,
-                   scan_many, to_graph6, vertex_k_partiteness)
+                   load_graph6_corpus, monotonicity_fuzz, parse_graph6, scan_class,
+                   scan_corpus, scan_many, to_graph6, vertex_k_partiteness)
 from vklab import search
 from vklab.graphs import Graph, _twin_groups, code_to_graph
 from vklab.partiteness import partiteness_within
@@ -74,7 +74,7 @@ def _unfiltered_children(parent):
     g = parent.graph
     for nbhd in range(1, 1 << g.n):
         adj = [row | 1 << g.n if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
-        yield Graph(g.n + 1, (*adj, nbhd))
+        yield Graph((*adj, nbhd))
 
 
 def test_extend_equals_the_unfiltered_reference_level():
@@ -177,7 +177,7 @@ def _brute_force_reports(n):
         graphs.append((g, {kind: evaluate(kind, g, metrics) for kind in ALL_KINDS}))
     out = {}
     for k in range(2, n):
-        v_k = [partiteness_within(g.adj, n, k, range(n - k + 1)) for g, _ in graphs]
+        v_k = [partiteness_within(g.adj, k, range(n - k + 1)) for g, _ in graphs]
         for m in range(1, n - k + 1):
             members = [member for member, v in zip(graphs, v_k) if v <= m]
             for kind in ALL_KINDS:
@@ -296,16 +296,17 @@ def test_corpus_strict_aborts_with_line_number():
         list(load_graph6_corpus(["garbage!"]))
     assert exc_info.value.line == 1
     with pytest.raises(Graph6ParseError) as exc_info:
-        list(load_graph6_corpus(["A_", "A?", "garbage!"]))
+        list(load_graph6_corpus(["A_", "A?", "garbage!", "", ">"]))
     assert exc_info.value.line == 3
 
 
 def test_corpus_lenient_reports_and_continues():
     errors = []
-    graphs = list(load_graph6_corpus(["A_", "garbage!", "A?"],
-                                     strict=False, errors=errors))
-    assert len(graphs) == 2
-    assert len(errors) == 1 and errors[0][0] == 2
+    graphs = list(load_graph6_corpus(["A_", "garbage!", "A?", "", "A", ">", "A_"], errors))
+    assert graphs == [parse_graph6("A_"), parse_graph6("A?"), parse_graph6("A_")]
+    assert errors == [(2, "expected 130 data characters for n=40, got 7"),
+                      (5, "expected 1 data characters for n=2, got 0"),
+                      (6, "invalid character '>'")]
 
 
 def test_scan_small_class_examples():
