@@ -338,8 +338,9 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line; strict about length and character range."""
-    line = text.strip()
+    """Decode one graph6 line; strict about length and character range.
+    Only spaces, tabs, CR and LF around the line are trimmed."""
+    line = text.strip(" \t\r\n")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:

@@ -21,7 +21,6 @@ worker count.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .errors import Graph6ParseError, InvalidParamsError, SizeCapError
+from .errors import Graph6ParseError, InvalidParamsError, SizeCapError, VklabError
 from .extremal import closed_form, extremal_graph, join_family_graph
 from .graphs import (MAX_VERTICES, CanonicalCode, Graph, _canonical_search,
                      _symmetric_graph, _twin_groups, add_edge, canonical_form,
@@ -51,7 +50,7 @@ def numbered_graph6(lines, errors: list | None = None):
     appended to it, so no line is dropped unreported.
     """
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\r\n")
         if not line:
             continue
         try:
@@ -222,9 +221,16 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
     maps that copy onto the child P is extended to. So the child is a copy
     of G in which the new vertex plays v, and it passes the test, because
     isomorphisms preserve keys and cut vertices. Levels are built on first
-    use and cached per n; with `workers` > 1 the parents of level n are
-    split across a process pool of at most `os.cpu_count()` processes. The
-    result does not depend on the worker count.
+    use and cached per n.
+
+    With `workers` > 1, level n is built by a process pool of at most
+    `os.cpu_count()` processes, on the platform's default start method. It
+    runs one task per process: task i extends the parents `i::workers` of
+    level n - 1, which the worker reads from its own catalogue (a copy of
+    this process's cache where the start method copies memory, else built
+    in the worker), so no graph crosses the pipe. A worker that dies is a
+    VklabError that names the level. The result does not depend on the
+    worker count or the start method.
     """
     if n in _CATALOGUES:
         return _CATALOGUES[n]
@@ -238,13 +244,24 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
         if workers <= 1:
             level = _merge([_extend(parents)], n)
         else:
-            # one task per parent: results merge as they arrive, so the
-            # duplicates the workers find never pile up in this process
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                level = _merge(pool.imap_unordered(_extend, [(p,) for p in parents]), n)
+            # imported here: the pool machinery is a third of the package's
+            # import time, and most runs never start a pool
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+            try:
+                with ProcessPoolExecutor(workers) as pool:
+                    level = _merge(pool.map(_catalogue_slice, [n] * workers,
+                                            range(workers), [workers] * workers), n)
+            except BrokenProcessPool:
+                raise VklabError(
+                    f"a catalogue worker died while building level {n}") from None
     _CATALOGUES[n] = level
     return level
+
+
+def _catalogue_slice(n: int, i: int, workers: int) -> dict:
+    """Task i of `workers` in a pooled build of level n: `_extend` over
+    every `workers`-th parent of level n - 1, starting at parent i."""
+    return _extend(catalogue(n - 1)[i::workers])
 
 
 class Extremum:

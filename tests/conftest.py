@@ -34,7 +34,7 @@ def reference_parse_graph6(text: str) -> Graph:
     """Bit-by-bit graph6 decoder: every body bit unpacked into a list, rows
     filled pair by pair and checked by the public `Graph` constructor.
     Raises Graph6ParseError with the package decoder's messages."""
-    line = text.strip()
+    line = text.strip(" \t\r\n")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:

@@ -109,6 +109,22 @@ def test_index_lenient_skips_bad_lines(tmp_path, capsys):
     assert err == "skipped line 2: expected 130 data characters for n=40, got 7\n"
 
 
+def test_separator_edged_line_is_an_invalid_character(tmp_path, capsys):
+    # '\x1c' is whitespace to str.strip but not to graph6: the line is
+    # malformed, not the K3 that the rest of it spells
+    corpus = tmp_path / "separator.g6"
+    corpus.write_text("\x1cBw\nBg\n")
+    argv = ["index", "--file", str(corpus), "--kind", "wiener", "--format", "csv"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: line 1: invalid character '\\x1c'\n"
+    code, out, err = run(capsys, *argv, "--lenient")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["line"], r["value"]) for r in rows] == [("2", "4")]
+    assert err == "skipped line 1: invalid character '\\x1c'\n"
+
+
 def test_non_ascii_bytes_are_invalid_characters(tmp_path):
     # graph6 is ASCII; a byte outside it is an invalid character of its own
     # line under either mode, never a decoding traceback

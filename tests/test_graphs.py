@@ -215,7 +215,11 @@ def test_graph6_malformed():
     ("~~??", "graphs beyond 64 vertices are unsupported"),
     ("~?@@", "vertex count 65 outside 1..64"),
     (">", "invalid character '>'"),
-    ("\x1c_", "expected 83 data characters for n=32, got 0"),  # str.strip drops '\x1c'
+    # only ' ', '\t', '\r' and '\n' are trimmed, not str.strip's other whitespace
+    ("\x1c_", "invalid character '\\x1c'"),
+    ("\x1cBw", "invalid character '\\x1c'"),
+    ("Bw\x1f", "expected 1 data characters for n=3, got 2"),
+    ("\x85Bw", "invalid character '\\x85'"),
     ("?", "vertex count 0 outside 1..64"),
 ])
 def test_graph6_malformed_messages(bad, message):

@@ -1,7 +1,11 @@
 """Enumeration, corpus ingestion, scans, and the monotonicity fuzzer."""
 
+import concurrent.futures.process
 import hashlib
 import multiprocessing
+import os
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
@@ -10,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKind,
-                   InvalidParamsError, SizeCapError, canonical_form, complete_graph,
-                   compute_metrics, direction, empty_graph, evaluate,
+                   InvalidParamsError, SizeCapError, VklabError, canonical_form,
+                   complete_graph, compute_metrics, direction, empty_graph, evaluate,
                    family_scan, is_connected, join_family_graph,
                    load_graph6_corpus, monotonicity_fuzz, parse_graph6, scan_class,
                    scan_corpus, scan_many, to_graph6, vertex_k_partiteness)
 from vklab import search
+from vklab.cli import main
 from vklab.graphs import Graph, _twin_groups, code_to_graph
 from vklab.partiteness import partiteness_within
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
@@ -121,14 +126,14 @@ def test_neighbourhoods_are_twin_prefix_sets():
 
 def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
     """A `workers` above the CPU count asks for one process per CPU, and
-    an unknown CPU count for none; a recorder stands in for the pool, so
-    no process is started."""
+    an unknown CPU count for none; a recorder stands in for the executor
+    and runs its tasks here, so no process is started."""
     expected = catalogue(6)
     pools = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            pools.append(processes)
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -136,10 +141,11 @@ def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, func, items):
-            return map(func, items)
+        def map(self, func, *iterables):
+            return map(func, *iterables)
 
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        RecordingExecutor)
     for cpus, asked in ((3, [3]), (None, [])):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(search, "_CATALOGUES", {})
@@ -239,15 +245,19 @@ def test_catalogue_and_reports_invariant_under_parent_splits(data):
 
 def test_catalogue_built_once_for_every_worker_count(monkeypatch):
     clear_sweep_cache()
-    calls = []
-    extend = search._extend
+    calls, merged = [], []
+    extend, merge = search._extend, search._merge
     monkeypatch.setattr(search, "_extend",
                         lambda parents: calls.append(len(parents)) or extend(parents))
+    monkeypatch.setattr(search, "_merge",
+                        lambda parts, n: merged.append(n) or merge(parts, n))
     first = scan_many(6, 2, (1, 2))
     assert calls == [1, 1, 2, 6, 21]  # levels 2..6, each from its parents once
-    # a rebuild would hand the unpicklable lambda to the pool and fail
+    assert merged == [2, 3, 4, 5, 6]
+    # every level is merged in this process, whichever process extends its
+    # parents, so a rebuild by the pool would show in `merged`
     second = scan_many(6, 2, (1, 2), workers=2)
-    assert calls == [1, 1, 2, 6, 21]
+    assert calls == [1, 1, 2, 6, 21] and merged == [2, 3, 4, 5, 6]
     assert first == second
 
 
@@ -257,6 +267,53 @@ def test_catalogue_identical_for_every_worker_count():
         clear_sweep_cache()
         built[workers] = catalogue(6, workers)
     assert built[1] == built[2] == built[3]
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail with a TimeoutError, instead of hanging, when a pool does not
+    return within `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the pool did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_catalogue_slices_merge_to_the_serial_level_in_a_spawned_pool():
+    """Workers that start a fresh interpreter build level 5 themselves; the
+    slices they extend merge to the serial level 6, codes and |Aut| alike."""
+    ctx = multiprocessing.get_context("spawn")
+    with _deadline(120), concurrent.futures.process.ProcessPoolExecutor(
+            2, mp_context=ctx) as pool:
+        parts = pool.map(search._catalogue_slice, [6, 6], [0, 1], [2, 2])
+        assert search._merge(parts, 6) == catalogue(6)
+
+
+def _exit_at_once(n, i, workers):
+    """Stands in for `search._catalogue_slice`: the worker dies at once,
+    as a killed one would."""
+    os._exit(1)
+
+
+def test_failed_catalogue_worker_is_an_error_not_a_hang(monkeypatch, capfd):
+    monkeypatch.setattr(search, "_catalogue_slice", _exit_at_once)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_CATALOGUES", {})
+    with _deadline(60):
+        with pytest.raises(VklabError, match="building level 6"):
+            catalogue(6, workers=2)
+        code = main(["scan", "--n", "6", "--m", "2", "--k", "2", "--kind", "wiener",
+                     "--workers", "2"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: a catalogue worker died while building level 6\n"
+    assert 6 not in search._CATALOGUES
 
 
 def test_nonpositive_workers_rejected():
