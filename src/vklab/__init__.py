@@ -25,6 +25,7 @@ from .metrics import DistanceMetrics, compute_metrics
 from .partiteness import ClassParams, in_class, is_k_partite, vertex_k_partiteness
 from .search import (ExtremalReport, FuzzReport, family_scan, load_graph6_corpus,
                      monotonicity_fuzz, scan_class, scan_corpus, scan_many)
-from .verify import ClaimVerdict, VerificationReport, known_claims, verify_theorem
+from .verify import (ClaimVerdict, VerificationReport, known_claims, verify_claims,
+                     verify_theorem)
 
 __version__ = "0.1.0"

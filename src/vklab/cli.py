@@ -31,7 +31,7 @@ from .indices import ALL_KINDS, DEGREE_ONLY, IndexKind, evaluate
 from .metrics import compute_metrics
 from .partiteness import ClassParams, vertex_k_partiteness
 from .search import monotonicity_fuzz, numbered_graph6, scan_many
-from .verify import REFUTED, claim_grid, known_claims, verify_theorem
+from .verify import REFUTED, claim_grid, known_claims, verify_claims
 
 _KIND_NAMES = {kind.value: kind for kind in ALL_KINDS}
 
@@ -202,11 +202,11 @@ def _cmd_scan(args) -> int:
 def _cmd_verify(args) -> int:
     claims = known_claims() if args.claim == "all" else [args.claim]
     k_values = tuple(range(2, args.kmax + 1))
+    grids = {claim: claim_grid(claim, args.nmax, k_values, args.scan_nmax)
+             for claim in claims}
     envelopes, rows = [], []
     any_refuted = False
-    for claim in claims:
-        grid = claim_grid(claim, args.nmax, k_values, args.scan_nmax)
-        report = verify_theorem(claim, grid, workers=args.workers)
+    for claim, report in zip(claims, verify_claims(grids, workers=args.workers)):
         verdict_objs = []
         for v in report.verdicts:
             verdict_objs.append({

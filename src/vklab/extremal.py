@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParamsError
-from .graphs import Graph, complete_graph, complete_multipartite, join
+from .errors import GraphSizeError, InvalidParamsError
+from .graphs import MAX_VERTICES, Graph, _symmetric_graph
 from .indices import ECCENTRICITY_KINDS, INTEGER_VALUED, Direction, IndexKind, direction
 from .partiteness import ClassParams
 
@@ -94,14 +94,23 @@ def part_sizes(params: ClassParams) -> PartitionSpec:
 def join_family_graph(m: int, sizes) -> Graph:
     """K_m joined onto the complete multipartite graph with the given parts.
 
-    Vertex order: the m clique vertices first, then the parts in order.
+    Vertex order: the m clique vertices first, then the parts in order. The
+    rows are written directly: a clique vertex sees every other vertex, and
+    a part vertex every vertex outside its part.
     """
     sizes = list(sizes)
     if m < 1:
         raise InvalidParamsError(f"clique size must be >= 1, got {m}")
     if not sizes or any(s < 1 for s in sizes):
         raise InvalidParamsError("part sizes must be a nonempty list of counts >= 1")
-    return join(complete_graph(m), complete_multipartite(sizes))
+    n = m + sum(sizes)
+    if n > MAX_VERTICES:
+        raise GraphSizeError(f"join would have {n} > {MAX_VERTICES} vertices")
+    full = (1 << n) - 1
+    rows = [full ^ 1 << u for u in range(m)]
+    for size in sizes:
+        rows += [full ^ ((1 << size) - 1) << len(rows)] * size
+    return _symmetric_graph(tuple(rows))
 
 
 def extremal_graph(params: ClassParams) -> Graph:

@@ -22,8 +22,10 @@ and validates the rows: vertex range, no self-loops, symmetry.
 rows that are symmetric, loop-free and inside 0..n-1 by construction, for
 1 <= n <= 64: the graph6 decoder (its table reads pairs (u, v) and
 (v, u) from one bit and the diagonal from a constant '0'), `code_to_graph`
-(each code bit sets both ends of one pair u < v < n) and the catalogue's
-vertex extension in `vklab.search` (children of valid parents). Rows from
+(each code bit sets both ends of one pair u < v < n), the catalogue's
+vertex extension in `vklab.search` (children of valid parents) and
+`vklab.extremal.join_family_graph` (each row is the full vertex set less
+the vertex's own clique bit or its own part, which contains it). Rows from
 anywhere else, including unpickling, go through `Graph`.
 """
 

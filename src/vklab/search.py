@@ -13,10 +13,13 @@ labelled size is the orbit-stabilizer sum of n!/|Aut(G)| over its members,
 and optimizers are canonical codes from the start. The catalogue is cached
 per n and is identical however its construction is split across workers.
 
-Catalogue and graph6 corpus scans share one per-graph pipeline: one
-membership search over every m, then distance metrics, then index
-evaluation. Scans support 2 <= n <= 9 (261,080 classes at n = 9), with any
-worker count.
+Catalogue and graph6 corpus scans share one per-graph pipeline: distance
+metrics and index values once per graph, and one membership search per k
+over that k's requested m. A graph's values fold into one bucket per k,
+that of the least requested m admitting it, and the report for m merges
+the buckets at or below m, so one pass serves every (m, k) of one n.
+Scans support 2 <= n <= 9 (261,080 classes at n = 9), with any worker
+count.
 """
 
 from __future__ import annotations
@@ -287,56 +290,82 @@ class Extremum:
         elif value == self.max:
             self.max_items.append(item)
 
+    def merge(self, other: "Extremum") -> None:
+        """Fold in every pair `other` has seen, as if each were added here."""
+        if not other.min_items:
+            return
+        if not self.min_items or other.min < self.min:
+            self.min, self.min_items = other.min, list(other.min_items)
+        elif other.min == self.min:
+            self.min_items += other.min_items
+        if not self.max_items or other.max > self.max:
+            self.max, self.max_items = other.max, list(other.max_items)
+        elif other.max == self.max:
+            self.max_items += other.max_items
+
     def toward(self, lowest: bool):
         """(value, tied items) at the minimum if `lowest`, else at the maximum."""
         return (self.min, self.min_items) if lowest else (self.max, self.max_items)
 
 
-def _scan(source, n: int, k: int, m_values, kinds, canon=None) -> dict:
-    """{(m, kind): ExtremalReport} from one pass over `source`, which yields
-    (graph, labelled count, optimizer item) for connected graphs on n
-    vertices. Each graph's values fold into one `Extremum` per (m, kind);
-    `canon` maps optimizer items to canonical codes when they are not codes.
-    No m, no kind, or a class without a member is an InvalidParamsError."""
-    m_values = tuple(sorted(set(m_values)))
+def _scan(source, params, kinds, canon=None) -> dict:
+    """{(params, kind): ExtremalReport} for every class in `params` (one n)
+    and every kind, from one pass over `source`, which yields (graph,
+    labelled count, optimizer item) for connected graphs on n vertices.
+
+    Each graph gets its values once and, per k, one membership search over
+    the requested m of that k; the values fold into the `Extremum` of the
+    least such m that admits the graph, and the report for m merges the
+    folds of every m' <= m. `canon` maps optimizer items to canonical codes
+    when they are not codes. No class, no kind, or a class without a member
+    is an InvalidParamsError.
+    """
     kinds = tuple(kind for kind in ALL_KINDS if kind in set(kinds))
-    if not m_values or not kinds:
+    if not params or not kinds:
         raise InvalidParamsError("a scan needs at least one m and one kind")
-    params_by_m = {m: ClassParams(n, m, k) for m in m_values}  # validates
+    by_k: dict = {}
+    for p in sorted(set(params), key=lambda p: (p.k, p.m)):
+        by_k.setdefault(p.k, []).append(p)
+    # per k: its m values, then labelled counts and folds keyed by m
+    budgets = [(k, tuple(p.m for p in ps), {p.m: 0 for p in ps},
+                {p.m: [Extremum() for _ in kinds] for p in ps})
+               for k, ps in by_k.items()]
     need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
-    class_counts = dict.fromkeys(m_values, 0)
-    reducers = {m: [Extremum() for _ in kinds] for m in m_values}
     for g, labelled, item in source:
-        least = partiteness_within(g.adj, k, m_values)
-        if least is None:
-            continue
-        metrics = compute_metrics(g) if need_metrics else None
-        vals = [evaluate(kind, g, metrics) for kind in kinds]
-        for m in m_values:
-            if m < least:
+        vals = None
+        for k, ms, counts, folds in budgets:
+            least = partiteness_within(g.adj, k, ms)
+            if least is None:
                 continue
-            class_counts[m] += labelled
-            for ext, val in zip(reducers[m], vals):
+            if vals is None:
+                metrics = compute_metrics(g) if need_metrics else None
+                vals = [evaluate(kind, g, metrics) for kind in kinds]
+            counts[least] += labelled
+            for ext, val in zip(folds[least], vals):
                 ext.add(val, item)
     reports = {}
-    for m, params in params_by_m.items():
-        if not class_counts[m]:
-            raise InvalidParamsError(f"the scanned graphs contain no member of {params}")
-        ghat = canonical_form(extremal_graph(params))
-        for kind, ext in zip(kinds, reducers[m]):
-            lowest = kind in _MINIMIZED
-            optimum, items = ext.toward(lowest)
-            codes = frozenset(map(canon, items) if canon else items)
-            reports[(m, kind)] = ExtremalReport(
-                params=params,
-                kind=kind,
-                optimum=optimum,
-                optimizer_codes=codes,
-                class_size=class_counts[m],
-                matches_construction=codes == {ghat},
-                matches_closed_form=optimum == closed_form(kind, params).value,
-                opposite=ext.toward(not lowest)[0],
-            )
+    for ps, (_, _, counts, folds) in zip(by_k.values(), budgets):
+        class_size, running = 0, [Extremum() for _ in kinds]
+        for p in ps:
+            class_size += counts[p.m]
+            if not class_size:
+                raise InvalidParamsError(f"the scanned graphs contain no member of {p}")
+            ghat = canonical_form(extremal_graph(p))
+            for kind, ext, fold in zip(kinds, running, folds[p.m]):
+                ext.merge(fold)
+                lowest = kind in _MINIMIZED
+                optimum, items = ext.toward(lowest)
+                codes = frozenset(map(canon, items) if canon else items)
+                reports[(p, kind)] = ExtremalReport(
+                    params=p,
+                    kind=kind,
+                    optimum=optimum,
+                    optimizer_codes=codes,
+                    class_size=class_size,
+                    matches_construction=codes == {ghat},
+                    matches_closed_form=optimum == closed_form(kind, p).value,
+                    opposite=ext.toward(not lowest)[0],
+                )
     return reports
 
 
@@ -346,21 +375,47 @@ def _catalogue_items(n: int, workers: int):
         yield entry.graph, labelled // entry.aut, entry.code
 
 
-def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1) -> dict:
-    """Scan one class family in a single pass over the catalogue.
-
-    Returns {(m, kind): ExtremalReport} for every requested m and kind. A
-    member stands for n!/|Aut(G)| labelled graphs in `class_size`;
-    optimizers are catalogue codes, so ties need no canonicalisation.
-    Reports are identical for every worker count, which only splits the
-    catalogue build. n outside 2..9 is a SizeCapError; no m or no kind is
-    an InvalidParamsError.
-    """
+def check_scan(n: int, workers: int) -> None:
+    """Refuse a catalogue scan that cannot run: workers < 1 is an
+    InvalidParamsError, n outside 2..9 a SizeCapError."""
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     if not 2 <= n <= _SCAN_CAP:
         raise SizeCapError(f"scans support 2 <= n <= {_SCAN_CAP}, got {n}")
-    return _scan(_catalogue_items(n, workers), n, k, m_values, kinds)
+
+
+def scan_catalogue(params, kinds=ALL_KINDS, workers: int = 1) -> dict:
+    """Scan several classes of one order n in a single pass over the catalogue.
+
+    Returns {(params, kind): ExtremalReport} for every class in `params`
+    and every requested kind. Each catalogue member is evaluated once, and
+    its membership is searched once per distinct k. A member stands for
+    n!/|Aut(G)| labelled graphs in `class_size`; optimizers are catalogue
+    codes, so ties need no canonicalisation. Reports are identical for
+    every worker count, which only splits the catalogue build. Classes of
+    more than one n, or none, are an InvalidParamsError; see `check_scan`
+    for n and `workers`.
+    """
+    params = tuple(params)
+    orders = sorted({p.n for p in params})
+    if len(orders) != 1:
+        raise InvalidParamsError(f"a catalogue scan needs classes of one n, got {orders}")
+    check_scan(orders[0], workers)
+    return _scan(_catalogue_items(orders[0], workers), params, kinds)
+
+
+def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1) -> dict:
+    """Scan the classes (n, m, k) for every m in `m_values` in a single
+    pass over the catalogue (see `scan_catalogue`).
+
+    Returns {(m, kind): ExtremalReport} for every requested m and kind. n
+    outside 2..9 is a SizeCapError; no m or no kind is an
+    InvalidParamsError.
+    """
+    check_scan(n, workers)
+    reports = _scan(_catalogue_items(n, workers), [ClassParams(n, m, k) for m in m_values],
+                    kinds)
+    return {(p.m, kind): report for (p, kind), report in reports.items()}
 
 
 def scan_class(params: ClassParams, kind: IndexKind, workers: int = 1) -> ExtremalReport:
@@ -384,26 +439,37 @@ def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
     corpus containing one representative per isomorphism class this
     reproduces the catalogue scan's optimum and optimizer codes.
     """
-    reports = _scan(_corpus_items(graphs, params.n), params.n, params.k, (params.m,),
-                    (kind,), canon=canonical_form)
-    return reports[(params.m, kind)]
+    reports = _scan(_corpus_items(graphs, params.n), (params,), (kind,), canon=canonical_form)
+    return reports[(params, kind)]
 
 
 # ---------------------------------------------------------------------------
 # join-family sub-scan (diagnosis helper for regime exceptions)
 # ---------------------------------------------------------------------------
 
-def family_scan(params: ClassParams, kind: IndexKind):
-    """Optimum of the index over every join-family member of the class.
+def family_optima(params: ClassParams, kinds=ALL_KINDS) -> dict:
+    """Optimum of each index over every join-family member of the class.
 
     Iterates all compositions of n - m into at most k nonempty parts (a part
-    count below k is the same as allowing empty parts). Returns
-    (optimum, [sorted size lists attaining it]).
+    count below k is the same as allowing empty parts), and builds and
+    measures each member once for all kinds. Returns {kind: (optimum,
+    [sorted size lists attaining it])}.
     """
-    ext = Extremum()
+    kinds = tuple(kinds)
+    need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
+    exts = [Extremum() for _ in kinds]
     for sizes in _partitions_at_most(params.n - params.m, params.k):
-        ext.add(evaluate(kind, join_family_graph(params.m, sizes)), sizes)
-    return ext.toward(kind in _MINIMIZED)
+        g = join_family_graph(params.m, sizes)
+        metrics = compute_metrics(g) if need_metrics else None
+        for kind, ext in zip(kinds, exts):
+            ext.add(evaluate(kind, g, metrics), sizes)
+    return {kind: ext.toward(kind in _MINIMIZED) for kind, ext in zip(kinds, exts)}
+
+
+def family_scan(params: ClassParams, kind: IndexKind):
+    """(optimum, [sorted size lists attaining it]) of one index over the
+    join family of the class (see `family_optima`)."""
+    return family_optima(params, (kind,))[kind]
 
 
 def _partitions_at_most(total: int, parts: int):

@@ -4,7 +4,8 @@ Each claim id names one printed statement: the two structural extremality
 theorems (scan-backed), the per-index closed-form statements on the balanced
 construction, the bipartite-case corollary lines, and the inequality
 direction of the connective-eccentricity statement. `verify_theorem` checks
-one claim over a grid of class parameters and returns a verdict per tuple:
+one claim over a grid of class parameters, and `verify_claims` several at
+once; each returns a verdict per tuple:
 
   confirmed       the printed statement matches the independent oracle
   refuted         it does not; both values are carried in the verdict
@@ -14,10 +15,12 @@ one claim over a grid of class parameters and returns a verdict per tuple:
                   being judged
 
 Formula claims compare the printed closed form against direct evaluation on
-the construction. Scan-backed claims group their grid by (n, k) and read
-every m and kind of a group from one exhaustive `scan_many` pass; the
+the construction. Scan-backed claims read every class and kind from one
+exhaustive catalogue pass per n per run, shared by all of them; the
 direction claim reads the class minimum off the same reducer that gives the
-optimum.
+optimum. Within one run each construction and each join-family member is
+evaluated once. No verdict, report or value outlives the run; only the
+catalogue levels stay cached in `vklab.search`.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from .errors import InvalidParamsError
 from .extremal import (EVEN, ODD, closed_form, closed_form_bipartite, extremal_graph,
                        join_family_graph)
 from .graphs import canonical_form
-from .indices import ALL_KINDS, Direction, IndexKind, direction, evaluate
+from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
+from .metrics import compute_metrics
 from .partiteness import ClassParams
-from .search import ExtremalReport, family_scan, scan_many
+from .search import ExtremalReport, check_scan, family_optima, scan_catalogue
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -111,6 +115,9 @@ _SCAN_CLAIMS = {
     "thm4.6-direction": ("printed inequality direction of the connective "
                          "eccentricity statement", (IndexKind.CONN_ECC,)),
 }
+# the scan claims checked against the join family; the other one reads the
+# class minimum against the construction
+_STRUCTURE_CLAIMS = frozenset({"thm3.1", "thm3.2"})
 
 
 def known_claims() -> list[str]:
@@ -134,51 +141,102 @@ def claim_grid(claim: str, n_max: int = 10, k_values=(2, 3, 4),
 
 def verify_theorem(claim: str, grid=None, workers: int = 1) -> VerificationReport:
     """Check one published claim over a parameter grid, by default its
-    `claim_grid`. An empty grid raises InvalidParamsError: certifying
-    nothing is not a pass.
+    `claim_grid` (see `verify_claims`)."""
+    return verify_claims({claim: grid}, workers)[0]
+
+
+def verify_claims(grids: dict, workers: int = 1) -> list[VerificationReport]:
+    """Check several published claims, {claim: grid}, and return their
+    reports in order; a grid of None is the claim's `claim_grid`.
+
+    All graph work is shared inside the call, and no value or report
+    outlives it (only `vklab.search` keeps its catalogue levels): each
+    balanced construction is built and measured once per class, the
+    catalogue is scanned once per n for every class and kind the scan-backed
+    claims ask for, and each join-family member of a class is evaluated once
+    for all kinds. Every claim id, grid and `workers` is checked before any
+    of that work: an unknown claim, an empty grid (certifying nothing is not
+    a pass), a corollary grid with k != 2 or workers < 1 is an
+    InvalidParamsError, and a scan-backed grid outside the scan range a
+    SizeCapError.
     """
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
-    claim = claim.lower()
-    if claim not in known_claims():
-        raise InvalidParamsError(
-            f"unknown claim {claim!r}; known: {', '.join(known_claims())}")
-    grid = tuple(claim_grid(claim) if grid is None else grid)
-    if not grid:
-        raise InvalidParamsError(f"empty parameter grid for claim {claim}")
-    if claim in _FORMULA_CLAIMS:
-        kind, desc = _FORMULA_CLAIMS[claim]
-        return VerificationReport(
-            claim=claim, description=desc,
-            verdicts=tuple(_check_formula(kind, p) for p in grid))
-    if claim in _COROLLARY_CLAIMS:
-        kind = _COROLLARY_CLAIMS[claim]
-        verdicts = []
+    jobs = []
+    for claim, grid in grids.items():
+        claim = claim.lower()
+        if claim not in known_claims():
+            raise InvalidParamsError(
+                f"unknown claim {claim!r}; known: {', '.join(known_claims())}")
+        grid = tuple(claim_grid(claim) if grid is None else grid)
+        if not grid:
+            raise InvalidParamsError(f"empty parameter grid for claim {claim}")
         for p in grid:
-            if p.k != 2:
+            if claim in _COROLLARY_CLAIMS and p.k != 2:
                 raise InvalidParamsError(f"corollary claims need k = 2, got {p}")
-            verdicts.append(_check_corollary(kind, p))
-        return VerificationReport(
-            claim=claim,
-            description=f"bipartite-case corollary for {kind.value}",
-            verdicts=tuple(verdicts))
-    desc, kinds = _SCAN_CLAIMS[claim]
-    check = _check_direction if claim == "thm4.6-direction" else _check_structure
-    m_values: dict = {}
-    for p in grid:
-        m_values.setdefault((p.n, p.k), set()).add(p.m)
+            if claim in _SCAN_CLAIMS:
+                check_scan(p.n, workers)
+        jobs.append((claim, grid))
+
+    built: dict = {}    # params -> kinds valued on the balanced construction
+    scanned: dict = {}  # n -> (classes, kinds) of its one catalogue pass
+    family: dict = {}   # params -> kinds optimised over the join family
+    for claim, grid in jobs:
+        kinds = _claim_kinds(claim)
+        for p in grid:
+            if claim in _SCAN_CLAIMS:
+                classes, scan_kinds = scanned.setdefault(p.n, (set(), set()))
+                classes.add(p)
+                scan_kinds.update(kinds)
+            if claim not in _STRUCTURE_CLAIMS:
+                built.setdefault(p, set()).update(kinds)
+            else:
+                family.setdefault(p, set()).update(kinds)
+    values = {}
+    for p, kinds in built.items():
+        g = extremal_graph(p)
+        metrics = compute_metrics(g) if kinds - DEGREE_ONLY else None
+        for kind in kinds:
+            values[p, kind] = evaluate(kind, g, metrics)
     reports = {}
-    for (n, k), ms in m_values.items():
-        for (m, kind), report in scan_many(n, k, ms, kinds, workers).items():
-            reports[ClassParams(n, m, k), kind] = report
-    return VerificationReport(
-        claim=claim, description=desc,
-        verdicts=tuple(check(reports[p, kind]) for p in grid for kind in kinds))
+    for classes, kinds in scanned.values():
+        reports.update(scan_catalogue(classes, kinds, workers))
+    optima = {p: family_optima(p, kinds) for p, kinds in family.items()}
+    family_codes: dict = {}  # (m, sizes) -> canonical code of that family member
+
+    out = []
+    for claim, grid in jobs:
+        if claim in _FORMULA_CLAIMS:
+            kind, desc = _FORMULA_CLAIMS[claim]
+            verdicts = [_check_formula(kind, p, values[p, kind]) for p in grid]
+        elif claim in _COROLLARY_CLAIMS:
+            kind = _COROLLARY_CLAIMS[claim]
+            desc = f"bipartite-case corollary for {kind.value}"
+            verdicts = [_check_corollary(kind, p, values[p, kind]) for p in grid]
+        elif claim in _STRUCTURE_CLAIMS:
+            desc, kinds = _SCAN_CLAIMS[claim]
+            verdicts = [_check_structure(reports[p, kind], optima[p][kind], family_codes)
+                        for p in grid for kind in kinds]
+        else:
+            desc, kinds = _SCAN_CLAIMS[claim]
+            verdicts = [_check_direction(reports[p, kind], values[p, kind])
+                        for p in grid for kind in kinds]
+        out.append(VerificationReport(claim=claim, description=desc,
+                                      verdicts=tuple(verdicts)))
+    return out
 
 
-def _check_formula(kind: IndexKind, params: ClassParams) -> ClaimVerdict:
+def _claim_kinds(claim: str) -> tuple[IndexKind, ...]:
+    if claim in _FORMULA_CLAIMS:
+        return (_FORMULA_CLAIMS[claim][0],)
+    if claim in _COROLLARY_CLAIMS:
+        return (_COROLLARY_CLAIMS[claim],)
+    return _SCAN_CLAIMS[claim][1]
+
+
+def _check_formula(kind: IndexKind, params: ClassParams, oracle) -> ClaimVerdict:
+    """`oracle` is the index evaluated on the balanced construction."""
     printed = closed_form(kind, params)
-    oracle = evaluate(kind, extremal_graph(params))
     if printed.value == oracle:
         return ClaimVerdict(params=params, kind=kind, verdict=CONFIRMED,
                             expected=printed.value, actual=oracle)
@@ -194,10 +252,10 @@ def _check_formula(kind: IndexKind, params: ClassParams) -> ClaimVerdict:
                              "on the construction")
 
 
-def _check_corollary(kind: IndexKind, params: ClassParams) -> ClaimVerdict:
+def _check_corollary(kind: IndexKind, params: ClassParams, oracle) -> ClaimVerdict:
+    """`oracle` is the index evaluated on the balanced construction."""
     parity = EVEN if (params.n - params.m) % 2 == 0 else ODD
     printed = closed_form_bipartite(kind, params.n, params.m)
-    oracle = evaluate(kind, extremal_graph(params))
     theorem_value = closed_form(kind, params).value
     note_parity = f"{parity} case (n - m = {params.n - params.m})"
     if printed.value == oracle:
@@ -216,20 +274,26 @@ def _check_corollary(kind: IndexKind, params: ClassParams) -> ClaimVerdict:
                         note=f"{note_parity}; {detail}")
 
 
-def _check_structure(report: ExtremalReport) -> ClaimVerdict:
+def _check_structure(report: ExtremalReport, family_optimum, codes: dict) -> ClaimVerdict:
     """Scan-backed: the class optimum is attained on the join family, uniquely.
 
     This is the structural statement: the extremal graph is a clique joined
     onto a complete multipartite graph for SOME part sizes (balance is the
-    separate per-index refinement checked by the formula claims). A class
-    optimizer that is a family graph with the family optimum ties in
-    `family_scan`, so only the tied sizes are canonicalised.
+    separate per-index refinement checked by the formula claims).
+    `family_optimum` is (value, tied size lists) over the family. A class
+    optimizer that is a family graph with the family optimum is one of the
+    tied sizes, so only those are canonicalised, each once per `codes`, a
+    {(m, sizes): canonical code} dict shared by the checks of one run.
     """
     params, kind = report.params, report.kind
-    family_value, family_sizes = family_scan(params, kind)
+    family_value, family_sizes = family_optimum
     optimizers = set(report.optimizer_codes)
-    family_codes = {canonical_form(join_family_graph(params.m, sizes))
-                    for sizes in family_sizes}
+    family_codes = set()
+    for sizes in family_sizes:
+        key = (params.m, sizes)
+        if key not in codes:
+            codes[key] = canonical_form(join_family_graph(params.m, sizes))
+        family_codes.add(codes[key])
     if report.optimum != family_value or not optimizers <= family_codes:
         return ClaimVerdict(
             params=params, kind=kind, verdict=REFUTED,
@@ -245,14 +309,14 @@ def _check_structure(report: ExtremalReport) -> ClaimVerdict:
                         note="unique optimizer lies in the join family")
 
 
-def _check_direction(report: ExtremalReport) -> ClaimVerdict:
+def _check_direction(report: ExtremalReport, ghat_value) -> ClaimVerdict:
     """The statement prints a lower bound (>=); enumeration decides empirically.
 
-    The index is maximized, so the class minimum is the report's `opposite`.
+    The index is maximized, so the class minimum is the report's `opposite`;
+    `ghat_value` is the index on the balanced construction.
     """
     params, kind = report.params, report.kind
     lo, hi = report.opposite, report.optimum
-    ghat_value = evaluate(kind, extremal_graph(params))
     if lo < ghat_value:
         side = ("the construction attains the class maximum"
                 if hi == ghat_value else

@@ -182,6 +182,18 @@ def test_degenerate_input_is_an_error_line(argv, message):
     assert "Traceback" not in err
 
 
+def test_verify_checks_every_grid_before_any_claim(capsys, monkeypatch):
+    """`--scan-nmax 3` leaves thm3.1 an empty grid: the run refuses it
+    before it evaluates a single formula claim."""
+    def no_work(*args):
+        raise AssertionError("a claim was checked before every grid was")
+
+    monkeypatch.setattr(vklab.verify, "extremal_graph", no_work)
+    code, out, err = run(capsys, "verify", "--claim", "all", "--nmax", "10",
+                         "--scan-nmax", "3")
+    assert (code, out, err) == (1, "", "error: empty parameter grid for claim thm3.1\n")
+
+
 def test_vk_command(capsys):
     code, out, _ = run(capsys, "vk", "--graph6", "D~{", "--k", "2",
                        "--format", "csv")
@@ -344,10 +356,10 @@ def ledger_text(envelopes) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("scan_nmax", [6, 7])
+@pytest.mark.parametrize("scan_nmax", [6, 7, 8])
 def test_errata_ledger_is_frozen(capsys, scan_nmax):
     """The CI errata gate's ledger, and the same with the scan-backed claims
-    up to n = 7; any drift in a verdict or value fails."""
+    up to n = 7 and n = 8; any drift in a verdict or value fails."""
     code, out, _ = run(capsys, "verify", "--claim", "all", "--nmax", "10",
                        "--scan-nmax", str(scan_nmax), "--format", "json")
     assert code == 2

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vklab import (ALL_KINDS, ClassParams, Direction, IndexKind, InvalidParamsError,
-                   closed_form, closed_form_bipartite, closed_form_corrected,
-                   complete_graph, complete_multipartite, compute_metrics, direction,
-                   evaluate, extremal_graph, is_isomorphic, join, join_family_graph,
-                   part_sizes, predicted_difference, shift_vertex,
-                   vertex_k_partiteness)
+from vklab import (ALL_KINDS, ClassParams, Direction, GraphSizeError, IndexKind,
+                   InvalidParamsError, closed_form, closed_form_bipartite,
+                   closed_form_corrected, complete_graph, complete_multipartite,
+                   compute_metrics, direction, evaluate, extremal_graph, is_isomorphic,
+                   join, join_family_graph, part_sizes, predicted_difference,
+                   shift_vertex, vertex_k_partiteness)
 from vklab.extremal import EVEN, ODD
 from vklab.indices import ECCENTRICITY_KINDS
 
@@ -36,6 +36,26 @@ def test_join_family_graph():
         join_family_graph(0, [2, 2])
     with pytest.raises(InvalidParamsError):
         join_family_graph(2, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_join_family_graph_equals_the_validated_join(data):
+    """The directly written rows are the labelled graph of the two joins,
+    for every clique size m >= 1 and part sizes with n <= 64."""
+    n = data.draw(st.integers(2, 64))
+    m = data.draw(st.integers(1, n - 1))
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n - m - 1), max_size=8))
+                      if n - m > 1 else []))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n - m])]
+    assert join_family_graph(m, sizes) == join(complete_graph(m),
+                                                complete_multipartite(sizes))
+
+
+def test_join_family_graph_above_64_vertices_is_an_error():
+    for m, sizes in ((1, [64]), (60, [2, 3]), (65, [1])):
+        with pytest.raises(GraphSizeError):
+            join_family_graph(m, sizes)
 
 
 def test_extremal_graph_isomorphism_examples():

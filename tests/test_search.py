@@ -225,6 +225,39 @@ def test_extremum_agrees_with_min_max_and_ties(values):
         assert ext.toward(lowest) == (best, [i for i, v in enumerate(values) if v == best])
 
 
+@given(_VALUES, st.data())
+def test_extremum_merge_of_any_split_equals_one_fold(values, data):
+    """Merging the folds of consecutive slices, empty ones included, gives
+    the extremes and tied items of one fold over all the pairs."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6)))
+    bounds = [0, *cuts, len(values)]
+    whole, merged = search.Extremum(), search.Extremum()
+    for i, value in enumerate(values):
+        whole.add(value, i)
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = search.Extremum()
+        for i in range(lo, hi):
+            part.add(values[i], i)
+        merged.merge(part)
+    for lowest in (True, False):
+        (want, want_items), (got, got_items) = whole.toward(lowest), merged.toward(lowest)
+        assert got == want and sorted(got_items) == sorted(want_items)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_multi_k_scan_equals_per_k_scans(n):
+    """One catalogue pass over every (m, k) of n gives the per-k reports,
+    class sizes and opposite extremes included, also for a sparse m set."""
+    full = {k: scan_many(n, k, range(1, n - k + 1)) for k in range(2, n)}
+    every = [ClassParams(n, m, k) for k in range(2, n) for m in range(1, n - k + 1)]
+    sparse = [p for p in every if p.m in (1, n - p.k)]
+    for params in (every, sparse):
+        reports = search.scan_catalogue(params)
+        assert set(reports) == {(p, kind) for p in params for kind in ALL_KINDS}
+        for (p, kind), report in reports.items():
+            assert report == full[p.k][(p.m, kind)], (p, kind)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_catalogue_and_reports_invariant_under_parent_splits(data):
@@ -330,6 +363,10 @@ def test_empty_scan_inputs_are_package_errors():
         scan_many(5, 2, ())
     with pytest.raises(InvalidParamsError):
         scan_many(5, 2, (1,), kinds=())
+    with pytest.raises(InvalidParamsError):
+        search.scan_catalogue([])
+    with pytest.raises(InvalidParamsError):  # one pass is one catalogue level
+        search.scan_catalogue([ClassParams(5, 1, 2), ClassParams(6, 1, 2)])
     # a blank line, K4 (wrong order) and K5 minus an edge (v_2 = 2, not <= 1)
     corpus = ["", to_graph6(complete_graph(4)), "D^{"]
     with pytest.raises(InvalidParamsError):

@@ -5,8 +5,11 @@ from collections import Counter
 
 import pytest
 
-from vklab import ClassParams, IndexKind, InvalidParamsError, verify, verify_theorem
-from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, known_claims
+from vklab import (ClassParams, IndexKind, InvalidParamsError, SizeCapError, indices,
+                   search, verify, verify_claims, verify_theorem)
+from vklab.partiteness import vertex_k_partiteness
+from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
+from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, claim_grid, known_claims
 
 
 def _grid(n_lo, n_hi, k_values=(2,)):
@@ -119,24 +122,97 @@ def test_structure_claims_small_grid():
 
 
 def test_scan_claims_make_one_pass_per_n_and_k(monkeypatch):
-    """Every m and kind of one (n, k) comes from a single scan, whatever
-    the grid order."""
+    """Every m, k and kind of one n comes from a single scan, whatever
+    the grid order, so each (n, k) lies in exactly one pass."""
     grid = _grid(4, 6, (2, 3))[::-1]
-    scan_many = verify.scan_many
+    scan_catalogue = verify.scan_catalogue
+    classes_by_n: dict = {}
+    for p in grid:
+        classes_by_n.setdefault(p.n, set()).add(p)
     for claim in ("thm3.1", "thm3.2", "thm4.6-direction"):
-        calls = Counter()
+        passes = Counter()
 
-        def counted(n, k, *args):
-            calls[n, k] += 1
-            return scan_many(n, k, *args)
+        def counted(params, *args):
+            params = frozenset(params)
+            passes[params] += 1
+            return scan_catalogue(params, *args)
 
-        monkeypatch.setattr(verify, "scan_many", counted)
+        monkeypatch.setattr(verify, "scan_catalogue", counted)
         report = verify_theorem(claim, grid)
-        assert calls == Counter({(p.n, p.k): 1 for p in grid}), claim
+        assert passes == Counter(map(frozenset, classes_by_n.values())), claim
         # verdicts still follow the grid order
         per_tuple = len(report.verdicts) // len(grid)
         assert [v.params for v in report.verdicts] == [p for p in grid
                                                        for _ in range(per_tuple)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_claims_equals_one_claim_at_a_time(workers):
+    """Sharing the graph work changes no report: default grids, and the
+    `--scan-nmax 5` grids of `verify --claim all`, on a cold catalogue."""
+    claims = known_claims()
+    clear_sweep_cache()
+    shared = verify_claims({c: claim_grid(c, 10, (2, 3, 4), 5) for c in claims}, workers)
+    assert [r.claim for r in shared] == claims
+    assert verify_claims(dict.fromkeys(claims), workers) == shared
+    assert [verify_theorem(c, workers=workers) for c in claims] == shared
+
+
+def test_verify_claims_evaluates_each_graph_once(monkeypatch):
+    """One BFS per scanned catalogue member per n, per distinct construction
+    and per join-family member, and one build per construction; a cold
+    second run repeats exactly the same counts."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    metrics = counting("compute_metrics", verify.compute_metrics)
+    for module in (verify, search, indices):  # every name a BFS is called by
+        monkeypatch.setattr(module, "compute_metrics", metrics)
+    monkeypatch.setattr(verify, "extremal_graph",
+                        counting("extremal_graph", verify.extremal_graph))
+    grids = {"thm4.1": _grid(4, 6, (2, 3)), "cor4.2": _grid(4, 6),
+             "thm4.6-direction": _grid(4, 5, (2, 3)), "thm3.1": _grid(4, 5, (2, 3)),
+             "thm3.2": _grid(5, 5, (2,))}
+    constructions = {p for claim in ("thm4.1", "cor4.2", "thm4.6-direction")
+                     for p in grids[claim]}
+    scanned = grids["thm4.6-direction"] + grids["thm3.1"] + grids["thm3.2"]
+    members = sum(1 for n in {p.n for p in scanned} for entry in catalogue(n)
+                  if any(vertex_k_partiteness(entry.graph, p.k) <= p.m
+                         for p in scanned if p.n == n))
+    family = sum(len(list(_partitions_at_most(p.n - p.m, p.k)))
+                 for p in set(grids["thm3.1"] + grids["thm3.2"]))
+    want = Counter(compute_metrics=members + len(constructions) + family,
+                   extremal_graph=len(constructions))
+    for _ in range(2):
+        clear_sweep_cache()
+        calls.clear()
+        verify_claims(grids)
+        assert calls == want
+
+
+def test_verify_claims_checks_every_claim_before_any_work(monkeypatch):
+    """A bad claim, grid or worker count anywhere in the call is refused
+    before any construction is built or any catalogue is scanned."""
+    def no_work(*args):
+        raise AssertionError("graph work before the inputs were checked")
+
+    monkeypatch.setattr(verify, "extremal_graph", no_work)
+    monkeypatch.setattr(verify, "scan_catalogue", no_work)
+    grid = _grid(4, 5)
+    bad = [({"thm4.1": grid, "thm9.9": grid}, 1, "unknown claim 'thm9.9'"),
+           ({"thm4.1": grid, "thm3.1": []}, 1, "empty parameter grid for claim thm3.1"),
+           ({"thm4.1": grid, "cor4.1": _grid(5, 5, (3,))}, 1, "need k = 2"),
+           ({"thm4.1": grid, "thm3.2": grid}, 0, "workers must be >= 1")]
+    for grids, workers, message in bad:
+        with pytest.raises(InvalidParamsError, match=message):
+            verify_claims(grids, workers)
+    with pytest.raises(SizeCapError):
+        verify_claims({"thm4.1": grid, "thm3.1": _grid(10, 10)})
 
 
 def test_never_silently_passed():
