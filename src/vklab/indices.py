@@ -2,7 +2,9 @@
 
 Integer-valued indices return plain ints, the four distance/eccentricity
 ratios return Fractions in lowest terms; nothing here ever touches a float,
-so extremality and uniqueness comparisons stay decidable.
+so extremality and uniqueness comparisons stay decidable. Every kind has one
+integer `kernel`: the ratios come out of it multiplied by lcm(1..n - 1), so
+scans fold ints and build one Fraction per reported value.
 
 Each index is classified as monotone decreasing or increasing under edge
 addition on connected graphs; `direction` exposes the registry.
@@ -12,7 +14,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from operator import mul
 
 from .errors import GraphSizeError
 from .graphs import Graph
@@ -35,6 +39,7 @@ class IndexKind(enum.Enum):
     ZAGREB_M2 = "zagreb_m2"
     MULT_ZAGREB_PI1 = "mult_zagreb_pi1"
     MULT_ZAGREB_PI2 = "mult_zagreb_pi2"
+
 
 
 ALL_KINDS: tuple[IndexKind, ...] = tuple(IndexKind)
@@ -76,14 +81,12 @@ def wiener(metrics: DistanceMetrics) -> int:
 
 def harary(metrics: DistanceMetrics) -> Fraction:
     """Sum of reciprocal distances over unordered vertex pairs."""
-    counts = metrics.pair_counts
-    return _ratio_sum(counts[1:], range(1, len(counts)))
+    return exact(IndexKind.HARARY, _scaled_harary(metrics), len(metrics.degree))
 
 
 def rdd(metrics: DistanceMetrics) -> Fraction:
     """Reciprocal degree distance: sum of (d(u)+d(v))/dist(u,v) over pairs."""
-    sums = metrics.degree_sums
-    return _ratio_sum(sums[1:], range(1, len(sums)))
+    return exact(IndexKind.RDD, _scaled_rdd(metrics), len(metrics.degree))
 
 
 def ecc_dist_sum(metrics: DistanceMetrics) -> int:
@@ -93,13 +96,13 @@ def ecc_dist_sum(metrics: DistanceMetrics) -> int:
 
 def conn_ecc(metrics: DistanceMetrics) -> Fraction:
     """Connective eccentricity: sum of degree/eccentricity over vertices."""
-    return _ratio_sum(metrics.degree, metrics.ecc)
+    return exact(IndexKind.CONN_ECC, _scaled_conn_ecc(metrics), len(metrics.degree))
 
 
 def adj_ecc_dist_sum(metrics: DistanceMetrics) -> Fraction:
     """Adjacent eccentric distance sum: eccentricity * transmission / degree."""
-    return _ratio_sum([e * t for e, t in zip(metrics.ecc, metrics.transmission)],
-                      metrics.degree)
+    return exact(IndexKind.ADJ_ECC_DIST_SUM, _scaled_adj_ecc_dist_sum(metrics),
+                 len(metrics.degree))
 
 
 def zagreb_m1(metrics: DistanceMetrics) -> int:
@@ -141,19 +144,59 @@ def mult_zagreb_pi2(metrics: DistanceMetrics) -> int:
     return p
 
 
-def _ratio_sum(nums, dens) -> Fraction:
-    """Exact sum of nums[i]/dens[i], as one Fraction built over the lcm of
-    the denominators and reduced once."""
-    # dens is a sequence, not a generator: a star-call on a generator grows
-    # its argument tuple by resizing, and CPython's tuple free lists then
-    # keep a few hundred kilobytes of those tuples alive (seen as peak RSS)
-    den = lcm(*dens)
-    return Fraction(sum(num * (den // d) for num, d in zip(nums, dens)), den)
+# The four rational kinds as integer kernels: each term divides by a distance,
+# degree or eccentricity, all in 1..n - 1, so the sums below are L * value
+# for L = value_scale(n), exactly, with no Fraction until the end.
+
+@cache
+def value_scale(n: int) -> int:
+    """L = lcm(1..n - 1), the common denominator of every rational index
+    on n vertices."""
+    return lcm(*range(1, n))
 
 
-def _degree_only_metrics(g: Graph) -> DistanceMetrics:
-    # enough structure for the four degree-based evaluators; distances unset
+@cache
+def _quotients(n: int) -> tuple[int, ...]:
+    """(0, L // 1, ..., L // (n - 1)) for L = value_scale(n); the 0 meets
+    the always-empty distance-0 entries of the pair sums."""
+    scale = value_scale(n)
+    return (0,) + tuple(scale // d for d in range(1, n))
+
+
+def _scaled_harary(metrics: DistanceMetrics) -> int:
+    return sum(map(mul, metrics.pair_counts, _quotients(len(metrics.degree))))
+
+
+def _scaled_rdd(metrics: DistanceMetrics) -> int:
+    return sum(map(mul, metrics.degree_sums, _quotients(len(metrics.degree))))
+
+
+def _scaled_conn_ecc(metrics: DistanceMetrics) -> int:
+    q = _quotients(len(metrics.degree))
+    return sum(d * q[e] for d, e in zip(metrics.degree, metrics.ecc))
+
+
+def _scaled_adj_ecc_dist_sum(metrics: DistanceMetrics) -> int:
+    q = _quotients(len(metrics.degree))
+    return sum(e * t * q[d] for e, t, d in zip(metrics.ecc, metrics.transmission,
+                                               metrics.degree))
+
+
+def degree_metrics(g: Graph) -> DistanceMetrics:
+    """Enough structure for the four degree-only kinds; distances unset."""
     return DistanceMetrics(adj=g.adj, transmission=None, ecc=None, degree=g.degrees())
+
+
+def kernel(kind: IndexKind):
+    """The one evaluator of `kind`: metrics -> int, the index itself for an
+    integer kind and `value_scale(n)` times it for a rational one, so a fold
+    over graphs of one order compares ints (`exact` gives the value back)."""
+    return _KERNELS[kind]
+
+
+def exact(kind: IndexKind, scaled: int, n: int) -> int | Fraction:
+    """The value of `kind` on n vertices from its `kernel` int."""
+    return scaled if kind in INTEGER_VALUED else Fraction(scaled, value_scale(n))
 
 
 def evaluate(kind: IndexKind, g: Graph,
@@ -167,17 +210,17 @@ def evaluate(kind: IndexKind, g: Graph,
     if g.n < 2:
         raise GraphSizeError(f"indices are defined for n >= 2 only, got n={g.n}")
     if metrics is None:
-        metrics = _degree_only_metrics(g) if kind in DEGREE_ONLY else compute_metrics(g)
-    return _EVALUATORS[kind](metrics)
+        metrics = degree_metrics(g) if kind in DEGREE_ONLY else compute_metrics(g)
+    return exact(kind, _KERNELS[kind](metrics), g.n)
 
 
-_EVALUATORS = {
+_KERNELS = {
     IndexKind.WIENER: wiener,
-    IndexKind.HARARY: harary,
-    IndexKind.RDD: rdd,
+    IndexKind.HARARY: _scaled_harary,
+    IndexKind.RDD: _scaled_rdd,
     IndexKind.ECC_DIST_SUM: ecc_dist_sum,
-    IndexKind.CONN_ECC: conn_ecc,
-    IndexKind.ADJ_ECC_DIST_SUM: adj_ecc_dist_sum,
+    IndexKind.CONN_ECC: _scaled_conn_ecc,
+    IndexKind.ADJ_ECC_DIST_SUM: _scaled_adj_ecc_dist_sum,
     IndexKind.ZAGREB_M1: zagreb_m1,
     IndexKind.ZAGREB_M2: zagreb_m2,
     IndexKind.MULT_ZAGREB_PI1: mult_zagreb_pi1,

@@ -37,7 +37,8 @@ from .graphs import (MAX_VERTICES, CanonicalCode, Graph, _canonical_search,
                      _symmetric_graph, _twin_groups, add_edge, canonical_form,
                      code_to_adj, code_to_graph, connected_mask, pair_count,
                      parse_graph6, to_graph6)
-from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
+from .indices import (ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, degree_metrics,
+                      direction, evaluate, exact, kernel)
 from .metrics import compute_metrics
 from .partiteness import ClassParams, partiteness_within
 
@@ -313,12 +314,12 @@ def _scan(source, params, kinds, canon=None) -> dict:
     and every kind, from one pass over `source`, which yields (graph,
     labelled count, optimizer item) for connected graphs on n vertices.
 
-    Each graph gets its values once and, per k, one membership search over
-    the requested m of that k; the values fold into the `Extremum` of the
+    Each graph gets its `kernel` ints once and, per k, one membership search
+    over the requested m of that k; the ints fold into the `Extremum` of the
     least such m that admits the graph, and the report for m merges the
-    folds of every m' <= m. `canon` maps optimizer items to canonical codes
-    when they are not codes. No class, no kind, or a class without a member
-    is an InvalidParamsError.
+    folds of every m' <= m and turns its two extremes back into values.
+    `canon` maps optimizer items to canonical codes when they are not codes.
+    No class, no kind, or a class without a member is an InvalidParamsError.
     """
     kinds = tuple(kind for kind in ALL_KINDS if kind in set(kinds))
     if not params or not kinds:
@@ -331,6 +332,7 @@ def _scan(source, params, kinds, canon=None) -> dict:
                 {p.m: [Extremum() for _ in kinds] for p in ps})
                for k, ps in by_k.items()]
     need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
+    kernels = [kernel(kind) for kind in kinds]
     for g, labelled, item in source:
         vals = None
         for k, ms, counts, folds in budgets:
@@ -338,8 +340,8 @@ def _scan(source, params, kinds, canon=None) -> dict:
             if least is None:
                 continue
             if vals is None:
-                metrics = compute_metrics(g) if need_metrics else None
-                vals = [evaluate(kind, g, metrics) for kind in kinds]
+                metrics = compute_metrics(g) if need_metrics else degree_metrics(g)
+                vals = [f(metrics) for f in kernels]
             counts[least] += labelled
             for ext, val in zip(folds[least], vals):
                 ext.add(val, item)
@@ -355,6 +357,7 @@ def _scan(source, params, kinds, canon=None) -> dict:
                 ext.merge(fold)
                 lowest = kind in _MINIMIZED
                 optimum, items = ext.toward(lowest)
+                optimum = exact(kind, optimum, p.n)
                 codes = frozenset(map(canon, items) if canon else items)
                 reports[(p, kind)] = ExtremalReport(
                     params=p,
@@ -364,7 +367,7 @@ def _scan(source, params, kinds, canon=None) -> dict:
                     class_size=class_size,
                     matches_construction=codes == {ghat},
                     matches_closed_form=optimum == closed_form(kind, p).value,
-                    opposite=ext.toward(not lowest)[0],
+                    opposite=exact(kind, ext.toward(not lowest)[0], p.n),
                 )
     return reports
 
@@ -452,18 +455,23 @@ def family_optima(params: ClassParams, kinds=ALL_KINDS) -> dict:
 
     Iterates all compositions of n - m into at most k nonempty parts (a part
     count below k is the same as allowing empty parts), and builds and
-    measures each member once for all kinds. Returns {kind: (optimum,
-    [sorted size lists attaining it])}.
+    measures each member once for all kinds, folding `kernel` ints.
+    Returns {kind: (optimum, [sorted size lists attaining it])}.
     """
     kinds = tuple(kinds)
     need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
+    kernels = [kernel(kind) for kind in kinds]
     exts = [Extremum() for _ in kinds]
     for sizes in _partitions_at_most(params.n - params.m, params.k):
         g = join_family_graph(params.m, sizes)
-        metrics = compute_metrics(g) if need_metrics else None
-        for kind, ext in zip(kinds, exts):
-            ext.add(evaluate(kind, g, metrics), sizes)
-    return {kind: ext.toward(kind in _MINIMIZED) for kind, ext in zip(kinds, exts)}
+        metrics = compute_metrics(g) if need_metrics else degree_metrics(g)
+        for f, ext in zip(kernels, exts):
+            ext.add(f(metrics), sizes)
+    optima = {}
+    for kind, ext in zip(kinds, exts):
+        value, tied = ext.toward(kind in _MINIMIZED)
+        optima[kind] = (exact(kind, value, params.n), tied)
+    return optima
 
 
 def family_scan(params: ClassParams, kind: IndexKind):

@@ -19,8 +19,9 @@ the construction. Scan-backed claims read every class and kind from one
 exhaustive catalogue pass per n per run, shared by all of them; the
 direction claim reads the class minimum off the same reducer that gives the
 optimum. Within one run each construction and each join-family member is
-evaluated once. No verdict, report or value outlives the run; only the
-catalogue levels stay cached in `vklab.search`.
+evaluated once, and each printed closed form is computed once. No verdict,
+report or value outlives the run; only the catalogue levels stay cached in
+`vklab.search`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParamsError
-from .extremal import (EVEN, ODD, closed_form, closed_form_bipartite, extremal_graph,
-                       join_family_graph)
+from .extremal import (EVEN, ODD, ClosedFormValue, closed_form, closed_form_bipartite,
+                       extremal_graph, join_family_graph)
 from .graphs import canonical_form
 from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
 from .metrics import compute_metrics
@@ -153,12 +154,13 @@ def verify_claims(grids: dict, workers: int = 1) -> list[VerificationReport]:
     outlives it (only `vklab.search` keeps its catalogue levels): each
     balanced construction is built and measured once per class, the
     catalogue is scanned once per n for every class and kind the scan-backed
-    claims ask for, and each join-family member of a class is evaluated once
-    for all kinds. Every claim id, grid and `workers` is checked before any
-    of that work: an unknown claim, an empty grid (certifying nothing is not
-    a pass), a corollary grid with k != 2 or workers < 1 is an
-    InvalidParamsError, and a scan-backed grid outside the scan range a
-    SizeCapError.
+    claims ask for, each join-family member of a class is evaluated once
+    for all kinds, and each (class, kind) closed form of the formula and
+    corollary claims is computed once. Every claim id, grid and `workers`
+    is checked before any of that work: an unknown claim, an empty grid
+    (certifying nothing is not a pass), a corollary grid with k != 2 or
+    workers < 1 is an InvalidParamsError, and a scan-backed grid outside
+    the scan range a SizeCapError.
     """
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
@@ -181,10 +183,15 @@ def verify_claims(grids: dict, workers: int = 1) -> list[VerificationReport]:
     built: dict = {}    # params -> kinds valued on the balanced construction
     scanned: dict = {}  # n -> (classes, kinds) of its one catalogue pass
     family: dict = {}   # params -> kinds optimised over the join family
+    printed: dict = {}  # (params, kind) -> closed form of a formula or corollary claim
     for claim, grid in jobs:
         kinds = _claim_kinds(claim)
         for p in grid:
-            if claim in _SCAN_CLAIMS:
+            if claim not in _SCAN_CLAIMS:
+                (kind,) = kinds
+                if (p, kind) not in printed:
+                    printed[p, kind] = closed_form(kind, p)
+            else:
                 classes, scan_kinds = scanned.setdefault(p.n, (set(), set()))
                 classes.add(p)
                 scan_kinds.update(kinds)
@@ -208,11 +215,13 @@ def verify_claims(grids: dict, workers: int = 1) -> list[VerificationReport]:
     for claim, grid in jobs:
         if claim in _FORMULA_CLAIMS:
             kind, desc = _FORMULA_CLAIMS[claim]
-            verdicts = [_check_formula(kind, p, values[p, kind]) for p in grid]
+            verdicts = [_check_formula(kind, p, printed[p, kind], values[p, kind])
+                        for p in grid]
         elif claim in _COROLLARY_CLAIMS:
             kind = _COROLLARY_CLAIMS[claim]
             desc = f"bipartite-case corollary for {kind.value}"
-            verdicts = [_check_corollary(kind, p, values[p, kind]) for p in grid]
+            verdicts = [_check_corollary(kind, p, printed[p, kind], values[p, kind])
+                        for p in grid]
         elif claim in _STRUCTURE_CLAIMS:
             desc, kinds = _SCAN_CLAIMS[claim]
             verdicts = [_check_structure(reports[p, kind], optima[p][kind], family_codes)
@@ -234,9 +243,10 @@ def _claim_kinds(claim: str) -> tuple[IndexKind, ...]:
     return _SCAN_CLAIMS[claim][1]
 
 
-def _check_formula(kind: IndexKind, params: ClassParams, oracle) -> ClaimVerdict:
-    """`oracle` is the index evaluated on the balanced construction."""
-    printed = closed_form(kind, params)
+def _check_formula(kind: IndexKind, params: ClassParams, printed: ClosedFormValue,
+                   oracle) -> ClaimVerdict:
+    """`printed` is the closed form of the claim, `oracle` the index
+    evaluated on the balanced construction."""
     if printed.value == oracle:
         return ClaimVerdict(params=params, kind=kind, verdict=CONFIRMED,
                             expected=printed.value, actual=oracle)
@@ -252,11 +262,13 @@ def _check_formula(kind: IndexKind, params: ClassParams, oracle) -> ClaimVerdict
                              "on the construction")
 
 
-def _check_corollary(kind: IndexKind, params: ClassParams, oracle) -> ClaimVerdict:
-    """`oracle` is the index evaluated on the balanced construction."""
+def _check_corollary(kind: IndexKind, params: ClassParams, theorem: ClosedFormValue,
+                     oracle) -> ClaimVerdict:
+    """`theorem` is the general closed form at the same class, `oracle`
+    the index evaluated on the balanced construction."""
     parity = EVEN if (params.n - params.m) % 2 == 0 else ODD
     printed = closed_form_bipartite(kind, params.n, params.m)
-    theorem_value = closed_form(kind, params).value
+    theorem_value = theorem.value
     note_parity = f"{parity} case (n - m = {params.n - params.m})"
     if printed.value == oracle:
         return ClaimVerdict(params=params, kind=kind, verdict=CONFIRMED,

@@ -2,6 +2,7 @@
 agreement, and the exit-code contract (0 confirmed, 2 findings, 1 error)."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,8 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vklab
+from vklab import cli
 from vklab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -367,6 +371,72 @@ def test_errata_ledger_is_frozen(capsys, scan_nmax):
     assert ledger_text(json.loads(out)) == want
 
 
+def test_verify_json_bytes_are_frozen(capsys):
+    """The ledger JSON byte for byte, not only as parsed: spacing, key order
+    and escaping may not drift either."""
+    code, out, _ = run(capsys, "verify", "--claim", "all", "--nmax", "8",
+                       "--scan-nmax", "5", "--format", "json")
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3d0883fdaf6a50fb1810802f3be8df6b067653944a78dcf6bb2d4ea7f30d7c1c")
+
+
+def test_verify_claim_ids_are_case_insensitive(capsys):
+    """`ALL` is `all`, and a claim is echoed under its canonical id."""
+    argv = ["--nmax", "5", "--scan-nmax", "4", "--format", "csv"]
+    assert (run(capsys, "verify", "--claim", "ALL", *argv)
+            == run(capsys, "verify", "--claim", "all", *argv))
+    code, out, _ = run(capsys, "verify", "--claim", "THM4.1", "--format", "json")
+    assert code == 0 and [env["claim"] for env in json.loads(out)] == ["thm4.1"]
+    _, out, _ = run(capsys, "verify", "--claim", "Cor4.2", "--nmax", "5")
+    assert {line.split()[0] for line in out.splitlines()} == {"cor4.2"}
+
+
+# text with JSON's own punctuation, escapes and non-ASCII, plus anything else
+_json_text_values = st.text(
+    st.sampled_from('"\\[]{},: \n\té漢\U0001f600\x00') | st.characters(), max_size=8)
+_json_scalars = (_json_text_values | st.integers(-10**40, 10**40) | st.booleans()
+                 | st.none())
+_json_keys = _json_text_values | st.integers() | st.booleans() | st.none() | st.floats()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_writer_is_json_dumps(obj):
+    """Nested dicts, lists and tuples, empty ones at any depth included."""
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_without_the_c_encoder(monkeypatch):
+    def no_c_encoder(depth):
+        raise AssertionError("the C encoder was used")
+
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_depth_encoder", no_c_encoder)
+    obj = [{"a": [1, {"b": ()}], "c": 'é"]', 2: None}, [], "x"]
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    [{"flags": {"x": Fraction(1, 2)}}],         # in a container C encodes
+    [{"flags": {"x": [1]}, "y": Fraction(1, 2)}],  # in a container walked here
+    [{Fraction(1, 2): [1]}],                     # as a key walked here
+    Fraction(1, 2),
+])
+def test_json_writer_refuses_what_json_refuses(obj):
+    """A value `json` cannot write, a Fraction leaking into an envelope say,
+    is the same TypeError."""
+    with pytest.raises(TypeError, match="Fraction"):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError, match="Fraction"):
+        cli._json_text(obj)
+
+
 def test_json_schema_keys_are_stable(capsys):
     _, out, _ = run(capsys, "scan", "--n", "5", "--m", "1", "--k", "2",
                     "--kind", "all", "--format", "json")
@@ -392,13 +462,15 @@ def _text_value(s):
 
 
 def test_csv_and_json_values_agree(capsys):
-    argv = ["index", "--graph6", "EF~w", "--kind", "all"]
-    _, jout, _ = run(capsys, *argv, "--format", "json")
-    _, cout, _ = run(capsys, *argv, "--format", "csv")
-    jvals = [(r["kind"], _json_value(r["optimum"])) for r in json.loads(jout)]
-    cvals = [(r["kind"], _text_value(r["value"]))
-             for r in csv.DictReader(io.StringIO(cout))]
-    assert jvals == cvals
+    """`index` and `vk` build each format on its own; the values agree."""
+    for argv in (["index", "--graph6", "EF~w", "--kind", "all"],
+                 ["vk", "--graph6", "EF~w", "--k", "2"]):
+        _, jout, _ = run(capsys, *argv, "--format", "json")
+        _, cout, _ = run(capsys, *argv, "--format", "csv")
+        jvals = [(r["kind"], _json_value(r["optimum"])) for r in json.loads(jout)]
+        cvals = [(r.get("kind"), _text_value(r["value"]))
+                 for r in csv.DictReader(io.StringIO(cout))]
+        assert jvals == cvals
 
 
 def test_out_writes_file(tmp_path, capsys):

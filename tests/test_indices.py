@@ -2,13 +2,14 @@
 monotonicity directions, and label invariance."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from vklab import (ALL_KINDS, DisconnectedGraphError, Direction, IndexKind,
                    complete_graph, complete_multipartite, compute_metrics,
                    direction, empty_graph, evaluate, join, path_graph, permute)
-from vklab.indices import INTEGER_VALUED
+from vklab.indices import INTEGER_VALUED, exact, kernel, value_scale
 
 from conftest import brute_index, random_connected
 
@@ -122,6 +123,24 @@ def test_exactness_types(rng):
                 assert isinstance(val, int)
             else:
                 assert isinstance(val, Fraction) and val.denominator >= 1
+
+
+def test_each_kind_has_one_integer_kernel(rng):
+    """The kernel is the value of an integer kind and lcm(1..n - 1) times
+    the value of a rational one, against the pair-by-pair oracle; `exact`
+    turns it back into an int or a Fraction."""
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        g = random_connected(rng, n)
+        metrics = compute_metrics(g)
+        assert value_scale(n) == lcm(*range(1, n))
+        for kind in ALL_KINDS:
+            scaled = kernel(kind)(metrics)
+            scale = 1 if kind in INTEGER_VALUED else value_scale(n)
+            assert isinstance(scaled, int) and scaled == brute_index(kind, g) * scale
+            value = exact(kind, scaled, n)
+            assert value == brute_index(kind, g)
+            assert isinstance(value, int if kind in INTEGER_VALUED else Fraction)
 
 
 def test_label_invariance(rng):

@@ -160,8 +160,9 @@ def test_verify_claims_equals_one_claim_at_a_time(workers):
 
 def test_verify_claims_evaluates_each_graph_once(monkeypatch):
     """One BFS per scanned catalogue member per n, per distinct construction
-    and per join-family member, and one build per construction; a cold
-    second run repeats exactly the same counts."""
+    and per join-family member, one build per construction, and one printed
+    closed form per (class, kind) of the formula and corollary claims; a
+    cold second run repeats exactly the same counts."""
     calls = Counter()
 
     def counting(name, fn):
@@ -175,11 +176,16 @@ def test_verify_claims_evaluates_each_graph_once(monkeypatch):
         monkeypatch.setattr(module, "compute_metrics", metrics)
     monkeypatch.setattr(verify, "extremal_graph",
                         counting("extremal_graph", verify.extremal_graph))
+    monkeypatch.setattr(verify, "closed_form", counting("closed_form", verify.closed_form))
     grids = {"thm4.1": _grid(4, 6, (2, 3)), "cor4.2": _grid(4, 6),
+             "thm4.2": _grid(4, 5, (2, 3)),
              "thm4.6-direction": _grid(4, 5, (2, 3)), "thm3.1": _grid(4, 5, (2, 3)),
              "thm3.2": _grid(5, 5, (2,))}
-    constructions = {p for claim in ("thm4.1", "cor4.2", "thm4.6-direction")
+    constructions = {p for claim in ("thm4.1", "cor4.2", "thm4.2", "thm4.6-direction")
                      for p in grids[claim]}
+    # thm4.2 and cor4.2 print the same Harary form at their common k = 2 classes
+    printed = {(p, verify._claim_kinds(claim)) for claim in ("thm4.1", "cor4.2", "thm4.2")
+               for p in grids[claim]}
     scanned = grids["thm4.6-direction"] + grids["thm3.1"] + grids["thm3.2"]
     members = sum(1 for n in {p.n for p in scanned} for entry in catalogue(n)
                   if any(vertex_k_partiteness(entry.graph, p.k) <= p.m
@@ -187,7 +193,7 @@ def test_verify_claims_evaluates_each_graph_once(monkeypatch):
     family = sum(len(list(_partitions_at_most(p.n - p.m, p.k)))
                  for p in set(grids["thm3.1"] + grids["thm3.2"]))
     want = Counter(compute_metrics=members + len(constructions) + family,
-                   extremal_graph=len(constructions))
+                   extremal_graph=len(constructions), closed_form=len(printed))
     for _ in range(2):
         clear_sweep_cache()
         calls.clear()
