@@ -14,19 +14,28 @@ rationals are {num, den} objects in JSON and "p/q" strings elsewhere, never
 floats. Exit status: 0 all claims confirmed, 2 refutations/violations found
 (CI can gate on errata), 1 operational or usage error.
 
-JSON is exactly `json.dumps(envelopes, indent=2)`, but CPython's json uses
-its C encoder only without `indent`, so `_json_text` hands every container
-that holds no nonempty container (a verdict's params, an {num, den} value)
-to the C encoder in one call and walks only the levels above in Python;
-on the 514 KB verify ledger that is about 40% less time than json.dumps.
-Each command builds only the records its `--format` renders.
+Reports are written record by record, each as soon as it is rendered, so
+no report is ever held whole as text. JSON is exactly
+`json.dumps(envelopes, indent=2)` plus a newline: "[", then each envelope
+as `_json_text` renders it one level in, joined by ",", newline and indent,
+then "]" ("[]" when there are none). CPython's json uses its C encoder only
+without `indent`, so `_json_text` hands every container that holds no
+nonempty container (a verdict's params, an {num, den} value) to the C
+encoder in one call and walks only the levels above in Python; on the
+514 KB verify ledger that is about 40% less time than json.dumps. CSV goes
+through one `csv.writer` on the output, plain text row by row.
+
+Every command finishes its computation, and `index`/`vk` build all their
+records, before the output is opened, so an error is one `error:` line and
+nothing written. `verify` builds each claim's envelope or rows only when it
+is written, and each command builds only the records its `--format` renders.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -91,20 +100,23 @@ def _depth_encoder(depth: int):
     return encoder
 
 
-def _json_text(obj) -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, mostly in C.
+def _json_text(obj, depth: int = 0) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, mostly in C, with every
+    line after the first indented `depth` levels more: obj as an item at
+    that depth of an enclosing text.
 
     A container that holds no nonempty container goes to the C encoder in
     one call, with the newline and indent of its items as the item
     separator; only the levels above such containers are walked here.
-    Without the C encoder this is json.dumps itself.
+    Without the C encoder this is json.dumps itself (a JSON string holds
+    no raw newline, so each newline it writes starts a line).
     """
     if c_make_encoder is None:
-        return json.dumps(obj, indent=2)
-    # `obj` as the one item of a list at depth -1: "[", "\n", obj's chunks,
-    # then "\n", "", "]"
+        return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+    # `obj` as the one item of a list at depth - 1: "[", "\n" and indent,
+    # obj's chunks, then "\n", indent, "]"
     out: list = []
-    _json_items([obj], -1, out)
+    _json_items([obj], depth - 1, out)
     return "".join(out[2:-3])
 
 
@@ -147,22 +159,21 @@ def _json_key(key) -> str:
 
 
 def _emit(records, header, fmt, out):
-    """Render one report batch: envelopes for JSON, rows for plain/CSV."""
-    if fmt == "json":
-        text = _json_text(records) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(records)
-        text = buf.getvalue()
-    else:
-        text = "".join("  ".join(str(c) for c in row) + "\n" for row in records)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write one report batch record by record, each as soon as it is
+    rendered: envelopes for JSON, rows for plain/CSV."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "json":  # json.dumps(list(records), indent=2) + "\n"
+            sep = "[\n  "
+            for record in records:
+                fh.write(sep + _json_text(record, 1))
+                sep = ",\n  "
+            fh.write("[]\n" if sep == "[\n  " else "\n]\n")
+        elif fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(records)
+        else:
+            fh.writelines("  ".join(map(str, row)) + "\n" for row in records)
 
 
 def _input_graphs(args):
@@ -263,7 +274,7 @@ def _cmd_scan(args) -> int:
             "matches_closed_form": report.matches_closed_form,
             "unique_optimizer": len(report.optimizer_codes) == 1,
         }
-        if not (report.matches_construction and report.matches_closed_form):
+        if not (flags["matches_construction"] and flags["matches_closed_form"]):
             findings = True
         records.append(
             _envelope("scan",
@@ -286,37 +297,32 @@ def _cmd_verify(args) -> int:
     k_values = tuple(range(2, args.kmax + 1))
     grids = {claim: claim_grid(claim, args.nmax, k_values, args.scan_nmax)
              for claim in claims}
-    as_json = args.format == "json"
-    records = []
-    any_refuted = False
+    reports = verify_claims(grids, workers=args.workers)
+    code = 2 if any(report.counts[REFUTED] for report in reports) else 0
+    # each claim's envelope or rows are built only as they are written;
     # report.claim is the canonical (lower-case) id, whatever the case typed
-    for report in verify_claims(grids, workers=args.workers):
-        counts = report.counts
-        if counts[REFUTED]:
-            any_refuted = True
-        if not as_json:
-            records += ([report.claim, v.params.n, v.params.m, v.params.k,
-                         v.kind.value if v.kind else "", v.verdict,
-                         _value_text(v.expected), _value_text(v.actual), v.note]
-                        for v in report.verdicts)
-            continue
-        records.append(_envelope(
+    if args.format == "json":
+        records = (_envelope(
             report.claim,
             params={"n_max": args.nmax, "k_values": list(k_values)},
-            flags={"confirmed": counts["confirmed"],
-                   "refuted": counts["refuted"],
-                   "regime_flagged": counts["regime_flagged"]},
+            flags=report.counts,
             verdicts=[{"params": {"n": v.params.n, "m": v.params.m, "k": v.params.k},
                        "kind": v.kind.value if v.kind else None,
                        "verdict": v.verdict,
                        "expected": _value_json(v.expected),
                        "actual": _value_json(v.actual),
                        "note": v.note}
-                      for v in report.verdicts]))
+                      for v in report.verdicts])
+            for report in reports)
+    else:
+        records = ([report.claim, v.params.n, v.params.m, v.params.k,
+                    v.kind.value if v.kind else "", v.verdict,
+                    _value_text(v.expected), _value_text(v.actual), v.note]
+                   for report in reports for v in report.verdicts)
     _emit(records,
           ["claim", "n", "m", "k", "kind", "verdict", "expected", "actual", "note"],
           args.format, args.out)
-    return 2 if any_refuted else 0
+    return code
 
 
 def _cmd_fuzz(args) -> int:

@@ -82,8 +82,13 @@ class ExtremalReport:
     optimizer_codes: frozenset[CanonicalCode]
     class_size: int
     matches_construction: bool
-    matches_closed_form: bool
     opposite: int | Fraction
+
+    @property
+    def matches_closed_form(self) -> bool:
+        """Whether the optimum is the paper's printed closed form for the
+        class; computed on each read, as only the `scan` command reports it."""
+        return self.optimum == closed_form(self.kind, self.params).value
 
     def optimizer_graph6(self) -> list[str]:
         """graph6 of each optimizer under its canonical labelling, sorted."""
@@ -366,7 +371,6 @@ def _scan(source, params, kinds, canon=None) -> dict:
                     optimizer_codes=codes,
                     class_size=class_size,
                     matches_construction=codes == {ghat},
-                    matches_closed_form=optimum == closed_form(kind, p).value,
                     opposite=exact(kind, ext.toward(not lowest)[0], p.n),
                 )
     return reports

@@ -8,11 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vklab
@@ -412,12 +415,13 @@ def test_json_writer_is_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
-def test_json_writer_without_the_c_encoder(monkeypatch):
-    def no_c_encoder(depth):
-        raise AssertionError("the C encoder was used")
+def _no_c_encoder(depth):
+    raise AssertionError("the C encoder was used")
 
+
+def test_json_writer_without_the_c_encoder(monkeypatch):
     monkeypatch.setattr(cli, "c_make_encoder", None)
-    monkeypatch.setattr(cli, "_depth_encoder", no_c_encoder)
+    monkeypatch.setattr(cli, "_depth_encoder", _no_c_encoder)
     obj = [{"a": [1, {"b": ()}], "c": 'é"]', 2: None}, [], "x"]
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
@@ -435,6 +439,112 @@ def test_json_writer_refuses_what_json_refuses(obj):
         json.dumps(obj, indent=2)
     with pytest.raises(TypeError, match="Fraction"):
         cli._json_text(obj)
+
+
+def _emitted(records, header, fmt) -> str:
+    with redirect_stdout(io.StringIO()) as buf:
+        cli._emit(records, header, fmt, None)
+    return buf.getvalue()
+
+
+def _generator(records):
+    yield from records
+
+
+_RECORD_PASSING = pytest.mark.parametrize("passed", [list, _generator])
+
+
+@_RECORD_PASSING
+@pytest.mark.parametrize("c_make_encoder,depth_encoder",
+                         [(cli.c_make_encoder, cli._depth_encoder), (None, _no_c_encoder)],
+                         ids=["c", "python"])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_json_values, max_size=6))
+@example([])
+@example([{"a": [1, {"b": ()}], "c": 'é"]'}])
+def test_streamed_json_is_json_dumps(passed, c_make_encoder, depth_encoder, records):
+    """Records written one at a time, from a list or a generator, are the
+    bytes of the whole list rendered at once, with or without C."""
+    with mock.patch.multiple(cli, c_make_encoder=c_make_encoder,
+                             _depth_encoder=depth_encoder):
+        text = _emitted(passed(records), [], "json")
+    assert text == json.dumps(records, indent=2) + "\n"
+
+
+def _joined_csv(records, header) -> str:
+    """Reference renderer: the whole CSV text built at once, then returned."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(records)
+    return buf.getvalue()
+
+
+def _joined_plain(records) -> str:
+    """Reference renderer: the whole plain text as one join."""
+    return "".join("  ".join(str(c) for c in row) + "\n" for row in records)
+
+
+_cells = (st.text(st.sampled_from(',"\'\n\r\t é') | st.characters(), max_size=6)
+          | st.integers() | st.booleans() | st.none())
+
+
+@_RECORD_PASSING
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_cells, max_size=5), max_size=6),
+       st.lists(st.text(max_size=4), max_size=4))
+@example([], ["line", "value"])
+def test_streamed_csv_and_plain_are_the_joined_text(passed, rows, header):
+    assert _emitted(passed(rows), header, "csv") == _joined_csv(rows, header)
+    assert _emitted(passed(rows), header, "plain") == _joined_plain(rows)
+
+
+def test_json_ledger_is_written_in_bounded_memory(tmp_path, monkeypatch):
+    """Writing the verify JSON ledger allocates less than the text it
+    writes: each claim's envelope is built and rendered only when it is
+    written, and the report is never held whole as text."""
+    emit, peaks = cli._emit, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emit(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", traced)
+    target = tmp_path / "ledger.json"
+    assert main(["verify", "--claim", "all", "--nmax", "8", "--scan-nmax", "5",
+                 "--format", "json", "--out", str(target)]) == 2
+    (peak,) = peaks
+    size = target.stat().st_size
+    assert peak < size, f"{peak} bytes allocated to write {size}"
+
+
+def test_out_into_a_missing_directory_is_an_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "ledger.json"
+    code, out, err = run(capsys, "verify", "--claim", "thm4.1", "--nmax", "5",
+                         "--format", "json", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_strict_corpus_error_writes_no_file(tmp_path, capsys, fmt):
+    """Every record is built before the output is opened, so a bad line
+    anywhere in the corpus leaves no partial report behind."""
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("A_\ngarbage!\n")
+    target = tmp_path / "report"
+    code, out, err = run(capsys, "index", "--file", str(corpus), "--format", fmt,
+                         "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_json_schema_keys_are_stable(capsys):

@@ -160,9 +160,10 @@ def test_verify_claims_equals_one_claim_at_a_time(workers):
 
 def test_verify_claims_evaluates_each_graph_once(monkeypatch):
     """One BFS per scanned catalogue member per n, per distinct construction
-    and per join-family member, one build per construction, and one printed
-    closed form per (class, kind) of the formula and corollary claims; a
-    cold second run repeats exactly the same counts."""
+    and per join-family member, one build per construction, one printed
+    closed form per (class, kind) of the formula and corollary claims, and
+    none for the scan reports, whose closed-form match verify never reads;
+    a cold second run repeats exactly the same counts."""
     calls = Counter()
 
     def counting(name, fn):
@@ -177,6 +178,8 @@ def test_verify_claims_evaluates_each_graph_once(monkeypatch):
     monkeypatch.setattr(verify, "extremal_graph",
                         counting("extremal_graph", verify.extremal_graph))
     monkeypatch.setattr(verify, "closed_form", counting("closed_form", verify.closed_form))
+    monkeypatch.setattr(search, "closed_form",
+                        counting("scan_closed_form", search.closed_form))
     grids = {"thm4.1": _grid(4, 6, (2, 3)), "cor4.2": _grid(4, 6),
              "thm4.2": _grid(4, 5, (2, 3)),
              "thm4.6-direction": _grid(4, 5, (2, 3)), "thm3.1": _grid(4, 5, (2, 3)),
@@ -193,7 +196,8 @@ def test_verify_claims_evaluates_each_graph_once(monkeypatch):
     family = sum(len(list(_partitions_at_most(p.n - p.m, p.k)))
                  for p in set(grids["thm3.1"] + grids["thm3.2"]))
     want = Counter(compute_metrics=members + len(constructions) + family,
-                   extremal_graph=len(constructions), closed_form=len(printed))
+                   extremal_graph=len(constructions), closed_form=len(printed),
+                   scan_closed_form=0)
     for _ in range(2):
         clear_sweep_cache()
         calls.clear()
