@@ -18,13 +18,11 @@ from .graphs import (CanonicalCode, Graph, add_edge, canonical_form, canonical_g
                      empty_graph, from_edges, induced_subgraph, is_connected,
                      is_isomorphic, join, parse_graph6, path_graph, permute,
                      to_graph6)
-from .indices import (ALL_KINDS, Direction, IndexKind, adj_ecc_dist_sum, conn_ecc,
-                      direction, ecc_dist_sum, evaluate, harary, mult_zagreb_pi1,
-                      mult_zagreb_pi2, rdd, wiener, zagreb_m1, zagreb_m2)
+from .indices import ALL_KINDS, Direction, IndexKind, direction, evaluate
 from .metrics import DistanceMetrics, compute_metrics
 from .partiteness import ClassParams, in_class, is_k_partite, vertex_k_partiteness
-from .search import (ExtremalReport, FuzzReport, family_scan, load_graph6_corpus,
-                     monotonicity_fuzz, scan_class, scan_corpus, scan_many)
+from .search import (ExtremalReport, FuzzReport, family_optima, load_graph6_corpus,
+                     monotonicity_fuzz, scan_catalogue, scan_corpus)
 from .verify import (ClaimVerdict, VerificationReport, known_claims, verify_claims,
                      verify_theorem)
 

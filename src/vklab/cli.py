@@ -25,10 +25,10 @@ encoder in one call and walks only the levels above in Python; on the
 514 KB verify ledger that is about 40% less time than json.dumps. CSV goes
 through one `csv.writer` on the output, plain text row by row.
 
-Every command finishes its computation, and `index`/`vk` build all their
-records, before the output is opened, so an error is one `error:` line and
-nothing written. `verify` builds each claim's envelope or rows only when it
-is written, and each command builds only the records its `--format` renders.
+Every command finishes its computation before the output is opened, so an
+error is one `error:` line and nothing written (`index` and `vk` keep one
+tuple of values per input graph until then). `index`, `vk` and `verify`
+build each envelope or row only as it is written, in the `--format` asked.
 """
 
 from __future__ import annotations
@@ -38,15 +38,15 @@ import contextlib
 import csv
 import json
 import sys
+from itertools import compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import VklabError
 from .extremal import extremal_graph, part_sizes
 from .graphs import is_connected, parse_graph6, to_graph6
-from .indices import ALL_KINDS, DEGREE_ONLY, IndexKind, evaluate
-from .metrics import compute_metrics
+from .indices import ALL_KINDS, DEGREE_ONLY, IndexKind, exact, kernel
 from .partiteness import ClassParams, vertex_k_partiteness
-from .search import monotonicity_fuzz, numbered_graph6, scan_many
+from .search import monotonicity_fuzz, numbered_graph6, scan_catalogue
 from .verify import REFUTED, claim_grid, known_claims, verify_claims
 
 _KIND_NAMES = {kind.value: kind for kind in ALL_KINDS}
@@ -209,35 +209,39 @@ def _selected_kinds(name: str) -> list[IndexKind]:
 
 def _cmd_index(args) -> int:
     kinds = _selected_kinds(args.kind)
-    need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
-    as_json = args.format == "json"
-    records = []
+    values = kernel(kinds)
+    # distance and eccentricity kinds are undefined on a disconnected graph
+    # (null in JSON, "undefined" in plain and CSV); the rest read degrees
+    degree_only = [kind in DEGREE_ONLY for kind in kinds]
+    degree_values = kernel(compress(kinds, degree_only)) if any(degree_only) else None
+    lines = []  # (label, graph6, values): every value before the output opens
     for label, g in _input_graphs(args):
-        g6 = to_graph6(g)
-        # distance and eccentricity kinds are undefined on a disconnected
-        # graph: null in JSON, "undefined" in plain and CSV
-        connected = is_connected(g)
-        # one BFS pass serves every kind; `evaluate` rejects n = 1 itself
-        metrics = compute_metrics(g) if need_metrics and connected and g.n >= 2 else None
-        for kind in kinds:
-            val = evaluate(kind, g, metrics) if connected or kind in DEGREE_ONLY else None
-            records.append(
-                _envelope("index", params={"line": label, "graph6": g6},
-                          kind=kind, optimum=val) if as_json else
-                [label, g6, kind.value, "undefined" if val is None else _value_text(val)])
+        if is_connected(g):
+            vals = values(g)
+        else:
+            found = iter(degree_values(g)) if degree_values else None
+            vals = [next(found) if d else None for d in degree_only]
+        lines.append((label, to_graph6(g), [
+            None if v is None else exact(kind, v, g.n) for kind, v in zip(kinds, vals)]))
+    if args.format == "json":
+        records = (_envelope("index", params={"line": label, "graph6": g6},
+                             kind=kind, optimum=val)
+                   for label, g6, vals in lines for kind, val in zip(kinds, vals))
+    else:
+        records = ([label, g6, kind.value, "undefined" if val is None else _value_text(val)]
+                   for label, g6, vals in lines for kind, val in zip(kinds, vals))
     _emit(records, ["line", "graph6", "kind", "value"], args.format, args.out)
     return 0
 
 
 def _cmd_vk(args) -> int:
-    as_json = args.format == "json"
-    records = []
-    for label, g in _input_graphs(args):
-        g6 = to_graph6(g)
-        v = vertex_k_partiteness(g, args.k)
-        records.append(
-            _envelope("vk", params={"line": label, "graph6": g6, "k": args.k}, optimum=v)
-            if as_json else [label, g6, args.k, v])
+    lines = [(label, to_graph6(g), vertex_k_partiteness(g, args.k))
+             for label, g in _input_graphs(args)]
+    if args.format == "json":
+        records = (_envelope("vk", params={"line": label, "graph6": g6, "k": args.k},
+                             optimum=v) for label, g6, v in lines)
+    else:
+        records = ([label, g6, args.k, v] for label, g6, v in lines)
     _emit(records, ["line", "graph6", "k", "value"], args.format, args.out)
     return 0
 
@@ -265,9 +269,9 @@ def _cmd_scan(args) -> int:
     as_json = args.format == "json"
     records = []
     findings = False
-    reports = scan_many(params.n, params.k, (params.m,), kinds, workers=args.workers)
+    reports = scan_catalogue((params,), kinds, args.workers)
     for kind in kinds:
-        report = reports[(params.m, kind)]
+        report = reports[(params, kind)]
         optimizers = report.optimizer_graph6()
         flags = {
             "matches_construction": report.matches_construction,

@@ -2,9 +2,10 @@
 
 Integer-valued indices return plain ints, the four distance/eccentricity
 ratios return Fractions in lowest terms; nothing here ever touches a float,
-so extremality and uniqueness comparisons stay decidable. Every kind has one
-integer `kernel`: the ratios come out of it multiplied by lcm(1..n - 1), so
-scans fold ints and build one Fraction per reported value.
+so extremality and uniqueness comparisons stay decidable. `kernel(kinds)`
+is the one evaluator: one `compute_metrics` BFS per graph when some kind
+needs distances, else the degrees alone. Ratios come out times lcm(1..n - 1),
+so scans fold ints and build one Fraction per reported value.
 
 Each index is classified as monotone decreasing or increasing under edge
 addition on connected graphs; `direction` exposes the registry.
@@ -17,8 +18,9 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
-from .errors import GraphSizeError
+from .errors import GraphSizeError, InvalidParamsError
 from .graphs import Graph
 from .metrics import DistanceMetrics, compute_metrics
 
@@ -39,7 +41,6 @@ class IndexKind(enum.Enum):
     ZAGREB_M2 = "zagreb_m2"
     MULT_ZAGREB_PI1 = "mult_zagreb_pi1"
     MULT_ZAGREB_PI2 = "mult_zagreb_pi2"
-
 
 
 ALL_KINDS: tuple[IndexKind, ...] = tuple(IndexKind)
@@ -74,79 +75,9 @@ def direction(kind: IndexKind) -> Direction:
     return Direction.DECREASING if kind in _DECREASING else Direction.INCREASING
 
 
-def wiener(metrics: DistanceMetrics) -> int:
-    """Sum of distances over unordered vertex pairs."""
-    return sum(metrics.transmission) // 2
-
-
-def harary(metrics: DistanceMetrics) -> Fraction:
-    """Sum of reciprocal distances over unordered vertex pairs."""
-    return exact(IndexKind.HARARY, _scaled_harary(metrics), len(metrics.degree))
-
-
-def rdd(metrics: DistanceMetrics) -> Fraction:
-    """Reciprocal degree distance: sum of (d(u)+d(v))/dist(u,v) over pairs."""
-    return exact(IndexKind.RDD, _scaled_rdd(metrics), len(metrics.degree))
-
-
-def ecc_dist_sum(metrics: DistanceMetrics) -> int:
-    """Vertex form: sum over vertices of eccentricity times transmission."""
-    return sum(e * t for e, t in zip(metrics.ecc, metrics.transmission))
-
-
-def conn_ecc(metrics: DistanceMetrics) -> Fraction:
-    """Connective eccentricity: sum of degree/eccentricity over vertices."""
-    return exact(IndexKind.CONN_ECC, _scaled_conn_ecc(metrics), len(metrics.degree))
-
-
-def adj_ecc_dist_sum(metrics: DistanceMetrics) -> Fraction:
-    """Adjacent eccentric distance sum: eccentricity * transmission / degree."""
-    return exact(IndexKind.ADJ_ECC_DIST_SUM, _scaled_adj_ecc_dist_sum(metrics),
-                 len(metrics.degree))
-
-
-def zagreb_m1(metrics: DistanceMetrics) -> int:
-    """First Zagreb index: sum of squared degrees."""
-    return sum(d * d for d in metrics.degree)
-
-
-def zagreb_m2(metrics: DistanceMetrics) -> int:
-    """Second Zagreb index: sum of degree products over edges."""
-    deg = metrics.degree
-    total = 0
-    for u, row in enumerate(metrics.adj):
-        row = row >> (u + 1) << (u + 1)
-        du = deg[u]
-        while row:
-            v = (row & -row).bit_length() - 1
-            row &= row - 1
-            total += du * deg[v]
-    return total
-
-
-def mult_zagreb_pi1(metrics: DistanceMetrics) -> int:
-    """First multiplicative Zagreb index: product of squared degrees."""
-    p = 1
-    for d in metrics.degree:
-        p *= d
-    return p * p
-
-
-def mult_zagreb_pi2(metrics: DistanceMetrics) -> int:
-    """Second multiplicative Zagreb index, vertex form: product of d(u)^d(u).
-
-    Uses the 0^0 = 1 convention, reachable only through degree-only
-    evaluation of graphs with isolated vertices.
-    """
-    p = 1
-    for d in metrics.degree:
-        p *= d ** d
-    return p
-
-
-# The four rational kinds as integer kernels: each term divides by a distance,
-# degree or eccentricity, all in 1..n - 1, so the sums below are L * value
-# for L = value_scale(n), exactly, with no Fraction until the end.
+# One integer kernel per kind, metrics -> int: an integer kind's value, or
+# for a rational kind L * value, L = value_scale(n), exact because each term
+# divides by a distance, degree or eccentricity in 1..n - 1.
 
 @cache
 def value_scale(n: int) -> int:
@@ -163,35 +94,123 @@ def _quotients(n: int) -> tuple[int, ...]:
     return (0,) + tuple(scale // d for d in range(1, n))
 
 
+def _wiener(metrics: DistanceMetrics) -> int:
+    """Sum of distances over unordered vertex pairs."""
+    return sum(metrics.transmission) // 2
+
+
 def _scaled_harary(metrics: DistanceMetrics) -> int:
+    """L times the Harary index: sum of 1/dist(u, v) over unordered pairs."""
     return sum(map(mul, metrics.pair_counts, _quotients(len(metrics.degree))))
 
 
 def _scaled_rdd(metrics: DistanceMetrics) -> int:
+    """L times the reciprocal degree distance, sum of (d(u)+d(v))/dist(u,v)."""
     return sum(map(mul, metrics.degree_sums, _quotients(len(metrics.degree))))
 
 
+def _ecc_dist_sum(metrics: DistanceMetrics) -> int:
+    """Vertex form: sum over vertices of eccentricity times transmission."""
+    return sum(e * t for e, t in zip(metrics.ecc, metrics.transmission))
+
+
 def _scaled_conn_ecc(metrics: DistanceMetrics) -> int:
+    """L times the connective eccentricity: sum of degree/eccentricity."""
     q = _quotients(len(metrics.degree))
     return sum(d * q[e] for d, e in zip(metrics.degree, metrics.ecc))
 
 
 def _scaled_adj_ecc_dist_sum(metrics: DistanceMetrics) -> int:
+    """L times the adjacent eccentric distance sum: sum of ecc * D(u) / d(u)."""
     q = _quotients(len(metrics.degree))
     return sum(e * t * q[d] for e, t, d in zip(metrics.ecc, metrics.transmission,
                                                metrics.degree))
 
 
-def degree_metrics(g: Graph) -> DistanceMetrics:
-    """Enough structure for the four degree-only kinds; distances unset."""
-    return DistanceMetrics(adj=g.adj, transmission=None, ecc=None, degree=g.degrees())
+def _zagreb_m1(metrics) -> int:
+    """First Zagreb index: sum of squared degrees."""
+    return sum(d * d for d in metrics.degree)
 
 
-def kernel(kind: IndexKind):
-    """The one evaluator of `kind`: metrics -> int, the index itself for an
-    integer kind and `value_scale(n)` times it for a rational one, so a fold
-    over graphs of one order compares ints (`exact` gives the value back)."""
-    return _KERNELS[kind]
+def _zagreb_m2(metrics) -> int:
+    """Second Zagreb index: sum of degree products over edges."""
+    deg = metrics.degree
+    total = 0
+    for u, row in enumerate(metrics.adj):
+        row = row >> (u + 1) << (u + 1)
+        du = deg[u]
+        while row:
+            v = (row & -row).bit_length() - 1
+            row &= row - 1
+            total += du * deg[v]
+    return total
+
+
+def _mult_zagreb_pi1(metrics) -> int:
+    """First multiplicative Zagreb index: product of squared degrees."""
+    p = 1
+    for d in metrics.degree:
+        p *= d
+    return p * p
+
+
+def _mult_zagreb_pi2(metrics) -> int:
+    """Second multiplicative Zagreb index, vertex form: product of d(u)^d(u).
+
+    Uses the 0^0 = 1 convention, reachable only through degree-only
+    evaluation of graphs with isolated vertices.
+    """
+    p = 1
+    for d in metrics.degree:
+        p *= d ** d
+    return p
+
+
+_KERNELS = {
+    IndexKind.WIENER: _wiener,
+    IndexKind.HARARY: _scaled_harary,
+    IndexKind.RDD: _scaled_rdd,
+    IndexKind.ECC_DIST_SUM: _ecc_dist_sum,
+    IndexKind.CONN_ECC: _scaled_conn_ecc,
+    IndexKind.ADJ_ECC_DIST_SUM: _scaled_adj_ecc_dist_sum,
+    IndexKind.ZAGREB_M1: _zagreb_m1,
+    IndexKind.ZAGREB_M2: _zagreb_m2,
+    IndexKind.MULT_ZAGREB_PI1: _mult_zagreb_pi1,
+    IndexKind.MULT_ZAGREB_PI2: _mult_zagreb_pi2,
+}
+
+
+class _Degrees(NamedTuple):
+    """All that the degree-only kernels read of a graph."""
+    adj: tuple[int, ...]
+    degree: list[int]
+
+
+def kernel(kinds):
+    """The one evaluator of `kinds`: g -> [kernel int of each kind, in order],
+    so a fold over graphs of one order compares ints (`exact` gives each
+    value back). The kinds are checked and resolved once, here: none, or one
+    that is not an IndexKind, is an InvalidParamsError. The evaluator runs
+    one `compute_metrics` BFS when some kind needs distances (a disconnected
+    graph is then a DisconnectedGraphError), else reads the degrees alone; a
+    graph on fewer than 2 vertices is a GraphSizeError.
+    """
+    kinds = tuple(kinds)
+    if not kinds:
+        raise InvalidParamsError("no index kind requested")
+    for kind in kinds:
+        if kind not in _KERNELS:
+            raise InvalidParamsError(f"unknown index kind {kind!r}")
+    kernels = [_KERNELS[kind] for kind in kinds]
+    distances = not DEGREE_ONLY.issuperset(kinds)
+
+    def values(g: Graph) -> list[int]:
+        if g.n < 2:
+            raise GraphSizeError(f"indices are defined for n >= 2 only, got n={g.n}")
+        # compute_metrics is looked up at each call: a wrapper sees every BFS
+        metrics = compute_metrics(g) if distances else _Degrees(g.adj, g.degrees())
+        return [f(metrics) for f in kernels]
+    return values
 
 
 def exact(kind: IndexKind, scaled: int, n: int) -> int | Fraction:
@@ -201,28 +220,12 @@ def exact(kind: IndexKind, scaled: int, n: int) -> int | Fraction:
 
 def evaluate(kind: IndexKind, g: Graph,
              metrics: DistanceMetrics | None = None) -> int | Fraction:
-    """Evaluate one index on a graph, sharing a precomputed metrics object.
+    """Evaluate one index on a graph, sharing a precomputed metrics object
+    if one is passed (`kernel` evaluates several kinds at once).
 
     Distance and eccentricity kinds require a connected graph (raises
     DisconnectedGraphError otherwise); the four degree-only Zagreb kinds
     accept any simple graph with n >= 2.
     """
-    if g.n < 2:
-        raise GraphSizeError(f"indices are defined for n >= 2 only, got n={g.n}")
-    if metrics is None:
-        metrics = degree_metrics(g) if kind in DEGREE_ONLY else compute_metrics(g)
-    return exact(kind, _KERNELS[kind](metrics), g.n)
-
-
-_KERNELS = {
-    IndexKind.WIENER: wiener,
-    IndexKind.HARARY: _scaled_harary,
-    IndexKind.RDD: _scaled_rdd,
-    IndexKind.ECC_DIST_SUM: ecc_dist_sum,
-    IndexKind.CONN_ECC: _scaled_conn_ecc,
-    IndexKind.ADJ_ECC_DIST_SUM: _scaled_adj_ecc_dist_sum,
-    IndexKind.ZAGREB_M1: zagreb_m1,
-    IndexKind.ZAGREB_M2: zagreb_m2,
-    IndexKind.MULT_ZAGREB_PI1: mult_zagreb_pi1,
-    IndexKind.MULT_ZAGREB_PI2: mult_zagreb_pi2,
-}
+    scaled = kernel((kind,))(g)[0] if metrics is None else _KERNELS[kind](metrics)
+    return exact(kind, scaled, g.n)

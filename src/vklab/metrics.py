@@ -8,9 +8,9 @@ layer adds its pair count and degree sum to the per-distance totals. A BFS
 stops once every vertex is seen: the last layer's degree sum is the total
 degree less the layers before it. No per-pair rows are written.
 
-Metrics are computed once per graph and passed around; evaluators never
-recompute them. Only connected graphs have metrics: disconnected input is
-an error, not an infinity convention.
+Metrics are computed once per graph, by `indices.kernel` for all the kinds
+a caller asks for; evaluators never recompute them. Only connected graphs
+have metrics: disconnected input is an error, not an infinity convention.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ class DistanceMetrics:
 
     __slots__ = ("adj", "transmission", "ecc", "degree", "pair_counts", "degree_sums")
 
-    def __init__(self, adj, transmission, ecc, degree, pair_counts=None,
-                 degree_sums=None):
+    def __init__(self, adj, transmission, ecc, degree, pair_counts, degree_sums):
         self.adj = adj
         self.transmission = transmission
         self.ecc = ecc

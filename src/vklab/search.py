@@ -13,9 +13,9 @@ labelled size is the orbit-stabilizer sum of n!/|Aut(G)| over its members,
 and optimizers are canonical codes from the start. The catalogue is cached
 per n and is identical however its construction is split across workers.
 
-Catalogue and graph6 corpus scans share one per-graph pipeline: distance
-metrics and index values once per graph, and one membership search per k
-over that k's requested m. A graph's values fold into one bucket per k,
+Catalogue and graph6 corpus scans share one per-graph pipeline: one
+`indices.kernel` evaluation per graph for every requested kind, and one
+membership search per k over that k's requested m. A graph's values fold into one bucket per k,
 that of the least requested m admitting it, and the report for m merges
 the buckets at or below m, so one pass serves every (m, k) of one n.
 Scans support 2 <= n <= 9 (261,080 classes at n = 9), with any worker
@@ -37,9 +37,7 @@ from .graphs import (MAX_VERTICES, CanonicalCode, Graph, _canonical_search,
                      _symmetric_graph, _twin_groups, add_edge, canonical_form,
                      code_to_adj, code_to_graph, connected_mask, pair_count,
                      parse_graph6, to_graph6)
-from .indices import (ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, degree_metrics,
-                      direction, evaluate, exact, kernel)
-from .metrics import compute_metrics
+from .indices import ALL_KINDS, Direction, IndexKind, direction, exact, kernel
 from .partiteness import ClassParams, partiteness_within
 
 _SCAN_CAP = 9  # 261,080 classes; n = 10 has 11,716,571
@@ -324,11 +322,10 @@ def _scan(source, params, kinds, canon=None) -> dict:
     least such m that admits the graph, and the report for m merges the
     folds of every m' <= m and turns its two extremes back into values.
     `canon` maps optimizer items to canonical codes when they are not codes.
-    No class, no kind, or a class without a member is an InvalidParamsError.
+    No kind, an unknown kind, or a class without a member is an InvalidParamsError.
     """
-    kinds = tuple(kind for kind in ALL_KINDS if kind in set(kinds))
-    if not params or not kinds:
-        raise InvalidParamsError("a scan needs at least one m and one kind")
+    kinds = tuple(dict.fromkeys(kinds))
+    values = kernel(kinds)
     by_k: dict = {}
     for p in sorted(set(params), key=lambda p: (p.k, p.m)):
         by_k.setdefault(p.k, []).append(p)
@@ -336,8 +333,6 @@ def _scan(source, params, kinds, canon=None) -> dict:
     budgets = [(k, tuple(p.m for p in ps), {p.m: 0 for p in ps},
                 {p.m: [Extremum() for _ in kinds] for p in ps})
                for k, ps in by_k.items()]
-    need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
-    kernels = [kernel(kind) for kind in kinds]
     for g, labelled, item in source:
         vals = None
         for k, ms, counts, folds in budgets:
@@ -345,8 +340,7 @@ def _scan(source, params, kinds, canon=None) -> dict:
             if least is None:
                 continue
             if vals is None:
-                metrics = compute_metrics(g) if need_metrics else degree_metrics(g)
-                vals = [f(metrics) for f in kernels]
+                vals = values(g)
             counts[least] += labelled
             for ext, val in zip(folds[least], vals):
                 ext.add(val, item)
@@ -400,8 +394,8 @@ def scan_catalogue(params, kinds=ALL_KINDS, workers: int = 1) -> dict:
     n!/|Aut(G)| labelled graphs in `class_size`; optimizers are catalogue
     codes, so ties need no canonicalisation. Reports are identical for
     every worker count, which only splits the catalogue build. Classes of
-    more than one n, or none, are an InvalidParamsError; see `check_scan`
-    for n and `workers`.
+    more than one n, or none, and no kind or an unknown one, are an
+    InvalidParamsError; see `check_scan` for n and `workers`.
     """
     params = tuple(params)
     orders = sorted({p.n for p in params})
@@ -409,26 +403,6 @@ def scan_catalogue(params, kinds=ALL_KINDS, workers: int = 1) -> dict:
         raise InvalidParamsError(f"a catalogue scan needs classes of one n, got {orders}")
     check_scan(orders[0], workers)
     return _scan(_catalogue_items(orders[0], workers), params, kinds)
-
-
-def scan_many(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1) -> dict:
-    """Scan the classes (n, m, k) for every m in `m_values` in a single
-    pass over the catalogue (see `scan_catalogue`).
-
-    Returns {(m, kind): ExtremalReport} for every requested m and kind. n
-    outside 2..9 is a SizeCapError; no m or no kind is an
-    InvalidParamsError.
-    """
-    check_scan(n, workers)
-    reports = _scan(_catalogue_items(n, workers), [ClassParams(n, m, k) for m in m_values],
-                    kinds)
-    return {(p.m, kind): report for (p, kind), report in reports.items()}
-
-
-def scan_class(params: ClassParams, kind: IndexKind, workers: int = 1) -> ExtremalReport:
-    """Exhaustive extremal scan of one class for one index (see `scan_many`)."""
-    reports = scan_many(params.n, params.k, (params.m,), (kind,), workers=workers)
-    return reports[(params.m, kind)]
 
 
 def _corpus_items(graphs, n: int):
@@ -442,9 +416,10 @@ def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
     """Scan an externally supplied corpus; each graph counts once.
 
     Graphs of the wrong order, disconnected graphs, and non-members are
-    skipped; a corpus with no class member is an InvalidParamsError. On a
-    corpus containing one representative per isomorphism class this
-    reproduces the catalogue scan's optimum and optimizer codes.
+    skipped; a corpus with no class member, or an unknown kind, is an
+    InvalidParamsError. On a corpus containing one representative per
+    isomorphism class this reproduces the catalogue scan's optimum and
+    optimizer codes.
     """
     reports = _scan(_corpus_items(graphs, params.n), (params,), (kind,), canon=canonical_form)
     return reports[(params, kind)]
@@ -460,28 +435,20 @@ def family_optima(params: ClassParams, kinds=ALL_KINDS) -> dict:
     Iterates all compositions of n - m into at most k nonempty parts (a part
     count below k is the same as allowing empty parts), and builds and
     measures each member once for all kinds, folding `kernel` ints.
-    Returns {kind: (optimum, [sorted size lists attaining it])}.
+    Returns {kind: (optimum, [sorted size lists attaining it])}; no kind or
+    an unknown one is an InvalidParamsError.
     """
     kinds = tuple(kinds)
-    need_metrics = any(kind not in DEGREE_ONLY for kind in kinds)
-    kernels = [kernel(kind) for kind in kinds]
+    values = kernel(kinds)
     exts = [Extremum() for _ in kinds]
     for sizes in _partitions_at_most(params.n - params.m, params.k):
-        g = join_family_graph(params.m, sizes)
-        metrics = compute_metrics(g) if need_metrics else degree_metrics(g)
-        for f, ext in zip(kernels, exts):
-            ext.add(f(metrics), sizes)
+        for ext, val in zip(exts, values(join_family_graph(params.m, sizes))):
+            ext.add(val, sizes)
     optima = {}
     for kind, ext in zip(kinds, exts):
         value, tied = ext.toward(kind in _MINIMIZED)
         optima[kind] = (exact(kind, value, params.n), tied)
     return optima
-
-
-def family_scan(params: ClassParams, kind: IndexKind):
-    """(optimum, [sorted size lists attaining it]) of one index over the
-    join family of the class (see `family_optima`)."""
-    return family_optima(params, (kind,))[kind]
 
 
 def _partitions_at_most(total: int, parts: int):
@@ -550,6 +517,7 @@ def monotonicity_fuzz(kind: IndexKind, trials: int, n_range: tuple[int, int],
     rng = random.Random(seed)
     report = FuzzReport(kind=kind, trials=trials, violations=0, seed=seed)
     want = direction(kind)
+    value = kernel((kind,))  # kernel ints order graphs of one n as their values
     for _ in range(trials):
         n = rng.randint(lo, hi)
         while True:
@@ -559,8 +527,8 @@ def monotonicity_fuzz(kind: IndexKind, trials: int, n_range: tuple[int, int],
                 break
             report.resamples += 1
         u, v = non_edges[rng.randrange(len(non_edges))]
-        before = evaluate(kind, g)
-        after = evaluate(kind, add_edge(g, u, v))
+        (before,) = value(g)
+        (after,) = value(add_edge(g, u, v))
         ok = after < before if want is Direction.DECREASING else after > before
         if not ok:
             report.violations += 1

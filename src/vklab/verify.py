@@ -33,8 +33,7 @@ from .errors import InvalidParamsError
 from .extremal import (EVEN, ODD, ClosedFormValue, closed_form, closed_form_bipartite,
                        extremal_graph, join_family_graph)
 from .graphs import canonical_form
-from .indices import ALL_KINDS, DEGREE_ONLY, Direction, IndexKind, direction, evaluate
-from .metrics import compute_metrics
+from .indices import ALL_KINDS, Direction, IndexKind, direction, exact, kernel
 from .partiteness import ClassParams
 from .search import ExtremalReport, check_scan, family_optima, scan_catalogue
 
@@ -201,10 +200,9 @@ def verify_claims(grids: dict, workers: int = 1) -> list[VerificationReport]:
                 family.setdefault(p, set()).update(kinds)
     values = {}
     for p, kinds in built.items():
-        g = extremal_graph(p)
-        metrics = compute_metrics(g) if kinds - DEGREE_ONLY else None
-        for kind in kinds:
-            values[p, kind] = evaluate(kind, g, metrics)
+        kinds = tuple(kinds)
+        for kind, scaled in zip(kinds, kernel(kinds)(extremal_graph(p))):
+            values[p, kind] = exact(kind, scaled, p.n)
     reports = {}
     for classes, kinds in scanned.values():
         reports.update(scan_catalogue(classes, kinds, workers))

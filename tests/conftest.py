@@ -12,7 +12,8 @@ from math import factorial, prod
 import networkx as nx
 import pytest
 
-from vklab import Graph, Graph6ParseError, IndexKind, SizeCapError
+from vklab import (ALL_KINDS, ClassParams, Graph, Graph6ParseError, IndexKind, SizeCapError,
+                   scan_catalogue)
 from vklab.graphs import (_CANONICAL_BUDGET, _row_major_pairs, code_to_adj, connected_mask,
                           from_edges, pair_count)
 
@@ -260,3 +261,10 @@ def random_connected(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def scan_by_m(n: int, k: int, m_values, kinds=ALL_KINDS, workers: int = 1) -> dict:
+    """{(m, kind): report} for the classes (n, m, k), m in `m_values`: one
+    `scan_catalogue` pass, keyed by m."""
+    reports = scan_catalogue([ClassParams(n, m, k) for m in m_values], kinds, workers)
+    return {(p.m, kind): report for (p, kind), report in reports.items()}

@@ -22,12 +22,12 @@ from fractions import Fraction
 from vklab import (ALL_KINDS, ClassParams, IndexKind, canonical_form, closed_form,
                    closed_form_corrected, evaluate, extremal_graph,
                    join_family_graph, monotonicity_fuzz, parse_graph6, part_sizes,
-                   permute, predicted_difference, scan_many, to_graph6)
+                   permute, predicted_difference, to_graph6)
 from vklab.indices import ECCENTRICITY_KINDS
 from vklab.search import clear_sweep_cache
 from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, verify_theorem
 
-from conftest import random_graph
+from conftest import random_graph, scan_by_m
 
 K = IndexKind
 
@@ -146,7 +146,7 @@ _N6_PUBLISHED_AT_EXCEPTIONS = {
 def test_criterion_2_exhaustive_extremality_k2():
     with _criterion(2, "exhaustive extremality n=6, k=2, all ten kinds", 60.0):
         clear_sweep_cache()
-        reports = scan_many(6, 2, (1, 2, 3, 4), ALL_KINDS, workers=1)
+        reports = scan_by_m(6, 2, (1, 2, 3, 4), ALL_KINDS, workers=1)
         for (m, kind), (optimum, exception_sizes) in _N6_EXPECTED.items():
             report = reports[(m, kind)]
             params = ClassParams(6, m, 2)
@@ -206,7 +206,7 @@ def test_criterion_3_exhaustive_extremality_k3():
                     600.0):
         clear_sweep_cache()
         kinds = (K.WIENER, K.HARARY, K.ZAGREB_M1)
-        reports = scan_many(7, 3, (1, 2), kinds, workers=8)
+        reports = scan_by_m(7, 3, (1, 2), kinds, workers=8)
         for (m, kind), optimum in _N7_EXPECTED.items():
             report = reports[(m, kind)]
             assert report.optimum == optimum, (m, kind, report.optimum)
@@ -381,7 +381,7 @@ def test_criterion_7_infrastructure():
                 assert canonical_form(permute(g, perm)) == base
 
         clear_sweep_cache()
-        runs = {w: scan_many(6, 2, (1, 2, 3, 4), ALL_KINDS, workers=w)
+        runs = {w: scan_by_m(6, 2, (1, 2, 3, 4), ALL_KINDS, workers=w)
                 for w in (1, 4, 8)}
         for key in runs[1]:
             assert runs[1][key] == runs[4][key] == runs[8][key], key

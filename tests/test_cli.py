@@ -157,8 +157,7 @@ def test_index_runs_one_bfs_pass_per_connected_line(tmp_path, capsys, monkeypatc
         calls.append(vklab.to_graph6(g))
         return real(g)
 
-    # `evaluate` falls back to its own import when handed no metrics
-    monkeypatch.setattr(vklab.cli, "compute_metrics", counting)
+    # `indices.kernel` is the one caller of compute_metrics
     monkeypatch.setattr(vklab.indices, "compute_metrics", counting)
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("D~{\nB?\nBg\nA_\n")  # B? is disconnected

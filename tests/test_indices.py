@@ -5,11 +5,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vklab import (ALL_KINDS, DisconnectedGraphError, Direction, IndexKind,
-                   complete_graph, complete_multipartite, compute_metrics,
-                   direction, empty_graph, evaluate, join, path_graph, permute)
-from vklab.indices import INTEGER_VALUED, exact, kernel, value_scale
+from vklab import (ALL_KINDS, DisconnectedGraphError, Direction, GraphSizeError,
+                   IndexKind, InvalidParamsError, complete_graph, complete_multipartite,
+                   compute_metrics, direction, empty_graph, evaluate, from_edges, join,
+                   path_graph, permute)
+from vklab.indices import DEGREE_ONLY, INTEGER_VALUED, exact, kernel, value_scale
 
 from conftest import brute_index, random_connected
 
@@ -132,15 +135,54 @@ def test_each_kind_has_one_integer_kernel(rng):
     for _ in range(40):
         n = rng.randint(2, 9)
         g = random_connected(rng, n)
-        metrics = compute_metrics(g)
         assert value_scale(n) == lcm(*range(1, n))
-        for kind in ALL_KINDS:
-            scaled = kernel(kind)(metrics)
+        for kind, scaled in zip(ALL_KINDS, kernel(ALL_KINDS)(g), strict=True):
             scale = 1 if kind in INTEGER_VALUED else value_scale(n)
             assert isinstance(scaled, int) and scaled == brute_index(kind, g) * scale
             value = exact(kind, scaled, n)
             assert value == brute_index(kind, g)
             assert isinstance(value, int if kind in INTEGER_VALUED else Fraction)
+
+
+def _scaled_brute(kind: IndexKind, g):
+    return brute_index(kind, g) * (1 if kind in INTEGER_VALUED else value_scale(g.n))
+
+
+_KIND_LISTS = st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=len(ALL_KINDS),
+                       unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.randoms(use_true_random=False), _KIND_LISTS)
+def test_kernel_of_any_kinds_is_their_scaled_values_in_order(n, rnd, kinds):
+    """kernel(kinds) on a connected graph is each requested kind's scaled
+    value from the pair-by-pair oracle, in the order asked."""
+    g = random_connected(rnd, n)
+    assert kernel(kinds)(g) == [_scaled_brute(kind, g) for kind in kinds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(sorted(DEGREE_ONLY, key=ALL_KINDS.index)), min_size=1,
+                unique=True))
+def test_degree_only_kernel_takes_disconnected_graphs(n, rnd, kinds):
+    """Degree-only kinds read degrees alone, so a graph with an isolated
+    vertex is measured; one distance kind among them makes it an error."""
+    edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1) if rnd.random() < 0.5]
+    g = from_edges(n, edges)  # vertex n - 1 is isolated
+    assert kernel(kinds)(g) == [brute_index(kind, g) for kind in kinds]
+    with pytest.raises(DisconnectedGraphError):
+        kernel([*kinds, IndexKind.HARARY])(g)
+
+
+def test_kernel_refuses_bad_kinds_and_single_vertex_graphs():
+    for kinds, message in [((), "no index kind"), ((IndexKind.WIENER, "harary"), "'harary'"),
+                           (("wiener",), "'wiener'"), ((None,), "None")]:
+        with pytest.raises(InvalidParamsError, match=message):
+            kernel(kinds)
+    for kinds in ((IndexKind.WIENER,), (IndexKind.ZAGREB_M1,)):
+        with pytest.raises(GraphSizeError, match="n >= 2 only, got n=1"):
+            kernel(kinds)(complete_graph(1))
 
 
 def test_label_invariance(rng):

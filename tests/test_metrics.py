@@ -2,9 +2,9 @@
 
 import pytest
 
-from vklab import (DisconnectedGraphError, add_edge, complete_graph,
-                   complete_multipartite, compute_metrics, empty_graph, from_edges,
-                   join, path_graph, wiener)
+from vklab import (DisconnectedGraphError, IndexKind, add_edge, complete_graph,
+                   complete_multipartite, compute_metrics, empty_graph, evaluate,
+                   from_edges, join, path_graph)
 
 from conftest import brute_distances, random_connected
 
@@ -103,7 +103,7 @@ def test_total_transmission_is_twice_wiener(rng):
     for _ in range(30):
         g = random_connected(rng, rng.randint(2, 9))
         m = compute_metrics(g)
-        assert sum(m.transmission) == 2 * wiener(m)
+        assert sum(m.transmission) == 2 * evaluate(IndexKind.WIENER, g, m)
 
 
 def test_edge_addition_never_increases_distances(rng):

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKind,
                    InvalidParamsError, SizeCapError, VklabError, canonical_form,
                    complete_graph, compute_metrics, direction, empty_graph, evaluate,
-                   family_scan, is_connected, join_family_graph,
-                   load_graph6_corpus, monotonicity_fuzz, parse_graph6, scan_class,
-                   scan_corpus, scan_many, to_graph6, vertex_k_partiteness)
+                   family_optima, is_connected, join_family_graph,
+                   load_graph6_corpus, monotonicity_fuzz, parse_graph6, scan_catalogue,
+                   scan_corpus, to_graph6, vertex_k_partiteness)
 from vklab import search
 from vklab.cli import main
 from vklab.graphs import Graph, _twin_groups, code_to_graph
@@ -26,7 +26,12 @@ from vklab.partiteness import partiteness_within
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 
 from conftest import (enumerate_graphs, reference_canonical_search,
-                      reference_pretest_rejects)
+                      reference_pretest_rejects, scan_by_m)
+
+
+def scan_one(params: ClassParams, kind: IndexKind):
+    """The report of one class and kind from `scan_catalogue`."""
+    return scan_catalogue([params], [kind])[params, kind]
 
 
 def test_enumeration_counts():
@@ -50,7 +55,7 @@ def test_catalogue_sizes_match_a001349():
     assert hashlib.sha256(pairs).hexdigest() == \
         "06ead3e9312b60d7734a71724d81c36c921d8677a3ab3826a433ff6c86db9c4d"
     # a serial n = 8 scan over that level, as the CLI printed it with 2 workers
-    report = scan_many(8, 3, (2,), (IndexKind.ZAGREB_M1,), workers=1)[
+    report = scan_by_m(8, 3, (2,), (IndexKind.ZAGREB_M1,), workers=1)[
         (2, IndexKind.ZAGREB_M1)]
     assert report.class_size == 251_349_147
     assert report.optimum == 314
@@ -201,7 +206,7 @@ def _brute_force_reports(n):
 def test_scan_many_matches_labelled_brute_force(n):
     expected = _brute_force_reports(n)
     for k in range(2, n):
-        reports = scan_many(n, k, range(1, n - k + 1))
+        reports = scan_by_m(n, k, range(1, n - k + 1))
         for (m, kind), report in reports.items():
             want = expected[(k, m, kind)]
             assert (report.optimum, report.optimizer_codes, report.class_size) \
@@ -248,7 +253,7 @@ def test_extremum_merge_of_any_split_equals_one_fold(values, data):
 def test_multi_k_scan_equals_per_k_scans(n):
     """One catalogue pass over every (m, k) of n gives the per-k reports,
     class sizes and opposite extremes included, also for a sparse m set."""
-    full = {k: scan_many(n, k, range(1, n - k + 1)) for k in range(2, n)}
+    full = {k: scan_by_m(n, k, range(1, n - k + 1)) for k in range(2, n)}
     every = [ClassParams(n, m, k) for k in range(2, n) for m in range(1, n - k + 1)]
     sparse = [p for p in every if p.m in (1, n - p.k)]
     for params in (every, sparse):
@@ -263,7 +268,7 @@ def test_multi_k_scan_equals_per_k_scans(n):
 def test_catalogue_and_reports_invariant_under_parent_splits(data):
     parents = catalogue(5)
     reference = catalogue(6)
-    want = scan_many(6, 2, (1, 2, 3, 4))
+    want = scan_by_m(6, 2, (1, 2, 3, 4))
     order = data.draw(st.permutations(parents))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=6)))
     chunks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
@@ -271,7 +276,7 @@ def test_catalogue_and_reports_invariant_under_parent_splits(data):
     assert merged == reference
     try:
         search._CATALOGUES[6] = merged
-        assert scan_many(6, 2, (1, 2, 3, 4)) == want
+        assert scan_by_m(6, 2, (1, 2, 3, 4)) == want
     finally:
         search._CATALOGUES[6] = reference
 
@@ -284,12 +289,12 @@ def test_catalogue_built_once_for_every_worker_count(monkeypatch):
                         lambda parents: calls.append(len(parents)) or extend(parents))
     monkeypatch.setattr(search, "_merge",
                         lambda parts, n: merged.append(n) or merge(parts, n))
-    first = scan_many(6, 2, (1, 2))
+    first = scan_by_m(6, 2, (1, 2))
     assert calls == [1, 1, 2, 6, 21]  # levels 2..6, each from its parents once
     assert merged == [2, 3, 4, 5, 6]
     # every level is merged in this process, whichever process extends its
     # parents, so a rebuild by the pool would show in `merged`
-    second = scan_many(6, 2, (1, 2), workers=2)
+    second = scan_by_m(6, 2, (1, 2), workers=2)
     assert calls == [1, 1, 2, 6, 21] and merged == [2, 3, 4, 5, 6]
     assert first == second
 
@@ -352,17 +357,15 @@ def test_failed_catalogue_worker_is_an_error_not_a_hang(monkeypatch, capfd):
 def test_nonpositive_workers_rejected():
     for workers in (0, -1):
         with pytest.raises(InvalidParamsError):
-            scan_many(5, 2, (1,), workers=workers)
-        with pytest.raises(InvalidParamsError):
-            scan_class(ClassParams(5, 1, 2), IndexKind.WIENER, workers=workers)
+            scan_catalogue([ClassParams(5, 1, 2)], workers=workers)
 
 
 def test_empty_scan_inputs_are_package_errors():
-    """No m, no kind, or a corpus without a class member certifies nothing."""
+    """No class, no kind, or a corpus without a class member certifies nothing."""
     with pytest.raises(InvalidParamsError):
-        scan_many(5, 2, ())
+        scan_by_m(5, 2, ())
     with pytest.raises(InvalidParamsError):
-        scan_many(5, 2, (1,), kinds=())
+        scan_by_m(5, 2, (1,), kinds=())
     with pytest.raises(InvalidParamsError):
         search.scan_catalogue([])
     with pytest.raises(InvalidParamsError):  # one pass is one catalogue level
@@ -371,6 +374,27 @@ def test_empty_scan_inputs_are_package_errors():
     corpus = ["", to_graph6(complete_graph(4)), "D^{"]
     with pytest.raises(InvalidParamsError):
         scan_corpus(load_graph6_corpus(corpus), ClassParams(5, 1, 2), IndexKind.WIENER)
+
+
+@pytest.mark.parametrize("kinds,message", [
+    ((), "no index kind"), ((IndexKind.WIENER, "harary"), "'harary'"),
+    (("wiener",), "'wiener'"), ((None,), "None")])
+def test_scan_kinds_are_checked_before_any_graph_work(kinds, message, monkeypatch):
+    """No kind, or a kind that is not an IndexKind (its value as text, say),
+    is an InvalidParamsError that names it, from every scan entry point,
+    before a catalogue level is built or a family member measured."""
+    monkeypatch.setattr(search, "_CATALOGUES", {})
+    monkeypatch.setattr(search, "join_family_graph", None)  # any call would fail
+    p = ClassParams(5, 1, 2)
+    with pytest.raises(InvalidParamsError, match=message):
+        scan_catalogue([p], kinds)
+    with pytest.raises(InvalidParamsError, match=message):
+        family_optima(p, kinds)
+    assert search._CATALOGUES == {}
+    if kinds:
+        lines = [to_graph6(complete_graph(5))]
+        with pytest.raises(InvalidParamsError, match=message):
+            scan_corpus(load_graph6_corpus(lines), p, kinds[-1])
 
 
 def test_corpus_round_trip():
@@ -404,17 +428,17 @@ def test_corpus_lenient_reports_and_continues():
 
 
 def test_scan_small_class_examples():
-    report = scan_class(ClassParams(5, 1, 2), IndexKind.HARARY)
+    report = scan_one(ClassParams(5, 1, 2), IndexKind.HARARY)
     assert report.optimum == 9
     assert report.matches_construction and report.matches_closed_form
     assert len(report.optimizer_codes) == 1
-    report = scan_class(ClassParams(6, 4, 2), IndexKind.WIENER)
+    report = scan_one(ClassParams(6, 4, 2), IndexKind.WIENER)
     assert report.optimum == 15
     assert report.optimizer_codes == frozenset({canonical_form(complete_graph(6))})
 
 
 def test_scan_optimizer_soundness():
-    report = scan_class(ClassParams(5, 2, 2), IndexKind.RDD)
+    report = scan_one(ClassParams(5, 2, 2), IndexKind.RDD)
     for code in report.optimizer_codes:
         from vklab.graphs import code_to_graph
         g = code_to_graph(code.bits, code.n)
@@ -424,7 +448,7 @@ def test_scan_optimizer_soundness():
 def test_scan_known_tie_at_5_1_2():
     """Eccentricity distance sum ties between the balanced [2,2] member and
     the singleton-part [3,1] member: uniqueness genuinely fails there."""
-    report = scan_class(ClassParams(5, 1, 2), IndexKind.ECC_DIST_SUM)
+    report = scan_one(ClassParams(5, 1, 2), IndexKind.ECC_DIST_SUM)
     assert report.optimum == 44
     assert len(report.optimizer_codes) == 2
     assert not report.matches_construction
@@ -437,7 +461,7 @@ def test_scan_determinism_across_workers():
     clear_sweep_cache()
     reports = {}
     for workers in (1, 2, 3):
-        reports[workers] = scan_many(5, 2, (1, 2, 3), workers=workers)
+        reports[workers] = scan_by_m(5, 2, (1, 2, 3), workers=workers)
     for key in reports[1]:
         r1, r2, r3 = reports[1][key], reports[2][key], reports[3][key]
         assert r1 == r2 == r3
@@ -447,9 +471,9 @@ def test_scan_cap():
     # the whole message: it names the supported range and no opt-in
     message = r"^scans support 2 <= n <= 9, got 10$"
     with pytest.raises(SizeCapError, match=message):
-        scan_class(ClassParams(10, 2, 2), IndexKind.WIENER)
+        scan_one(ClassParams(10, 2, 2), IndexKind.WIENER)
     with pytest.raises(SizeCapError, match=message):
-        scan_many(10, 3, (2,), workers=2)
+        scan_by_m(10, 3, (2,), workers=2)
 
 
 def test_scan_corpus_agrees_with_enumeration():
@@ -461,7 +485,7 @@ def test_scan_corpus_agrees_with_enumeration():
     lines = [to_graph6(g) for g in seen.values()]
     # and lines the scan skips: a disconnected graph and one of the wrong order
     lines += [to_graph6(empty_graph(6)), to_graph6(complete_graph(5))]
-    by_codes = scan_many(6, 2, range(1, 5))
+    by_codes = scan_by_m(6, 2, range(1, 5))
     for (m, kind), want in by_codes.items():
         got = scan_corpus(load_graph6_corpus(lines), ClassParams(6, m, 2), kind)
         assert (got.optimum, got.optimizer_codes, got.opposite) == \
@@ -488,11 +512,11 @@ def test_no_silent_mismatches_below_seven():
     for n in range(4, 7):
         for k in range(2, n - 1):
             m_values = tuple(range(1, n - k + 1))
-            reports = scan_many(n, k, m_values, workers=2)
+            reports = scan_by_m(n, k, m_values, workers=2)
             for (m, kind), report in reports.items():
                 if report.matches_construction:
                     continue
-                value, sizes_lists = family_scan(ClassParams(n, m, k), kind)
+                value, sizes_lists = family_optima(ClassParams(n, m, k), (kind,))[kind]
                 # deviation fully explained by the join family: the scan's
                 # optimizers are exactly the family winners, and a singleton
                 # part (universal vertex) is involved
@@ -507,10 +531,8 @@ def test_no_silent_mismatches_below_seven():
 
 def test_family_scan_partitions():
     assert sorted(_partitions_at_most(4, 2)) == [(2, 2), (3, 1), (4,)]
-    value, sizes = family_scan(ClassParams(6, 2, 2), IndexKind.WIENER)
-    assert value == 17 and sizes == [(2, 2)]
-    value, sizes = family_scan(ClassParams(6, 2, 2), IndexKind.ECC_DIST_SUM)
-    assert value == 57 and sizes == [(3, 1)]
+    optima = family_optima(ClassParams(6, 2, 2), (IndexKind.WIENER, IndexKind.ECC_DIST_SUM))
+    assert optima == {IndexKind.WIENER: (17, [(2, 2)]), IndexKind.ECC_DIST_SUM: (57, [(3, 1)])}
 
 
 def test_fuzz_zero_violations_smoke():
@@ -543,7 +565,7 @@ def test_fuzz_rejects_degenerate_n_range():
 
 
 def test_scan_reports_class_size():
-    reports = scan_many(5, 2, (1, 2, 3))
+    reports = scan_by_m(5, 2, (1, 2, 3))
     assert reports[(1, IndexKind.WIENER)].class_size == 667
     assert reports[(2, IndexKind.WIENER)].class_size == 727
     assert reports[(3, IndexKind.WIENER)].class_size == 728
