@@ -14,16 +14,12 @@ from .extremal import (ClosedFormValue, DifferencePrediction, PartitionSpec,
                        extremal_graph, join_family_graph, part_sizes,
                        predicted_difference, shift_vertex)
 from .graphs import (CanonicalCode, Graph, add_edge, canonical_form, canonical_graph,
-                     complement, complete_graph, complete_multipartite, cycle_graph,
-                     empty_graph, from_edges, induced_subgraph, is_connected,
-                     is_isomorphic, join, parse_graph6, path_graph, permute,
-                     to_graph6)
+                     from_edges, is_connected, parse_graph6, to_graph6)
 from .indices import ALL_KINDS, Direction, IndexKind, direction, evaluate
 from .metrics import DistanceMetrics, compute_metrics
-from .partiteness import ClassParams, in_class, is_k_partite, vertex_k_partiteness
+from .partiteness import ClassParams, vertex_k_partiteness
 from .search import (ExtremalReport, FuzzReport, family_optima, load_graph6_corpus,
                      monotonicity_fuzz, scan_catalogue, scan_corpus)
-from .verify import (ClaimVerdict, VerificationReport, known_claims, verify_claims,
-                     verify_theorem)
+from .verify import ClaimVerdict, VerificationReport, known_claims, verify_claims
 
 __version__ = "0.1.0"

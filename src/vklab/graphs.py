@@ -1,7 +1,7 @@
 """Simple undirected graphs on at most 64 vertices.
 
 Vertices are 0..n-1 and each neighbourhood is a single machine-word bitset,
-so edge tests, complements and joins are plain integer arithmetic. Graphs
+so edge tests and neighbourhood sets are plain integer arithmetic. Graphs
 are immutable values: every builder returns a new graph, and two graphs
 compare equal exactly when they have identical labelled adjacency.
 
@@ -48,7 +48,7 @@ _CANONICAL_BUDGET = 50_000
 class Graph:
     """Immutable simple graph: vertex count plus per-vertex neighbour bitsets."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, adj: tuple[int, ...]):
         n = _order(len(adj))
@@ -65,7 +65,6 @@ class Graph:
         adj = tuple(adj)
         _SET_N(self, n)
         _SET_ADJ(self, adj)
-        _SET_HASH(self, hash((n, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -74,7 +73,7 @@ class Graph:
         return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self):
-        return self._hash
+        return hash(self.adj)
 
     def __reduce__(self):
         # rebuild through __init__; the default slot restore hits __setattr__
@@ -85,9 +84,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
 
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
@@ -113,17 +109,15 @@ class Graph:
 
 
 # slot setters that bypass the immutability guard in Graph.__setattr__
-_SET_N, _SET_ADJ, _SET_HASH = Graph.n.__set__, Graph.adj.__set__, Graph._hash.__set__
+_SET_N, _SET_ADJ = Graph.n.__set__, Graph.adj.__set__
 
 
 def _symmetric_graph(adj: tuple[int, ...]) -> Graph:
     """A Graph from rows that are valid by construction, without `Graph`'s
     O(n^2) checks; see the module docstring for who may call it."""
     g = object.__new__(Graph)
-    n = len(adj)
-    _SET_N(g, n)
+    _SET_N(g, len(adj))
     _SET_ADJ(g, adj)
-    _SET_HASH(g, hash((n, adj)))
     return g
 
 
@@ -145,55 +139,6 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(tuple(adj))
 
 
-def empty_graph(n: int) -> Graph:
-    """Graph on n vertices with no edges (the complement of K_n)."""
-    return Graph((0,) * _order(n))
-
-
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(tuple(full ^ (1 << u) for u in range(n)))
-
-
-def complement(g: Graph) -> Graph:
-    """Edge present in the result exactly when absent in g; an involution."""
-    full = (1 << g.n) - 1
-    return Graph(tuple((full ^ row ^ (1 << u)) for u, row in enumerate(g.adj)))
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus all cross edges; g1's vertices come first."""
-    n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise GraphSizeError(f"join would have {n} > {MAX_VERTICES} vertices")
-    mask1 = (1 << g1.n) - 1
-    mask2 = ((1 << g2.n) - 1) << g1.n
-    adj = [row | mask2 for row in g1.adj]
-    adj += [(row << g1.n) | mask1 for row in g2.adj]
-    return Graph(tuple(adj))
-
-
-def complete_multipartite(sizes) -> Graph:
-    """Complete multipartite graph; two vertices adjacent iff in different parts."""
-    sizes = list(sizes)
-    if not sizes:
-        raise ValueError("at least one part required")
-    if any(s < 1 for s in sizes):
-        raise ValueError("part sizes must be >= 1")
-    g = empty_graph(sizes[0])
-    for s in sizes[1:]:
-        g = join(g, empty_graph(s))
-    return g
-
-
-def path_graph(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Return g + uv as a new graph (matching the G + e notation)."""
     if u == v:
@@ -203,42 +148,6 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     adj = list(g.adj)
     adj[u] |= 1 << v
     adj[v] |= 1 << u
-    return Graph(tuple(adj))
-
-
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Subgraph induced by `vertices`, relabelled contiguously preserving order."""
-    verts = sorted(set(vertices))
-    if not verts:
-        raise ValueError("vertex set must be nonempty")
-    if verts[0] < 0 or verts[-1] >= g.n:
-        raise ValueError("vertex out of range")
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for v in verts:
-        row = g.adj[v]
-        while row:
-            w = (row & -row).bit_length() - 1
-            row &= row - 1
-            if w in index:
-                adj[index[v]] |= 1 << index[w]
-    return Graph(tuple(adj))
-
-
-def permute(g: Graph, perm) -> Graph:
-    """Relabel vertices: vertex u of g becomes perm[u] in the result."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation of 0..n-1")
-    adj = [0] * g.n
-    for u in range(g.n):
-        row = g.adj[u]
-        new_row = 0
-        while row:
-            v = (row & -row).bit_length() - 1
-            row &= row - 1
-            new_row |= 1 << perm[v]
-        adj[perm[u]] = new_row
     return Graph(tuple(adj))
 
 
@@ -384,7 +293,7 @@ def parse_graph6(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# canonical form / isomorphism
+# canonical form
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -548,11 +457,3 @@ def canonical_graph(g: Graph) -> Graph:
     code = canonical_form(g)
     return code_to_graph(code.bits, code.n)
 
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by canonical-code comparison."""
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    return canonical_form(g1) == canonical_form(g2)

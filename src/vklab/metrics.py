@@ -4,9 +4,10 @@ index evaluator consumes.
 
 Each BFS keeps only layer sums: the transmission of its source is
 sum d * |L_d|, the eccentricity is the index of the last layer, and every
-layer adds its pair count and degree sum to the per-distance totals. A BFS
-stops once every vertex is seen: the last layer's degree sum is the total
-degree less the layers before it. No per-pair rows are written.
+layer adds its pair count |L_d| and deg(source) * |L_d| to the
+per-distance totals (over the ordered pairs at distance d, the source
+degrees add up to the target degrees). A BFS stops once every vertex is
+seen. No per-pair rows are written.
 
 Metrics are computed once per graph, by `indices.kernel` for all the kinds
 a caller asks for; evaluators never recompute them. Only connected graphs
@@ -46,30 +47,27 @@ def compute_metrics(g: Graph) -> DistanceMetrics:
         raise GraphSizeError(f"metrics need at least 2 vertices, got {n}")
     full = (1 << n) - 1
     degree = [row.bit_count() for row in adj]
-    total_degree = sum(degree)
     transmission = [0] * n
     ecc = [0] * n
     # over ordered pairs: every unordered pair is seen from both ends, so the
-    # counts are halved below, and the degree sums come out as d(u) + d(v)
+    # counts are halved below; each layer adds its source's degree times its
+    # size, and with both ends counted the sums come out as d(u) + d(v)
     pairs = [0] * n
     degree_sums = [0] * n
     for src in range(n):
         frontier = adj[src]
         seen = frontier | 1 << src
-        d, total = 1, frontier.bit_count()
-        pairs[1] += total
-        rest = total_degree - degree[src]  # degrees of the unexpanded layers
+        own = degree[src]
+        d, total = 1, own
+        pairs[1] += own
+        degree_sums[1] += own * own
         while seen != full:
-            nxt = deg = 0
+            nxt = 0
             f = frontier
             while f:
                 low = f & -f
-                v = low.bit_length() - 1
                 f ^= low
-                nxt |= adj[v]
-                deg += degree[v]
-            degree_sums[d] += deg
-            rest -= deg
+                nxt |= adj[low.bit_length() - 1]
             frontier = nxt & ~seen
             if not frontier:
                 raise DisconnectedGraphError("graph is not connected")
@@ -77,8 +75,8 @@ def compute_metrics(g: Graph) -> DistanceMetrics:
             seen |= frontier
             size = frontier.bit_count()
             pairs[d] += size
+            degree_sums[d] += own * size
             total += d * size
-        degree_sums[d] += rest  # the last layer, never expanded
         transmission[src] = total
         ecc[src] = d
     diameter = max(ecc)

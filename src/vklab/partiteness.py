@@ -101,13 +101,6 @@ def partiteness_within(adj, k: int, budgets) -> int | None:
     return None
 
 
-def is_k_partite(g: Graph, k: int) -> bool:
-    """True iff the vertices admit a proper k-coloring (parts may be empty)."""
-    if k < 1:
-        raise InvalidParamsError(f"k must be >= 1, got {k}")
-    return partiteness_within(g.adj, k, (0,)) is not None
-
-
 def vertex_k_partiteness(g: Graph, k: int) -> int:
     """Fewest vertex deletions after which the rest is k-partite.
 
@@ -121,9 +114,3 @@ def vertex_k_partiteness(g: Graph, k: int) -> int:
     assert result is not None, "v_k <= n - k must always be attainable"
     return result
 
-
-def in_class(g: Graph, params: ClassParams) -> bool:
-    """Membership test: right order and k-partiteness at most m."""
-    if g.n != params.n:
-        return False
-    return partiteness_within(g.adj, params.k, (params.m,)) is not None

@@ -3,9 +3,9 @@
 Each claim id names one printed statement: the two structural extremality
 theorems (scan-backed), the per-index closed-form statements on the balanced
 construction, the bipartite-case corollary lines, and the inequality
-direction of the connective-eccentricity statement. `verify_theorem` checks
-one claim over a grid of class parameters, and `verify_claims` several at
-once; each returns a verdict per tuple:
+direction of the connective-eccentricity statement. `verify_claims` checks
+one or more claims, each over a grid of class parameters, and returns a
+report per claim with a verdict per tuple:
 
   confirmed       the printed statement matches the independent oracle
   refuted         it does not; both values are carried in the verdict
@@ -129,7 +129,7 @@ def claim_grid(claim: str, n_max: int = 10, k_values=(2, 3, 4),
     """Every valid (n, m, k) with 4 <= n <= n_max and k in k_values that a
     claim is checked on: corollary claims take k = 2 only, and scan-backed
     claims stop at `scan_n_max`, since they enumerate the whole class.
-    Claim ids are case-insensitive, as in `verify_theorem`."""
+    Claim ids are case-insensitive, as in `verify_claims`."""
     claim = claim.lower()
     if claim in _COROLLARY_CLAIMS:
         k_values = (2,)
@@ -137,12 +137,6 @@ def claim_grid(claim: str, n_max: int = 10, k_values=(2, 3, 4),
         n_max = min(n_max, scan_n_max)
     return [ClassParams(n, m, k) for n in range(4, n_max + 1) for k in k_values
             for m in range(1, n - k + 1)]
-
-
-def verify_theorem(claim: str, grid=None, workers: int = 1) -> VerificationReport:
-    """Check one published claim over a parameter grid, by default its
-    `claim_grid` (see `verify_claims`)."""
-    return verify_claims({claim: grid}, workers)[0]
 
 
 def verify_claims(grids: dict, workers: int = 1) -> list[VerificationReport]:

@@ -1,7 +1,10 @@
 """Shared brute-force oracles, deliberately independent of the package's
 bitset code paths: plain dict/list BFS, pair-by-pair sums, a bit-by-bit
 graph6 decoder, the labelled walk over every code, networkx for reference
-graph6 and isomorphism."""
+graph6 and isomorphism. networkx also builds the test fixtures (complete,
+path, cycle and complete multipartite graphs, complements, joins,
+relabellings, induced subgraphs), through `graph_of_nx`, which keeps its
+node order."""
 
 import collections
 import itertools
@@ -29,6 +32,11 @@ def graph_of_nx(h: nx.Graph) -> Graph:
     nodes = sorted(h.nodes())
     index = {v: i for i, v in enumerate(nodes)}
     return from_edges(len(nodes), [(index[u], index[v]) for u, v in h.edges()])
+
+
+def join_of(m: int, sizes) -> Graph:  # K_m joined onto K(sizes), clique first
+    return graph_of_nx(nx.complement(nx.disjoint_union_all(
+        [nx.empty_graph(m), *map(nx.complete_graph, sizes)])))
 
 
 def reference_parse_graph6(text: str) -> Graph:

@@ -19,15 +19,17 @@ import sys
 import time
 from fractions import Fraction
 
+import networkx as nx
+
 from vklab import (ALL_KINDS, ClassParams, IndexKind, canonical_form, closed_form,
                    closed_form_corrected, evaluate, extremal_graph,
                    join_family_graph, monotonicity_fuzz, parse_graph6, part_sizes,
-                   permute, predicted_difference, to_graph6)
+                   predicted_difference, to_graph6)
 from vklab.indices import ECCENTRICITY_KINDS
 from vklab.search import clear_sweep_cache
-from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, verify_theorem
+from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, verify_claims
 
-from conftest import random_graph, scan_by_m
+from conftest import graph_of_nx, nx_of, random_graph, scan_by_m
 
 K = IndexKind
 
@@ -298,7 +300,7 @@ def test_criterion_6_errata_ledger():
 
         # suspect 1: the second-Zagreb theorem line, refuted everywhere with
         # both values; the worked pair 185 vs 249 at (6,2,2)
-        report = verify_theorem("thm4.7-m2", grid)
+        report = verify_claims({"thm4.7-m2": grid})[0]
         assert all(v.verdict == REFUTED for v in report.verdicts)
         worked = next(v for v in report.verdicts
                       if (v.params.n, v.params.m) == (6, 2))
@@ -308,7 +310,7 @@ def test_criterion_6_errata_ledger():
         # suspect 3 (additional finding): the odd-case ecc-distance-sum
         # corollary's trailing constant; both values printed in each verdict
         for claim, worked_case in (("cor4.5", None), ("cor4.4", (6, 1, 69, 71))):
-            report = verify_theorem(claim, grid)
+            report = verify_claims({claim: grid})[0]
             for v in report.verdicts:
                 odd = (v.params.n - v.params.m) % 2 == 1
                 s = (v.params.n - v.params.m) // 2
@@ -327,7 +329,7 @@ def test_criterion_6_errata_ledger():
 
         # suspect 4: the inequality direction of the connective-eccentricity
         # statement; empirically the construction sits at the maximum
-        report = verify_theorem("thm4.6-direction", _k2_grid(4, 5))
+        report = verify_claims({"thm4.6-direction": _k2_grid(4, 5)})[0]
         assert report.verdicts and all(v.verdict == REFUTED for v in report.verdicts)
         assert all("direction" in v.note for v in report.verdicts)
 
@@ -337,7 +339,7 @@ def test_criterion_6_errata_ledger():
                  "thm4.1", "thm4.2", "thm4.3", "thm4.7-m1",
                  "thm4.7-pi1", "thm4.7-pi2")
         for claim in clean:
-            report = verify_theorem(claim, grid)
+            report = verify_claims({claim: grid})[0]
             for v in report.verdicts:
                 s = (v.params.n - v.params.m) // 2
                 if s >= 2:
@@ -349,7 +351,7 @@ def test_criterion_6_errata_ledger():
         # eccentricity theorem forms: confirmed in regime, flagged outside,
         # with both values carried -- never silently passed
         for claim in ("thm4.4", "thm4.5", "thm4.6"):
-            report = verify_theorem(claim, grid)
+            report = verify_claims({claim: grid})[0]
             for v in report.verdicts:
                 s = (v.params.n - v.params.m) // 2
                 if s >= 2:
@@ -378,7 +380,8 @@ def test_criterion_7_infrastructure():
             for _ in range(100):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert canonical_form(permute(g, perm)) == base
+                relabelled = nx.relabel_nodes(nx_of(g), dict(enumerate(perm)))
+                assert canonical_form(graph_of_nx(relabelled)) == base
 
         clear_sweep_cache()
         runs = {w: scan_by_m(6, 2, (1, 2, 3, 4), ALL_KINDS, workers=w)

@@ -3,18 +3,20 @@
 import itertools
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vklab import (ALL_KINDS, ClassParams, Direction, GraphSizeError, IndexKind,
                    InvalidParamsError, closed_form, closed_form_bipartite,
-                   closed_form_corrected, complete_graph, complete_multipartite,
-                   compute_metrics, direction, evaluate, extremal_graph, is_isomorphic,
-                   join, join_family_graph, part_sizes, predicted_difference,
+                   closed_form_corrected, compute_metrics, direction, evaluate,
+                   extremal_graph, join_family_graph, part_sizes, predicted_difference,
                    shift_vertex, vertex_k_partiteness)
 from vklab.extremal import EVEN, ODD
 from vklab.indices import ECCENTRICITY_KINDS
+
+from conftest import join_of, nx_of
 
 
 def test_part_sizes_examples():
@@ -30,8 +32,8 @@ def test_part_sizes_examples():
 def test_join_family_graph():
     g = join_family_graph(2, [2, 2])
     assert g.n == 6 and g.edge_count() == 13
-    assert is_isomorphic(join_family_graph(1, [1, 1, 1]), complete_graph(4))
-    assert is_isomorphic(join_family_graph(4, [1, 1]), complete_graph(6))
+    assert nx.is_isomorphic(nx_of(join_family_graph(1, [1, 1, 1])), nx.complete_graph(4))
+    assert nx.is_isomorphic(nx_of(join_family_graph(4, [1, 1])), nx.complete_graph(6))
     with pytest.raises(InvalidParamsError):
         join_family_graph(0, [2, 2])
     with pytest.raises(InvalidParamsError):
@@ -41,15 +43,15 @@ def test_join_family_graph():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_join_family_graph_equals_the_validated_join(data):
-    """The directly written rows are the labelled graph of the two joins,
-    for every clique size m >= 1 and part sizes with n <= 64."""
+    """The directly written rows are the labelled graph networkx builds for
+    K_m joined onto K(sizes), for every clique size m >= 1 and part sizes
+    with n <= 64."""
     n = data.draw(st.integers(2, 64))
     m = data.draw(st.integers(1, n - 1))
     cuts = sorted(set(data.draw(st.lists(st.integers(1, n - m - 1), max_size=8))
                       if n - m > 1 else []))
     sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n - m])]
-    assert join_family_graph(m, sizes) == join(complete_graph(m),
-                                                complete_multipartite(sizes))
+    assert join_family_graph(m, sizes) == join_of(m, sizes)
 
 
 def test_join_family_graph_above_64_vertices_is_an_error():
@@ -59,11 +61,11 @@ def test_join_family_graph_above_64_vertices_is_an_error():
 
 
 def test_extremal_graph_isomorphism_examples():
-    assert is_isomorphic(extremal_graph(ClassParams(6, 2, 2)),
-                         join(complete_graph(2), complete_multipartite([2, 2])))
-    assert is_isomorphic(extremal_graph(ClassParams(6, 1, 2)),
-                         complete_multipartite([1, 2, 3]))
-    assert is_isomorphic(extremal_graph(ClassParams(6, 4, 2)), complete_graph(6))
+    assert nx.is_isomorphic(nx_of(extremal_graph(ClassParams(6, 2, 2))),
+                            nx_of(join_of(2, [2, 2])))
+    assert nx.is_isomorphic(nx_of(extremal_graph(ClassParams(6, 1, 2))),
+                            nx.complete_multipartite_graph(1, 2, 3))
+    assert nx.is_isomorphic(nx_of(extremal_graph(ClassParams(6, 4, 2))), nx.complete_graph(6))
 
 
 def test_vertex_order_clique_first():

@@ -4,53 +4,56 @@ monotonicity directions, and label invariance."""
 from fractions import Fraction
 from math import lcm
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vklab import (ALL_KINDS, DisconnectedGraphError, Direction, GraphSizeError,
-                   IndexKind, InvalidParamsError, complete_graph, complete_multipartite,
-                   compute_metrics, direction, empty_graph, evaluate, from_edges, join,
-                   path_graph, permute)
+                   IndexKind, InvalidParamsError, compute_metrics, direction, evaluate,
+                   from_edges)
 from vklab.indices import DEGREE_ONLY, INTEGER_VALUED, exact, kernel, value_scale
 
-from conftest import brute_index, random_connected
+from conftest import brute_index, graph_of_nx, join_of, nx_of, random_connected
 
-K222_JOIN = join(complete_graph(2), complete_multipartite([2, 2]))
-STAR4 = join(complete_graph(1), empty_graph(3))
+K222_JOIN = join_of(2, [2, 2])
+STAR4 = join_of(1, [3])
+K5, K6, K7 = (graph_of_nx(nx.complete_graph(n)) for n in (5, 6, 7))
+K123 = graph_of_nx(nx.complete_multipartite_graph(1, 2, 3))
+P3 = graph_of_nx(nx.path_graph(3))
 
 # (kind, graph, expected) worked examples
 EXAMPLES = [
-    (IndexKind.WIENER, complete_graph(6), 15),
+    (IndexKind.WIENER, K6, 15),
     (IndexKind.WIENER, K222_JOIN, 17),
-    (IndexKind.WIENER, complete_multipartite([1, 2, 3]), 19),
-    (IndexKind.HARARY, complete_graph(5), 10),
-    (IndexKind.HARARY, path_graph(3), Fraction(5, 2)),
+    (IndexKind.WIENER, K123, 19),
+    (IndexKind.HARARY, K5, 10),
+    (IndexKind.HARARY, P3, Fraction(5, 2)),
     (IndexKind.HARARY, K222_JOIN, 14),
-    (IndexKind.RDD, complete_graph(5), 5 * 16),
+    (IndexKind.RDD, K5, 5 * 16),
     (IndexKind.RDD, K222_JOIN, 122),
-    (IndexKind.RDD, path_graph(3), 7),
-    (IndexKind.ECC_DIST_SUM, complete_graph(7), 42),
+    (IndexKind.RDD, P3, 7),
+    (IndexKind.ECC_DIST_SUM, K7, 42),
     (IndexKind.ECC_DIST_SUM, K222_JOIN, 58),
-    (IndexKind.ECC_DIST_SUM, path_graph(3), 14),
-    (IndexKind.CONN_ECC, complete_graph(5), 20),
+    (IndexKind.ECC_DIST_SUM, P3, 14),
+    (IndexKind.CONN_ECC, K5, 20),
     (IndexKind.CONN_ECC, K222_JOIN, 18),
-    (IndexKind.CONN_ECC, path_graph(3), 3),
-    (IndexKind.ADJ_ECC_DIST_SUM, complete_graph(5), 5),
+    (IndexKind.CONN_ECC, P3, 3),
+    (IndexKind.ADJ_ECC_DIST_SUM, K5, 5),
     (IndexKind.ADJ_ECC_DIST_SUM, K222_JOIN, 14),
     (IndexKind.ADJ_ECC_DIST_SUM, STAR4, 31),
-    (IndexKind.ZAGREB_M1, complete_graph(5), 80),
+    (IndexKind.ZAGREB_M1, K5, 80),
     (IndexKind.ZAGREB_M1, K222_JOIN, 114),
-    (IndexKind.ZAGREB_M1, path_graph(3), 6),
-    (IndexKind.ZAGREB_M2, complete_graph(5), 160),
+    (IndexKind.ZAGREB_M1, P3, 6),
+    (IndexKind.ZAGREB_M2, K5, 160),
     (IndexKind.ZAGREB_M2, K222_JOIN, 249),
-    (IndexKind.ZAGREB_M2, path_graph(3), 4),
-    (IndexKind.MULT_ZAGREB_PI1, complete_graph(5), 4 ** 10),
+    (IndexKind.ZAGREB_M2, P3, 4),
+    (IndexKind.MULT_ZAGREB_PI1, K5, 4 ** 10),
     (IndexKind.MULT_ZAGREB_PI1, K222_JOIN, 40_960_000),
-    (IndexKind.MULT_ZAGREB_PI1, path_graph(3), 4),
-    (IndexKind.MULT_ZAGREB_PI2, complete_graph(5), 4 ** 20),
+    (IndexKind.MULT_ZAGREB_PI1, P3, 4),
+    (IndexKind.MULT_ZAGREB_PI2, K5, 4 ** 20),
     (IndexKind.MULT_ZAGREB_PI2, K222_JOIN, 5 ** 10 * 2 ** 32),
-    (IndexKind.MULT_ZAGREB_PI2, path_graph(3), 4),
+    (IndexKind.MULT_ZAGREB_PI2, P3, 4),
 ]
 
 
@@ -60,7 +63,7 @@ def test_worked_examples(kind, graph, expected):
 
 
 def test_k2_all_indices():
-    g = complete_graph(2)
+    g = graph_of_nx(nx.complete_graph(2))
     expected = {
         IndexKind.WIENER: 1, IndexKind.HARARY: 1, IndexKind.RDD: 2,
         IndexKind.ECC_DIST_SUM: 2, IndexKind.CONN_ECC: 2,
@@ -182,7 +185,7 @@ def test_kernel_refuses_bad_kinds_and_single_vertex_graphs():
             kernel(kinds)
     for kinds in ((IndexKind.WIENER,), (IndexKind.ZAGREB_M1,)):
         with pytest.raises(GraphSizeError, match="n >= 2 only, got n=1"):
-            kernel(kinds)(complete_graph(1))
+            kernel(kinds)(graph_of_nx(nx.complete_graph(1)))
 
 
 def test_label_invariance(rng):
@@ -191,13 +194,13 @@ def test_label_invariance(rng):
         g = random_connected(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        h = permute(g, perm)
+        h = graph_of_nx(nx.relabel_nodes(nx_of(g), dict(enumerate(perm))))
         for kind in ALL_KINDS:
             assert evaluate(kind, g) == evaluate(kind, h)
 
 
 def test_degree_only_kinds_accept_disconnected():
-    g = empty_graph(3)
+    g = graph_of_nx(nx.empty_graph(3))
     assert evaluate(IndexKind.MULT_ZAGREB_PI1, g) == 0
     assert evaluate(IndexKind.MULT_ZAGREB_PI2, g) == 1  # 0^0 convention
     assert evaluate(IndexKind.ZAGREB_M1, g) == 0
@@ -210,7 +213,7 @@ def test_degree_only_kinds_accept_disconnected():
 
 
 def test_single_vertex_rejected():
-    g = complete_graph(1)
+    g = graph_of_nx(nx.complete_graph(1))
     for kind in ALL_KINDS:
         with pytest.raises(ValueError):
             evaluate(kind, g)

@@ -1,16 +1,16 @@
 """Distance metrics against a queue-BFS oracle."""
 
+import networkx as nx
 import pytest
 
-from vklab import (DisconnectedGraphError, IndexKind, add_edge, complete_graph,
-                   complete_multipartite, compute_metrics, empty_graph, evaluate,
-                   from_edges, join, path_graph)
+from vklab import (DisconnectedGraphError, IndexKind, add_edge, compute_metrics, evaluate,
+                   from_edges)
 
-from conftest import brute_distances, random_connected
+from conftest import brute_distances, graph_of_nx, join_of, random_connected
 
 
 def test_complete_graph_metrics():
-    m = compute_metrics(complete_graph(6))
+    m = compute_metrics(graph_of_nx(nx.complete_graph(6)))
     assert m.pair_counts == [0, 15]
     assert m.ecc == [1] * 6
     assert m.transmission == [5] * 6
@@ -18,14 +18,14 @@ def test_complete_graph_metrics():
 
 
 def test_path_metrics():
-    m = compute_metrics(path_graph(3))
+    m = compute_metrics(graph_of_nx(nx.path_graph(3)))
     assert m.pair_counts == [0, 2, 1]
     assert m.ecc == [2, 1, 2]
     assert m.transmission == [3, 2, 3]
 
 
 def test_join_family_metrics():
-    g = join(complete_graph(2), complete_multipartite([2, 2]))
+    g = join_of(2, [2, 2])
     m = compute_metrics(g)
     assert m.degree == [5, 5, 4, 4, 4, 4]
     assert m.ecc == [1, 1, 2, 2, 2, 2]
@@ -33,7 +33,7 @@ def test_join_family_metrics():
 
 
 def test_disconnected_is_an_error():
-    for g in (empty_graph(3),
+    for g in (graph_of_nx(nx.empty_graph(3)),
               from_edges(4, [(1, 2), (2, 3)]),                  # isolated first vertex
               from_edges(4, [(0, 1), (1, 2)]),                  # isolated last vertex
               from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two paths
@@ -57,9 +57,9 @@ def test_per_distance_sums_match_brute_bfs(rng):
               for _ in range(40)]
     # every source of a complete graph, and the centre of a star, sees the
     # whole graph at distance 1; paths give the longest diameters
-    graphs += [complete_graph(n) for n in range(2, 9)]
-    graphs += [complete_multipartite([1, n - 1]) for n in range(2, 9)]
-    graphs += [path_graph(n) for n in (2, 3, 4, 9, 20, 64)]
+    graphs += [graph_of_nx(nx.complete_graph(n)) for n in range(2, 9)]
+    graphs += [graph_of_nx(nx.complete_multipartite_graph(1, n - 1)) for n in range(2, 9)]
+    graphs += [graph_of_nx(nx.path_graph(n)) for n in (2, 3, 4, 9, 20, 64)]
     for g in graphs:
         m = compute_metrics(g)
         ref = brute_distances(g)

@@ -1,0 +1,109 @@
+"""The package holds what the laboratory runs: every top-level function and
+class under src/vklab is reached by the package itself or by vkbench/, not
+only by tests, which build their own graphs with networkx.
+
+A definition is reached when vkbench names it, when a package module names
+it in code outside any definition (an import from another module, a table),
+or when the body of a reached definition names it. The package `__init__`
+does not count: re-exporting a name does not run it. Naming is by
+identifier: a read or bound name, an imported name, or an attribute of
+anything but a literal (so `"".join` does not reach a function `join`).
+Comments and strings do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import vklab
+
+PACKAGE = Path(vklab.__file__).parent
+VKBENCH = Path(__file__).resolve().parents[1] / "vkbench"
+
+# kept although nothing but tests reaches them yet
+ALLOWED = {
+    # ROADMAP item 3 decides whether the corrected form joins the ledger
+    "closed_form_corrected",
+    # ROADMAP item 2 decides whether the balancing lemma becomes ledger claims
+    "predicted_difference",
+}
+
+
+def named(node: ast.AST) -> set[str]:
+    """Every identifier the code under `node` names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.value, ast.Constant):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in sub.names)
+    return names
+
+
+def unreached(modules: dict, outside: set[str]) -> list[str]:
+    """`module:name` of each top-level definition in `modules` ({file name:
+    tree}) that neither `outside` nor any reached code names."""
+    defs: dict = {}
+    reached = set(outside)
+    for tree in modules.values():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(stmt.name, []).append(stmt)
+            else:
+                reached |= named(stmt)
+    done: set = set()
+    while todo := (reached & defs.keys()) - done:
+        done |= todo
+        for name in todo:
+            for node in defs[name]:
+                reached |= named(node)
+    dead = defs.keys() - done
+    return sorted(f"{module}:{node.name}" for module, tree in modules.items()
+                  for node in tree.body if getattr(node, "name", None) in dead)
+
+
+def package_modules() -> dict:
+    return {p.name: ast.parse(p.read_text(), str(p))
+            for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+
+
+def test_the_name_finder_sees_every_way_of_naming():
+    source = ("import a.b.first\n"
+              "from .m import second as alias\n"
+              "third(x)\n"
+              "y = mod.fourth\n"
+              "z = mod.sub.fifth\n"
+              "'sep'.sixth(x)\n"
+              "w = 'seventh'  # eighth\n")
+    assert named(ast.parse(source)) == {"first", "second", "third", "x", "y", "mod",
+                                        "fourth", "z", "sub", "fifth", "w"}
+
+
+def test_reached_means_named_by_reached_code():
+    modules = {"a.py": ast.parse("def used():\n    return helper()\n"
+                                 "def helper():\n    return 1\n"
+                                 "def alone():\n    return alone()\n"
+                                 "def only_from_dead():\n    return 1\n"
+                                 "class Dead:\n    def m(self):\n        return only_from_dead()\n"
+                                 "TABLE = {1: tabled}\n"),
+               "b.py": ast.parse("from .a import used\n"
+                                 "def tabled():\n    return ''.join([])\n"
+                                 "def join():\n    return 1\n")}
+    assert unreached(modules, set()) == ["a.py:Dead", "a.py:alone", "a.py:only_from_dead",
+                                         "b.py:join"]
+    assert unreached(modules, {"Dead", "join"}) == ["a.py:alone"]
+
+
+def test_the_package_and_vkbench_are_found():
+    assert {"graphs.py", "search.py", "verify.py", "cli.py", "__main__.py"} <= \
+        package_modules().keys()
+    assert (VKBENCH / "run.py").is_file()
+
+
+def test_every_definition_is_reached_outside_tests():
+    outside = set(ALLOWED)
+    for path in sorted(VKBENCH.glob("*.py")):
+        outside |= named(ast.parse(path.read_text(), str(path)))
+    assert unreached(package_modules(), outside) == [], \
+        "reached only from tests: delete it, or build the graph with networkx in the test"

@@ -7,21 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vklab import (ClassParams, InvalidParamsError, complete_graph,
-                   complete_multipartite, cycle_graph, from_edges, in_class,
-                   induced_subgraph, is_k_partite, join, join_family_graph,
+from vklab import (ClassParams, InvalidParamsError, from_edges, join_family_graph,
                    vertex_k_partiteness)
 from vklab import partiteness
 from vklab.partiteness import partiteness_within
 
-from conftest import nx_of, random_graph
+from conftest import graph_of_nx, join_of, nx_of, random_graph
+
+C5 = graph_of_nx(nx.cycle_graph(5))
+K4, K5, K6 = (graph_of_nx(nx.complete_graph(n)) for n in (4, 5, 6))
 
 
 def test_is_k_partite_examples():
-    assert not is_k_partite(cycle_graph(5), 2)
-    assert is_k_partite(complete_multipartite([3, 3]), 2)
-    assert not is_k_partite(complete_graph(4), 3)
-    assert is_k_partite(complete_graph(4), 4)
+    k33 = graph_of_nx(nx.complete_multipartite_graph(3, 3))
+    assert partiteness_within(C5.adj, 2, (0,)) is None
+    assert partiteness_within(k33.adj, 2, (0,)) is not None
+    assert partiteness_within(K4.adj, 3, (0,)) is None
+    assert partiteness_within(K4.adj, 4, (0,)) is not None
 
 
 def test_is_k_partite_against_chromatic_number(rng):
@@ -29,9 +31,10 @@ def test_is_k_partite_against_chromatic_number(rng):
         g = random_graph(rng, rng.randint(2, 8))
         coloring = nx.greedy_color(nx_of(g), strategy="DSATUR")
         upper = max(coloring.values()) + 1 if coloring else 1
-        chi = next(k for k in range(1, g.n + 1) if is_k_partite(g, k))
+        chi = next(k for k in range(1, g.n + 1)
+                   if partiteness_within(g.adj, k, (0,)) is not None)
         assert chi <= upper
-        assert not is_k_partite(g, chi - 1) if chi > 1 else True
+        assert partiteness_within(g.adj, chi - 1, (0,)) is None if chi > 1 else True
         # independent exact oracle: try all colorings with itertools
         if g.n <= 6:
             ref = _brute_chromatic(g)
@@ -60,10 +63,10 @@ def brute_vk(g, k):
 
 
 def test_vertex_k_partiteness_examples():
-    assert vertex_k_partiteness(cycle_graph(5), 2) == 1
-    assert vertex_k_partiteness(complete_graph(4), 2) == 2
-    assert vertex_k_partiteness(complete_graph(5), 3) == 2
-    assert vertex_k_partiteness(complete_graph(6), 2) == 4
+    assert vertex_k_partiteness(C5, 2) == 1
+    assert vertex_k_partiteness(K4, 2) == 2
+    assert vertex_k_partiteness(K5, 3) == 2
+    assert vertex_k_partiteness(K6, 2) == 4
 
 
 def test_vertex_k_partiteness_against_brute(rng):
@@ -135,27 +138,28 @@ def test_partiteness_within_takes_the_certificate_or_the_search(monkeypatch):
     monkeypatch.setattr(partiteness, "_searcher", counting)
     # the greedy colours these outright, or deletes no more than the budget;
     # the parameter of a greedy-colourable graph needs no search either
-    assert partiteness_within(complete_multipartite([2, 2, 2]).adj, 3, (0,)) == 0
-    assert partiteness_within(complete_graph(5).adj, 3, (2,)) == 2
-    assert vertex_k_partiteness(complete_multipartite([3, 2, 2]), 3) == 0
+    k222 = graph_of_nx(nx.complete_multipartite_graph(2, 2, 2))
+    assert partiteness_within(k222.adj, 3, (0,)) == 0
+    assert partiteness_within(K5.adj, 3, (2,)) == 2
+    assert vertex_k_partiteness(graph_of_nx(nx.complete_multipartite_graph(3, 2, 2)), 3) == 0
     assert searches == []
     # the greedy deletes one vertex, over budget 0: one search decides
     assert partiteness_within(_GREEDY_OVERSHOOTS.adj, 2, (0,)) == 0
     assert len(searches) == 1
-    assert is_k_partite(_GREEDY_OVERSHOOTS, 2)
+    assert partiteness_within(_GREEDY_OVERSHOOTS.adj, 2, (0,)) is not None
     assert len(searches) == 2
     # and a search that fails: C5 needs one deletion
-    assert partiteness_within(cycle_graph(5).adj, 2, (0,)) is None
+    assert partiteness_within(C5.adj, 2, (0,)) is None
     assert len(searches) == 3
     # the greedy deletes 2 vertices of K5: budgets 0 and 1 are searched, in
     # order and by one searcher, and 2 is certified without a search
     budgets.clear()
-    assert vertex_k_partiteness(complete_graph(5), 3) == 2
+    assert vertex_k_partiteness(K5, 3) == 2
     assert len(searches) == 4 and budgets == [0, 1]
     # a success stops the ascent: the greedy deletes 4 vertices of K2 joined
     # to K(2,2), and the search at budget 2 succeeds, so 3 is never tried
     budgets.clear()
-    g = join(complete_graph(2), complete_multipartite([2, 2]))
+    g = join_of(2, [2, 2])
     assert partiteness_within(g.adj, 2, (0, 1, 2, 3)) == 2
     assert len(searches) == 5 and budgets == [0, 1, 2]
 
@@ -163,7 +167,7 @@ def test_partiteness_within_takes_the_certificate_or_the_search(monkeypatch):
 def test_vk_zero_iff_k_partite(rng):
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 7))
-        assert (vertex_k_partiteness(g, 2) == 0) == is_k_partite(g, 2)
+        assert (vertex_k_partiteness(g, 2) == 0) == _colourable(g, list(range(g.n)), 2)
 
 
 def test_vk_monotone_in_k_and_bounded(rng):
@@ -192,7 +196,7 @@ def test_vk_never_raised_by_induced_subgraph(rng):
         g = random_graph(rng, 7)
         whole = vertex_k_partiteness(g, 2)
         verts = sorted(rng.sample(range(7), rng.randint(2, 7)))
-        sub = induced_subgraph(g, verts)
+        sub = graph_of_nx(nx_of(g).subgraph(verts))
         if sub.n >= 2:
             assert vertex_k_partiteness(sub, 2) <= whole
 
@@ -205,12 +209,3 @@ def test_class_params_validation():
         ClassParams(6, 0, 2)
     with pytest.raises(InvalidParamsError):
         ClassParams(6, 1, 1)
-
-
-def test_in_class_examples():
-    assert in_class(complete_multipartite([2, 2, 2]), ClassParams(6, 1, 3))
-    assert not in_class(complete_graph(6), ClassParams(6, 1, 2))
-    assert in_class(join(complete_graph(2), complete_multipartite([2, 2])),
-                    ClassParams(6, 2, 2))
-    # wrong order is never a member
-    assert not in_class(complete_graph(5), ClassParams(6, 4, 2))

@@ -9,14 +9,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKind,
                    InvalidParamsError, SizeCapError, VklabError, canonical_form,
-                   complete_graph, compute_metrics, direction, empty_graph, evaluate,
-                   family_optima, is_connected, join_family_graph,
+                   compute_metrics, direction, evaluate, family_optima, is_connected,
+                   join_family_graph,
                    load_graph6_corpus, monotonicity_fuzz, parse_graph6, scan_catalogue,
                    scan_corpus, to_graph6, vertex_k_partiteness)
 from vklab import search
@@ -25,7 +26,7 @@ from vklab.graphs import Graph, _twin_groups, code_to_graph
 from vklab.partiteness import partiteness_within
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 
-from conftest import (enumerate_graphs, reference_canonical_search,
+from conftest import (enumerate_graphs, graph_of_nx, reference_canonical_search,
                       reference_pretest_rejects, scan_by_m)
 
 
@@ -371,7 +372,7 @@ def test_empty_scan_inputs_are_package_errors():
     with pytest.raises(InvalidParamsError):  # one pass is one catalogue level
         search.scan_catalogue([ClassParams(5, 1, 2), ClassParams(6, 1, 2)])
     # a blank line, K4 (wrong order) and K5 minus an edge (v_2 = 2, not <= 1)
-    corpus = ["", to_graph6(complete_graph(4)), "D^{"]
+    corpus = ["", to_graph6(graph_of_nx(nx.complete_graph(4))), "D^{"]
     with pytest.raises(InvalidParamsError):
         scan_corpus(load_graph6_corpus(corpus), ClassParams(5, 1, 2), IndexKind.WIENER)
 
@@ -392,7 +393,7 @@ def test_scan_kinds_are_checked_before_any_graph_work(kinds, message, monkeypatc
         family_optima(p, kinds)
     assert search._CATALOGUES == {}
     if kinds:
-        lines = [to_graph6(complete_graph(5))]
+        lines = [to_graph6(graph_of_nx(nx.complete_graph(5)))]
         with pytest.raises(InvalidParamsError, match=message):
             scan_corpus(load_graph6_corpus(lines), p, kinds[-1])
 
@@ -434,7 +435,8 @@ def test_scan_small_class_examples():
     assert len(report.optimizer_codes) == 1
     report = scan_one(ClassParams(6, 4, 2), IndexKind.WIENER)
     assert report.optimum == 15
-    assert report.optimizer_codes == frozenset({canonical_form(complete_graph(6))})
+    k6 = graph_of_nx(nx.complete_graph(6))
+    assert report.optimizer_codes == frozenset({canonical_form(k6)})
 
 
 def test_scan_optimizer_soundness():
@@ -484,7 +486,7 @@ def test_scan_corpus_agrees_with_enumeration():
     assert len(seen) == 112
     lines = [to_graph6(g) for g in seen.values()]
     # and lines the scan skips: a disconnected graph and one of the wrong order
-    lines += [to_graph6(empty_graph(6)), to_graph6(complete_graph(5))]
+    lines += [to_graph6(graph_of_nx(h)) for h in (nx.empty_graph(6), nx.complete_graph(5))]
     by_codes = scan_by_m(6, 2, range(1, 5))
     for (m, kind), want in by_codes.items():
         got = scan_corpus(load_graph6_corpus(lines), ClassParams(6, m, 2), kind)

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from vklab import (ClassParams, IndexKind, InvalidParamsError, SizeCapError, indices,
-                   search, verify, verify_claims, verify_theorem)
+                   search, verify, verify_claims)
 from vklab.partiteness import vertex_k_partiteness
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, claim_grid, known_claims
@@ -25,18 +25,18 @@ def test_known_claims_inventory():
     claims = known_claims()
     assert "thm4.7-m2" in claims and "cor4.5" in claims and "thm3.1" in claims
     with pytest.raises(ValueError):
-        verify_theorem("thm9.9")
+        verify_claims({"thm9.9": None})
 
 
 def test_nonpositive_workers_rejected():
     for claim in ("thm4.1", "thm3.1", "thm4.6-direction"):
         for workers in (0, -1):
             with pytest.raises(InvalidParamsError):
-                verify_theorem(claim, _grid(4, 4), workers=workers)
+                verify_claims({claim: _grid(4, 4)}, workers)
 
 
 def test_m2_theorem_line_refuted_with_both_values():
-    report = verify_theorem("thm4.7-m2", _grid(4, 12, (2, 3, 4)))
+    report = verify_claims({"thm4.7-m2": _grid(4, 12, (2, 3, 4))})[0]
     assert not report.all_confirmed
     hit = [v for v in report.refuted
            if (v.params.n, v.params.m, v.params.k) == (6, 2, 2)]
@@ -48,18 +48,18 @@ def test_m2_theorem_line_refuted_with_both_values():
 
 def test_m1_and_pi_theorem_lines_confirm():
     for claim in ("thm4.7-m1", "thm4.7-pi1", "thm4.7-pi2"):
-        report = verify_theorem(claim, _grid(4, 11, (2, 3)))
+        report = verify_claims({claim: _grid(4, 11, (2, 3))})[0]
         assert report.all_confirmed, claim
 
 
 def test_distance_formula_claims_confirm_in_regime():
     for claim in ("thm4.1", "thm4.2", "thm4.3"):
-        report = verify_theorem(claim, _grid(4, 11, (2, 3)))
+        report = verify_claims({claim: _grid(4, 11, (2, 3))})[0]
         assert report.all_confirmed, claim
 
 
 def test_eccentricity_formula_claims_flag_singleton_regime():
-    report = verify_theorem("thm4.4", _grid(4, 10, (2, 3)))
+    report = verify_claims({"thm4.4": _grid(4, 10, (2, 3))})[0]
     for v in report.verdicts:
         s = (v.params.n - v.params.m) // v.params.k
         if s >= 2:
@@ -73,7 +73,7 @@ def test_corollary_claims_confirm_except_documented():
     expected_bad = {"cor4.4": ("odd",), "cor4.5": ("odd",)}
     for claim in ("cor4.1", "cor4.2", "cor4.3", "cor4.4", "cor4.5", "cor4.6",
                   "cor4.7-m1", "cor4.7-m2", "cor4.7-pi1", "cor4.7-pi2"):
-        report = verify_theorem(claim, _grid(4, 11))
+        report = verify_claims({claim: _grid(4, 11)})[0]
         for v in report.verdicts:
             parity = "even" if (v.params.n - v.params.m) % 2 == 0 else "odd"
             s = (v.params.n - v.params.m) // 2
@@ -87,7 +87,7 @@ def test_corollary_claims_confirm_except_documented():
 
 
 def test_cor44_odd_refutation_values():
-    report = verify_theorem("cor4.4", _grid(6, 6))
+    report = verify_claims({"cor4.4": _grid(6, 6)})[0]
     odd = {(v.params.n, v.params.m): v for v in report.verdicts
            if (v.params.n - v.params.m) % 2 == 1}
     v = odd[(6, 1)]
@@ -96,7 +96,7 @@ def test_cor44_odd_refutation_values():
 
 
 def test_direction_claim_refuted():
-    report = verify_theorem("thm4.6-direction", _grid(5, 5))
+    report = verify_claims({"thm4.6-direction": _grid(5, 5)})[0]
     assert all(v.verdict == REFUTED for v in report.verdicts)
     assert all("direction" in v.note for v in report.verdicts)
 
@@ -110,7 +110,7 @@ def test_structure_claims_small_grid():
     """
     grid = _grid(4, 5, (2, 3))
     for claim in ("thm3.1", "thm3.2"):
-        report = verify_theorem(claim, grid)
+        report = verify_claims({claim: grid})[0]
         for v in report.verdicts:
             expected_tie = (claim == "thm3.1"
                             and v.kind is IndexKind.ECC_DIST_SUM
@@ -138,7 +138,7 @@ def test_scan_claims_make_one_pass_per_n_and_k(monkeypatch):
             return scan_catalogue(params, *args)
 
         monkeypatch.setattr(verify, "scan_catalogue", counted)
-        report = verify_theorem(claim, grid)
+        report = verify_claims({claim: grid})[0]
         assert passes == Counter(map(frozenset, classes_by_n.values())), claim
         # verdicts still follow the grid order
         per_tuple = len(report.verdicts) // len(grid)
@@ -155,7 +155,7 @@ def test_verify_claims_equals_one_claim_at_a_time(workers):
     shared = verify_claims({c: claim_grid(c, 10, (2, 3, 4), 5) for c in claims}, workers)
     assert [r.claim for r in shared] == claims
     assert verify_claims(dict.fromkeys(claims), workers) == shared
-    assert [verify_theorem(c, workers=workers) for c in claims] == shared
+    assert [verify_claims({c: None}, workers)[0] for c in claims] == shared
 
 
 def test_verify_claims_evaluates_each_graph_once(monkeypatch):
@@ -229,7 +229,7 @@ def test_never_silently_passed():
     """Every claim's report accounts for every grid tuple exactly once."""
     grid = _grid(4, 9)
     for claim in ("thm4.1", "thm4.4", "cor4.4", "cor4.5", "cor4.7-m2"):
-        report = verify_theorem(claim, grid)
+        report = verify_claims({claim: grid})[0]
         seen = [(v.params.n, v.params.m, v.params.k) for v in report.verdicts]
         assert seen == [(p.n, p.m, p.k) for p in grid]
         counts = report.counts
@@ -238,7 +238,7 @@ def test_never_silently_passed():
 
 def test_claim_grid_is_the_one_grid_policy():
     """Corollaries take k = 2, scan-backed claims stop at their own cap,
-    and `verify_theorem` defaults to the same grids, whatever the case."""
+    and `verify_claims` defaults to the same grids, whatever the case."""
     assert verify.claim_grid("cor4.3", 7) == _grid(4, 7)
     assert verify.claim_grid("COR4.3", 7) == _grid(4, 7)
     assert verify.claim_grid("thm4.1", 7, (2, 3)) == _grid(4, 7, (2, 3))
@@ -246,5 +246,5 @@ def test_claim_grid_is_the_one_grid_policy():
         assert verify.claim_grid(claim, 10, (2, 3), 6) == _grid(4, 6, (2, 3))
         assert verify.claim_grid(claim, 5, (2, 3), 6) == _grid(4, 5, (2, 3))
     for claim in ("thm4.2", "cor4.2", "thm4.6-direction"):  # one kind each
-        report = verify_theorem(claim)
+        report = verify_claims({claim: None})[0]
         assert [v.params for v in report.verdicts] == verify.claim_grid(claim)
