@@ -45,7 +45,7 @@ from .errors import VklabError
 from .extremal import extremal_graph, part_sizes
 from .graphs import is_connected, parse_graph6, to_graph6
 from .indices import ALL_KINDS, DEGREE_ONLY, IndexKind, exact, kernel
-from .partiteness import ClassParams, vertex_k_partiteness
+from .partiteness import ClassParams, check_k, vertex_k_partiteness
 from .search import monotonicity_fuzz, numbered_graph6, scan_catalogue
 from .verify import REFUTED, claim_grid, known_claims, verify_claims
 
@@ -176,20 +176,31 @@ def _emit(records, header, fmt, out):
             fh.writelines("  ".join(map(str, row)) + "\n" for row in records)
 
 
-def _input_graphs(args):
-    """Yield (label, Graph) from --graph6 or --file; label is the source line.
+def _input_graphs(args, measure):
+    """Yield (label, graph6, measure(g)) for the graph of --graph6 or each
+    graph of --file; label is the source line.
 
-    Under --lenient, each skipped corpus line is reported on stderr once the
+    A corpus line that parses but that `measure` refuses is an error that
+    names its line, as a malformed line is. Under --lenient both are
+    skipped instead, and each is reported on stderr, in line order, once the
     file has been read. graph6 is ASCII: the file is decoded as such, and a
     byte outside it becomes one invalid character of its line.
     """
     if args.graph6 is not None:
-        yield "-", parse_graph6(args.graph6)
+        g = parse_graph6(args.graph6)
+        yield "-", to_graph6(g), measure(g)
         return
     skipped = [] if args.lenient else None
     with open(args.file, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, g in numbered_graph6(fh, skipped):
-            yield str(lineno), g
+            try:
+                value = measure(g)
+            except VklabError as exc:
+                if skipped is None:
+                    raise VklabError(f"line {lineno}: {exc}") from None
+                skipped.append((lineno, str(exc)))
+                continue
+            yield str(lineno), to_graph6(g), value
     for lineno, message in skipped or ():
         print(f"skipped line {lineno}: {message}", file=sys.stderr)
 
@@ -214,15 +225,17 @@ def _cmd_index(args) -> int:
     # (null in JSON, "undefined" in plain and CSV); the rest read degrees
     degree_only = [kind in DEGREE_ONLY for kind in kinds]
     degree_values = kernel(compress(kinds, degree_only)) if any(degree_only) else None
-    lines = []  # (label, graph6, values): every value before the output opens
-    for label, g in _input_graphs(args):
+
+    def measure(g):
         if is_connected(g):
             vals = values(g)
         else:
             found = iter(degree_values(g)) if degree_values else None
             vals = [next(found) if d else None for d in degree_only]
-        lines.append((label, to_graph6(g), [
-            None if v is None else exact(kind, v, g.n) for kind, v in zip(kinds, vals)]))
+        return [None if v is None else exact(kind, v, g.n) for kind, v in zip(kinds, vals)]
+
+    # (label, graph6, values): every value before the output opens
+    lines = list(_input_graphs(args, measure))
     if args.format == "json":
         records = (_envelope("index", params={"line": label, "graph6": g6},
                              kind=kind, optimum=val)
@@ -235,8 +248,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_vk(args) -> int:
-    lines = [(label, to_graph6(g), vertex_k_partiteness(g, args.k))
-             for label, g in _input_graphs(args)]
+    check_k(args.k)  # a bad --k is one error, before any line is read
+    lines = list(_input_graphs(args, lambda g: vertex_k_partiteness(g, args.k)))
     if args.format == "json":
         records = (_envelope("vk", params={"line": label, "graph6": g6, "k": args.k},
                              optimum=v) for label, g6, v in lines)
@@ -311,7 +324,7 @@ def _cmd_verify(args) -> int:
             params={"n_max": args.nmax, "k_values": list(k_values)},
             flags=report.counts,
             verdicts=[{"params": {"n": v.params.n, "m": v.params.m, "k": v.params.k},
-                       "kind": v.kind.value if v.kind else None,
+                       "kind": v.kind.value,
                        "verdict": v.verdict,
                        "expected": _value_json(v.expected),
                        "actual": _value_json(v.actual),
@@ -320,7 +333,7 @@ def _cmd_verify(args) -> int:
             for report in reports)
     else:
         records = ([report.claim, v.params.n, v.params.m, v.params.k,
-                    v.kind.value if v.kind else "", v.verdict,
+                    v.kind.value, v.verdict,
                     _value_text(v.expected), _value_text(v.actual), v.note]
                    for report in reports for v in report.verdicts)
     _emit(records,
@@ -382,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--graph6", help="one inline graph6 line")
         src.add_argument("--file", help="graph6 corpus, one graph per line")
         p.add_argument("--lenient", action="store_true",
-                       help="skip malformed corpus lines instead of aborting")
+                       help="skip malformed or unevaluable corpus lines instead of aborting")
 
     p = sub.add_parser("index", help="evaluate topological indices")
     add_input(p)

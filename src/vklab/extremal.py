@@ -7,9 +7,10 @@ evaluates the published closed-form values of each index on it, and exposes
 the one-vertex balancing shift together with the published difference
 predictions.
 
-Closed forms are evaluated exactly as printed, flaws included: values carry
-validity flags instead of silent corrections, because the point of the
-artifact is to certify or refute the printed claims. The known flaws:
+Closed forms are evaluated exactly as printed, flaws included, never
+silently corrected, because the point of the artifact is to certify or
+refute the printed claims; the one validity flag a value carries is
+`regime_restricted`. The known flaws:
 
   * the second-Zagreb closed form omits the cross-part term
     sum_{i<j} s_i s_j (n - s_i)(n - s_j); the corrected form is available
@@ -51,19 +52,15 @@ class PartitionSpec:
     s: int
     t: int
 
-    @property
-    def balanced(self) -> bool:
-        return max(self.sizes) - min(self.sizes) <= 1
-
 
 @dataclass(frozen=True)
 class ClosedFormValue:
-    """A printed closed-form value plus the validity flags it ships with."""
+    """A printed closed-form value, flagged when the construction is outside
+    the regime the form assumes."""
 
     kind: IndexKind
     value: int | Fraction
     regime_restricted: bool = False
-    erratum_suspect: bool = False
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,7 @@ def closed_form(kind: IndexKind, params: ClassParams) -> ClosedFormValue:
     """Printed closed-form value of the index on the balanced construction.
 
     Eccentricity-based kinds are regime-restricted unless every part size is
-    at least 2; the second Zagreb form is erratum-suspect always (it omits a
-    cross-part term). Flags mark suspicion, never alter the value.
+    at least 2; the flag never alters the value.
     """
     spec = part_sizes(params)
     n, m, k, s, t = params.n, params.m, params.k, spec.s, spec.t
@@ -180,7 +176,6 @@ def closed_form(kind: IndexKind, params: ClassParams) -> ClosedFormValue:
         kind=kind,
         value=_normalize(kind, val),
         regime_restricted=kind in ECCENTRICITY_KINDS and s < 2,
-        erratum_suspect=kind is IndexKind.ZAGREB_M2,
     )
 
 
@@ -214,12 +209,10 @@ def closed_form_bipartite(kind: IndexKind, n: int, m: int) -> ClosedFormValue:
 
     The odd-case lines for the adjacent eccentric distance sum (garbled
     "(n-m-11)" factor) and the eccentricity distance sum (trailing constant
-    printed as -1 instead of +1) are returned as printed and flagged
-    erratum-suspect.
+    printed as -1 instead of +1) are returned as printed.
     """
     ClassParams(n, m, 2)  # validates the ranges
     F = Fraction
-    erratum = False
     if (n - m) % 2 == 0:
         if kind is IndexKind.WIENER:
             val = F(3 * n * n + m * m - 2 * m * n - 4 * n + 2 * m, 4)
@@ -256,12 +249,10 @@ def closed_form_bipartite(kind: IndexKind, n: int, m: int) -> ClosedFormValue:
         elif kind is IndexKind.ECC_DIST_SUM:
             # printed trailing constant is -1; the theorem's value needs +1
             val = 3 * n * n - 4 * n - 3 * m * n + m * m + 3 * m - 1
-            erratum = True
         elif kind is IndexKind.ADJ_ECC_DIST_SUM:
             # "(n-m-11)" as printed; (n-m-1) is evidently meant
             val = (m + F((n - m + 1) * (3 * n - m - 3), n + m - 1)
                    + F((n - m - 11) * (3 * n - m - 5), n + m + 1))
-            erratum = True
         elif kind is IndexKind.CONN_ECC:
             val = m * (n - 1) + F(n * n - m * m - 1, 4)
         elif kind is IndexKind.ZAGREB_M1:
@@ -282,8 +273,7 @@ def closed_form_bipartite(kind: IndexKind, n: int, m: int) -> ClosedFormValue:
             raise ValueError(f"unknown kind {kind}")
     s = (n - m) // 2
     regime = kind in ECCENTRICITY_KINDS and s < 2
-    return ClosedFormValue(kind=kind, value=_normalize(kind, val),
-                           regime_restricted=regime, erratum_suspect=erratum)
+    return ClosedFormValue(kind=kind, value=_normalize(kind, val), regime_restricted=regime)
 
 
 # ---------------------------------------------------------------------------

@@ -91,15 +91,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def edges(self):
-        """Yield edges as (u, v) pairs with u < v."""
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            while row:
-                v = (row & -row).bit_length() - 1
-                yield (u, v)
-                row &= row - 1
-
     def non_edges(self):
         """Yield non-adjacent pairs (u, v) with u < v."""
         for u in range(self.n):

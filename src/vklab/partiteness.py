@@ -28,13 +28,18 @@ class ClassParams:
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InvalidParamsError(f"k must be >= 2, got {self.k}")
+        check_k(self.k)
         if not 2 <= self.n <= MAX_VERTICES:
             raise InvalidParamsError(f"n must be in 2..{MAX_VERTICES}, got {self.n}")
         if not 1 <= self.m <= self.n - self.k:
             raise InvalidParamsError(
                 f"m must satisfy 1 <= m <= n - k = {self.n - self.k}, got {self.m}")
+
+
+def check_k(k: int) -> None:
+    """Every k-partiteness question needs k >= 2 (InvalidParamsError)."""
+    if k < 2:
+        raise InvalidParamsError(f"k must be >= 2, got {k}")
 
 
 def _by_degree(adj) -> list[int]:  # the order of every pass
@@ -106,8 +111,7 @@ def vertex_k_partiteness(g: Graph, k: int) -> int:
 
     Always at most n - k (any k remaining vertices are k-partite).
     """
-    if k < 2:
-        raise InvalidParamsError(f"k must be >= 2, got {k}")
+    check_k(k)
     if g.n < k:
         raise InvalidParamsError(f"need n >= k, got n={g.n} k={k}")
     result = partiteness_within(g.adj, k, range(g.n - k + 1))

@@ -22,9 +22,11 @@ from vklab.graphs import (_CANONICAL_BUDGET, _row_major_pairs, code_to_adj, conn
 
 
 def nx_of(g: Graph) -> nx.Graph:
+    """The networkx graph of g's adjacency bits, nodes 0..n-1 in order."""
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if g.adj[u] >> v & 1)
     return h
 
 
@@ -201,7 +203,7 @@ def reference_pretest_rejects(g: Graph) -> bool:
 def brute_distances(g: Graph):
     """Queue BFS over explicit neighbour lists."""
     neigh = {u: [] for u in range(g.n)}
-    for u, v in g.edges():
+    for u, v in nx_of(g).edges():
         neigh[u].append(v)
         neigh[v].append(u)
     dist = [[None] * g.n for _ in range(g.n)]
@@ -219,11 +221,12 @@ def brute_distances(g: Graph):
 
 def brute_index(kind: IndexKind, g: Graph):
     """Pair-by-pair / vertex-by-vertex evaluation with no grouping tricks."""
-    deg = g.degrees()
+    h = nx_of(g)
+    deg = [h.degree(u) for u in range(g.n)]
     if kind is IndexKind.ZAGREB_M1:
         return sum(d * d for d in deg)
     if kind is IndexKind.ZAGREB_M2:
-        return sum(deg[u] * deg[v] for u, v in g.edges())
+        return sum(deg[u] * deg[v] for u, v in h.edges())
     if kind is IndexKind.MULT_ZAGREB_PI1:
         out = 1
         for d in deg:

@@ -132,6 +132,42 @@ def test_separator_edged_line_is_an_invalid_character(tmp_path, capsys):
     assert err == "skipped line 1: invalid character '\\x1c'\n"
 
 
+@pytest.mark.parametrize("argv,lines,message", [
+    (["index", "--kind", "wiener"], "Bw\n@\nCF\n",
+     "line 2: indices are defined for n >= 2 only, got n=1"),
+    (["vk", "--k", "3"], "Bw\nA_\nCF\n", "line 2: need n >= k, got n=2 k=3"),
+])
+def test_unevaluable_line_is_line_addressed_and_lenient_skips_it(tmp_path, capsys, argv,
+                                                                 lines, message):
+    """A line that parses but cannot be measured is an error naming its
+    line; --lenient skips it and reports it in line order with the
+    malformed lines."""
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(lines + "garbage!\nDQc\n")
+    argv = [*argv, "--file", str(corpus), "--format", "csv"]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--lenient")
+    assert code == 0
+    assert [r["line"] for r in csv.DictReader(io.StringIO(out))] == ["1", "3", "5"]
+    assert err == (f"skipped {message}\n"
+                   "skipped line 4: expected 130 data characters for n=40, got 7\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["vk", "--k", "1"], "error: k must be >= 2, got 1\n"),
+    (["index", "--kind", "bogus"], "error: unknown kind 'bogus'; choose from: all, "
+     + ", ".join(kind.value for kind in vklab.ALL_KINDS) + "\n"),
+])
+@pytest.mark.parametrize("lines", ["", "Bw\nCF\n"])
+def test_argument_error_is_one_error_before_any_line(tmp_path, capsys, argv, message, lines):
+    """--lenient skips lines, never a bad argument: that is one error, even
+    for an empty corpus."""
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(lines)
+    for lenient in ((), ("--lenient",)):
+        assert run(capsys, *argv, "--file", str(corpus), *lenient) == (1, "", message)
+
+
 def test_non_ascii_bytes_are_invalid_characters(tmp_path):
     # graph6 is ASCII; a byte outside it is an invalid character of its own
     # line under either mode, never a decoding traceback
@@ -381,6 +417,12 @@ def test_verify_json_bytes_are_frozen(capsys):
     assert code == 2
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3d0883fdaf6a50fb1810802f3be8df6b067653944a78dcf6bb2d4ea7f30d7c1c")
+
+
+def test_verify_unknown_claim_is_one_error(capsys):
+    message = f"error: unknown claim 'thm9.9'; known: {', '.join(vklab.known_claims())}\n"
+    for claim in ("thm9.9", "THM9.9"):
+        assert run(capsys, "verify", "--claim", claim) == (1, "", message)
 
 
 def test_verify_claim_ids_are_case_insensitive(capsys):

@@ -18,6 +18,9 @@ from vklab.indices import ECCENTRICITY_KINDS
 
 from conftest import join_of, nx_of
 
+# the printed k = 2 corollary lines with a typo: (kind, parity of n - m)
+COROLLARY_ERRATA = {(IndexKind.ECC_DIST_SUM, ODD), (IndexKind.ADJ_ECC_DIST_SUM, ODD)}
+
 
 def test_part_sizes_examples():
     spec = part_sizes(ClassParams(6, 2, 2))
@@ -26,7 +29,7 @@ def test_part_sizes_examples():
     assert (spec.s, spec.t, spec.sizes) == (2, 1, (2, 3))
     spec = part_sizes(ClassParams(10, 1, 4))
     assert (spec.s, spec.t, spec.sizes) == (2, 1, (2, 2, 2, 3))
-    assert spec.balanced
+    assert max(spec.sizes) - min(spec.sizes) <= 1
 
 
 def test_join_family_graph():
@@ -78,7 +81,7 @@ def test_closed_form_worked_values():
     assert closed_form(IndexKind.WIENER, p).value == 17
     assert closed_form(IndexKind.CONN_ECC, p).value == 18
     m2 = closed_form(IndexKind.ZAGREB_M2, p)
-    assert m2.value == 185 and m2.erratum_suspect
+    assert m2.value == 185 != closed_form_corrected(IndexKind.ZAGREB_M2, p).value
     assert evaluate(IndexKind.ZAGREB_M2, extremal_graph(p)) == 249
     assert closed_form_corrected(IndexKind.ZAGREB_M2, p).value == 249
 
@@ -169,15 +172,14 @@ def test_bipartite_consistency_with_theorem_forms():
                        if kind is IndexKind.ZAGREB_M2 else closed_form(kind, p))
                 if cor.value != thm.value:
                     suspects.add((kind, parity))
-                    assert cor.erratum_suspect, (kind, n, m)
-    assert suspects == {(IndexKind.ECC_DIST_SUM, ODD),
-                        (IndexKind.ADJ_ECC_DIST_SUM, ODD)}
+                    assert (kind, parity) in COROLLARY_ERRATA, (kind, n, m)
+    assert suspects == COROLLARY_ERRATA
 
 
 def test_bipartite_m2_matches_corrected_not_printed_theorem():
     # the corollary's second-Zagreb line is right; the theorem's line is not
     cor = closed_form_bipartite(IndexKind.ZAGREB_M2, 6, 2)
-    assert cor.value == 249 and not cor.erratum_suspect
+    assert cor.value == 249 and (IndexKind.ZAGREB_M2, EVEN) not in COROLLARY_ERRATA
 
 
 def test_bipartite_ecc_dist_sum_odd_constant_erratum():
@@ -185,7 +187,7 @@ def test_bipartite_ecc_dist_sum_odd_constant_erratum():
     cor = closed_form_bipartite(IndexKind.ECC_DIST_SUM, 6, 1)
     thm = closed_form(IndexKind.ECC_DIST_SUM, ClassParams(6, 1, 2))
     oracle = evaluate(IndexKind.ECC_DIST_SUM, extremal_graph(ClassParams(6, 1, 2)))
-    assert cor.value == 69 and cor.erratum_suspect
+    assert cor.value == 69 and (IndexKind.ECC_DIST_SUM, ODD) in COROLLARY_ERRATA
     assert thm.value == oracle == 71
 
 

@@ -95,7 +95,7 @@ def test_dual_forms(rng):
         g = random_connected(rng, rng.randint(2, 8))
         m = compute_metrics(g)
         deg, ecc = m.degree, m.ecc
-        edges = list(g.edges())
+        edges = list(nx_of(g).edges())
         assert evaluate(IndexKind.ZAGREB_M1, g, m) == sum(
             deg[u] + deg[v] for u, v in edges)
         pi2_edge = 1

@@ -6,7 +6,7 @@ import pytest
 from vklab import (DisconnectedGraphError, IndexKind, add_edge, compute_metrics, evaluate,
                    from_edges)
 
-from conftest import brute_distances, graph_of_nx, join_of, random_connected
+from conftest import brute_distances, graph_of_nx, join_of, nx_of, random_connected
 
 
 def test_complete_graph_metrics():
@@ -86,7 +86,7 @@ def test_symmetry_zero_diagonal_and_triangle_inequality(rng):
         assert sum(m.pair_counts) == g.n * (g.n - 1) // 2
         # d(u, w) <= d(u, v) + d(v, w): adjacent eccentricities differ by at
         # most one, and the diameter is at most twice the radius
-        assert all(abs(m.ecc[u] - m.ecc[v]) <= 1 for u, v in g.edges())
+        assert all(abs(m.ecc[u] - m.ecc[v]) <= 1 for u, v in nx_of(g).edges())
         assert max(m.ecc) <= 2 * min(m.ecc)
 
 
@@ -96,7 +96,7 @@ def test_distance_one_iff_edge(rng):
         m = compute_metrics(g)
         deg = g.degrees()
         assert m.pair_counts[1] == g.edge_count()
-        assert m.degree_sums[1] == sum(deg[u] + deg[v] for u, v in g.edges())
+        assert m.degree_sums[1] == sum(deg[u] + deg[v] for u, v in nx_of(g).edges())
 
 
 def test_total_transmission_is_twice_wiener(rng):

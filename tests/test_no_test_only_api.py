@@ -1,6 +1,7 @@
 """The package holds what the laboratory runs: every top-level function and
-class under src/vklab is reached by the package itself or by vkbench/, not
-only by tests, which build their own graphs with networkx.
+class under src/vklab, and every member of its classes, is reached by the
+package itself or by vkbench/, not only by tests, which build their own
+graphs with networkx and compute their own checks.
 
 A definition is reached when vkbench names it, when a package module names
 it in code outside any definition (an import from another module, a table),
@@ -9,6 +10,10 @@ does not count: re-exporting a name does not run it. Naming is by
 identifier: a read or bound name, an imported name, or an attribute of
 anything but a literal (so `"".join` does not reach a function `join`).
 Comments and strings do not count.
+
+A member of a package class (an annotated field, a method or a property,
+dunders aside) is reached when its name is read as an attribute, again of
+anything but a literal, in a package module or a vkbench file.
 """
 
 import ast
@@ -25,6 +30,13 @@ ALLOWED = {
     "closed_form_corrected",
     # ROADMAP item 2 decides whether the balancing lemma becomes ledger claims
     "predicted_difference",
+}
+ALLOWED_MEMBERS = {
+    # argparse calls it on a usage error; no package code reads it by name
+    "cli.py:_Parser.error",
+    # ROADMAP item 2 decides whether the balancing lemma becomes ledger claims
+    "extremal.py:DifferencePrediction.exact",
+    "extremal.py:DifferencePrediction.sign",
 }
 
 
@@ -61,6 +73,36 @@ def unreached(modules: dict, outside: set[str]) -> list[str]:
     dead = defs.keys() - done
     return sorted(f"{module}:{node.name}" for module, tree in modules.items()
                   for node in tree.body if getattr(node, "name", None) in dead)
+
+
+def read_attributes(node: ast.AST) -> set[str]:
+    """Every attribute name the code under `node` reads, of anything but a
+    literal."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            and not isinstance(sub.value, ast.Constant)}
+
+
+def unread_members(modules: dict, outside: set[str]) -> list[str]:
+    """`module:Class.member` of each annotated field, method and property,
+    dunders aside, of the top-level classes in `modules` whose name neither
+    `outside` nor any module reads as an attribute."""
+    read = set(outside)
+    for tree in modules.values():
+        read |= read_attributes(tree)
+    unread = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            for stmt in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = stmt.name
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                    unread.append(f"{module}:{cls.name}.{name}")
+    return sorted(unread)
 
 
 def package_modules() -> dict:
@@ -101,9 +143,39 @@ def test_the_package_and_vkbench_are_found():
     assert (VKBENCH / "run.py").is_file()
 
 
+def test_a_member_is_reached_by_an_attribute_read():
+    modules = {"a.py": ast.parse("class Spec:\n"
+                                 "    size: int\n"
+                                 "    flag: bool = False\n"
+                                 "    LIMIT = 3\n"
+                                 "    def __len__(self):\n        return self.size\n"
+                                 "    @property\n    def ratio(self):\n        return 1\n"
+                                 "    def split(self):\n        return 2\n"
+                                 "    def strip(self):\n        return 3\n"
+                                 "def use(s):\n"
+                                 "    s.flag = True\n"
+                                 "    return ' '.strip(), s.ratio\n")}
+    assert unread_members(modules, set()) == ["a.py:Spec.flag", "a.py:Spec.split",
+                                              "a.py:Spec.strip"]
+    assert unread_members(modules, {"split"}) == ["a.py:Spec.flag", "a.py:Spec.strip"]
+
+
+def vkbench_trees() -> list:
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(VKBENCH.glob("*.py"))]
+
+
 def test_every_definition_is_reached_outside_tests():
     outside = set(ALLOWED)
-    for path in sorted(VKBENCH.glob("*.py")):
-        outside |= named(ast.parse(path.read_text(), str(path)))
+    for tree in vkbench_trees():
+        outside |= named(tree)
     assert unreached(package_modules(), outside) == [], \
         "reached only from tests: delete it, or build the graph with networkx in the test"
+
+
+def test_every_member_is_read_outside_tests():
+    outside = set()
+    for tree in vkbench_trees():
+        outside |= read_attributes(tree)
+    unread = unread_members(package_modules(), outside)
+    assert [m for m in unread if m not in ALLOWED_MEMBERS] == [], \
+        "read only by tests: delete it, or compute it in the test"

@@ -43,7 +43,7 @@ def test_is_k_partite_against_chromatic_number(rng):
 
 def _colourable(g, keep, k):
     """Some map of `keep` to k colours leaves no edge inside one colour."""
-    edges = [(keep.index(u), keep.index(v)) for u, v in g.edges()
+    edges = [(keep.index(u), keep.index(v)) for u, v in nx_of(g).edges()
              if u in keep and v in keep]
     return any(all(colors[a] != colors[b] for a, b in edges)
                for colors in itertools.product(range(k), repeat=len(keep)))

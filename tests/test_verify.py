@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from vklab import (ClassParams, IndexKind, InvalidParamsError, SizeCapError, indices,
-                   search, verify, verify_claims)
+from vklab import (ALL_KINDS, ClassParams, IndexKind, InvalidParamsError, SizeCapError,
+                   indices, search, verify, verify_claims)
 from vklab.partiteness import vertex_k_partiteness
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, claim_grid, known_claims
@@ -28,6 +28,32 @@ def test_known_claims_inventory():
         verify_claims({"thm9.9": None})
 
 
+STATEMENTS = ["4.1", "4.2", "4.3", "4.4", "4.5", "4.6", "4.7-m1", "4.7-m2", "4.7-pi1",
+              "4.7-pi2"]
+
+
+def test_claim_inventory_and_ledger_order_are_frozen():
+    """The 23 claim ids in ledger order; each kind has exactly one closed-form
+    statement and one corollary line."""
+    assert known_claims() == ([f"thm{no}" for no in STATEMENTS]
+                              + [f"cor{no}" for no in STATEMENTS]
+                              + ["thm3.1", "thm3.2", "thm4.6-direction"])
+    for prefix in ("thm", "cor"):
+        reports = verify_claims({f"{prefix}{no}": _grid(6, 6) for no in STATEMENTS})
+        kinds = Counter(kind for report in reports for kind in {v.kind for v in report.verdicts})
+        assert kinds == Counter(ALL_KINDS), prefix
+
+
+def test_claim_grid_refuses_an_unknown_claim():
+    """The same error, word for word, as `verify_claims` gives."""
+    with pytest.raises(InvalidParamsError) as from_verify:
+        verify_claims({"THM9.9": None})
+    with pytest.raises(InvalidParamsError) as from_grid:
+        claim_grid("THM9.9")
+    assert str(from_grid.value) == str(from_verify.value)
+    assert str(from_grid.value).startswith("unknown claim 'thm9.9'; known: thm4.1, ")
+
+
 def test_nonpositive_workers_rejected():
     for claim in ("thm4.1", "thm3.1", "thm4.6-direction"):
         for workers in (0, -1):
@@ -37,9 +63,9 @@ def test_nonpositive_workers_rejected():
 
 def test_m2_theorem_line_refuted_with_both_values():
     report = verify_claims({"thm4.7-m2": _grid(4, 12, (2, 3, 4))})[0]
-    assert not report.all_confirmed
-    hit = [v for v in report.refuted
-           if (v.params.n, v.params.m, v.params.k) == (6, 2, 2)]
+    assert any(v.verdict != CONFIRMED for v in report.verdicts)
+    hit = [v for v in report.verdicts if v.verdict == REFUTED
+           and (v.params.n, v.params.m, v.params.k) == (6, 2, 2)]
     assert len(hit) == 1
     assert hit[0].expected == 185 and hit[0].actual == 249
     # the omission hits every tuple: the cross term is positive whenever k >= 2
@@ -49,13 +75,13 @@ def test_m2_theorem_line_refuted_with_both_values():
 def test_m1_and_pi_theorem_lines_confirm():
     for claim in ("thm4.7-m1", "thm4.7-pi1", "thm4.7-pi2"):
         report = verify_claims({claim: _grid(4, 11, (2, 3))})[0]
-        assert report.all_confirmed, claim
+        assert all(v.verdict == CONFIRMED for v in report.verdicts), claim
 
 
 def test_distance_formula_claims_confirm_in_regime():
     for claim in ("thm4.1", "thm4.2", "thm4.3"):
         report = verify_claims({claim: _grid(4, 11, (2, 3))})[0]
-        assert report.all_confirmed, claim
+        assert all(v.verdict == CONFIRMED for v in report.verdicts), claim
 
 
 def test_eccentricity_formula_claims_flag_singleton_regime():
@@ -187,7 +213,7 @@ def test_verify_claims_evaluates_each_graph_once(monkeypatch):
     constructions = {p for claim in ("thm4.1", "cor4.2", "thm4.2", "thm4.6-direction")
                      for p in grids[claim]}
     # thm4.2 and cor4.2 print the same Harary form at their common k = 2 classes
-    printed = {(p, verify._claim_kinds(claim)) for claim in ("thm4.1", "cor4.2", "thm4.2")
+    printed = {(p, verify._CLAIMS[claim][1]) for claim in ("thm4.1", "cor4.2", "thm4.2")
                for p in grids[claim]}
     scanned = grids["thm4.6-direction"] + grids["thm3.1"] + grids["thm3.2"]
     members = sum(1 for n in {p.n for p in scanned} for entry in catalogue(n)
