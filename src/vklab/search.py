@@ -20,6 +20,12 @@ that of the least requested m admitting it, and the report for m merges
 the buckets at or below m, so one pass serves every (m, k) of one n.
 Scans support 2 <= n <= 9 (261,080 classes at n = 9), with any worker
 count.
+
+Where the work runs is one rule, `_POOL_FROM`: with more than one worker,
+each catalogue level from n = 8 up is built in a process pool, and a
+catalogue scan of such a level folds its graphs in a pool too; smaller
+levels are built and scanned in this process, since a pool costs more than
+their work. Results do not depend on where the work ran.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ from .indices import ALL_KINDS, Direction, IndexKind, direction, exact, kernel
 from .partiteness import ClassParams, partiteness_within
 
 _SCAN_CAP = 9  # 261,080 classes; n = 10 has 11,716,571
+# the least level built and scanned in a pool: level 7 (853 classes) takes
+# about 0.1 s in-process, and a pool adds a third to its CPU time
+_POOL_FROM = 8
 
 
 def numbered_graph6(lines, errors: list | None = None):
@@ -230,14 +239,16 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
     isomorphisms preserve keys and cut vertices. Levels are built on first
     use and cached per n.
 
-    With `workers` > 1, level n is built by a process pool of at most
-    `os.cpu_count()` processes, on the platform's default start method. It
-    runs one task per process: task i extends the parents `i::workers` of
-    level n - 1, which the worker reads from its own catalogue (a copy of
-    this process's cache where the start method copies memory, else built
-    in the worker), so no graph crosses the pipe. A worker that dies is a
-    VklabError that names the level. The result does not depend on the
-    worker count or the start method.
+    With `workers` > 1 and n >= `_POOL_FROM`, level n is built by a
+    process pool of at most `os.cpu_count()` processes, and so is each
+    such level below it; smaller levels are built in this process. A pool
+    runs on the platform's default start method, one task per process: task
+    i extends the parents `i::workers` of level n - 1, which the worker
+    reads from its own catalogue (a copy of this process's cache where the
+    start method copies memory, else built in the worker), so no graph
+    crosses the pipe. A worker that dies is a VklabError that names the
+    level. The result does not depend on the worker count or the start
+    method.
     """
     if n in _CATALOGUES:
         return _CATALOGUES[n]
@@ -246,21 +257,14 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
     if n == 1:
         level = (CatalogueEntry(CanonicalCode(1, 0), Graph((0,)), 1),)
     else:
-        parents = catalogue(n - 1)
-        workers = min(workers, len(parents), os.cpu_count() or 1)
-        if workers <= 1:
+        parents = catalogue(n - 1, workers)
+        pool = _pool_size(n, workers, len(parents))
+        if pool <= 1:
             level = _merge([_extend(parents)], n)
         else:
-            # imported here: the pool machinery is a third of the package's
-            # import time, and most runs never start a pool
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-            try:
-                with ProcessPoolExecutor(workers) as pool:
-                    level = _merge(pool.map(_catalogue_slice, [n] * workers,
-                                            range(workers), [workers] * workers), n)
-            except BrokenProcessPool:
-                raise VklabError(
-                    f"a catalogue worker died while building level {n}") from None
+            level = _merge(_pool_map(
+                pool, f"a catalogue worker died while building level {n}",
+                _catalogue_slice, [n] * pool, range(pool), [pool] * pool), n)
     _CATALOGUES[n] = level
     return level
 
@@ -269,6 +273,29 @@ def _catalogue_slice(n: int, i: int, workers: int) -> dict:
     """Task i of `workers` in a pooled build of level n: `_extend` over
     every `workers`-th parent of level n - 1, starting at parent i."""
     return _extend(catalogue(n - 1)[i::workers])
+
+
+def _pool_size(n: int, workers: int, tasks: int) -> int:
+    """Processes for `tasks` units of pooled work on level n: 1, meaning
+    no pool, below `_POOL_FROM`, else `workers` capped at the task count and
+    at `os.cpu_count()`."""
+    if n < _POOL_FROM:
+        return 1
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
+def _pool_map(workers: int, failure: str, func, *iterables):
+    """Yield `func` over `iterables` from a pool of `workers` processes, in
+    task order; a worker that dies is a VklabError with the message
+    `failure`."""
+    # imported here: the pool machinery is a third of the package's
+    # import time, and most runs never start a pool
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    try:
+        with ProcessPoolExecutor(workers) as pool:
+            yield from pool.map(func, *iterables)
+    except BrokenProcessPool:
+        raise VklabError(failure) from None
 
 
 class Extremum:
@@ -312,47 +339,73 @@ class Extremum:
         return (self.min, self.min_items) if lowest else (self.max, self.max_items)
 
 
-def _scan(source, params, kinds, canon=None) -> dict:
-    """{(params, kind): ExtremalReport} for every class in `params` (one n)
-    and every kind, from one pass over `source`, which yields (graph,
-    labelled count, optimizer item) for connected graphs on n vertices.
-
-    Each graph gets its `kernel` ints once and, per k, one membership search
-    over the requested m of that k; the ints fold into the `Extremum` of the
-    least such m that admits the graph, and the report for m merges the
-    folds of every m' <= m and turns its two extremes back into values.
-    `canon` maps optimizer items to canonical codes when they are not codes.
-    No kind, an unknown kind, or a class without a member is an InvalidParamsError.
-    """
-    kinds = tuple(dict.fromkeys(kinds))
-    values = kernel(kinds)
+def _classes_by_k(params) -> dict:
+    """k -> the distinct classes of that k in `params`, by ascending m."""
     by_k: dict = {}
     for p in sorted(set(params), key=lambda p: (p.k, p.m)):
         by_k.setdefault(p.k, []).append(p)
-    # per k: its m values, then labelled counts and folds keyed by m
-    budgets = [(k, tuple(p.m for p in ps), {p.m: 0 for p in ps},
-                {p.m: [Extremum() for _ in kinds] for p in ps})
-               for k, ps in by_k.items()]
+    return by_k
+
+
+def _fold(source, by_k: dict, kinds) -> dict:
+    """The per-graph half of a scan: {k: {m: [labelled count, one Extremum
+    per kind]}} for the classes of `_classes_by_k` over `source`, which
+    yields (graph, labelled count, optimizer item) for connected graphs of
+    their order.
+
+    Each graph gets its `kernel` ints once and, per k, one membership search
+    over that k's m; it counts and folds into the bucket of the least m
+    that admits it. Folds of disjoint sources combine with `_merge_folds`,
+    so a source may be split in any way. No kind, or an unknown one, is an
+    InvalidParamsError before `source` is read.
+    """
+    values = kernel(kinds)
+    folds = {k: {p.m: [0, [Extremum() for _ in kinds]] for p in ps}
+             for k, ps in by_k.items()}
+    budgets = [(k, tuple(p.m for p in ps), folds[k]) for k, ps in by_k.items()]
     for g, labelled, item in source:
         vals = None
-        for k, ms, counts, folds in budgets:
+        for k, ms, buckets in budgets:
             least = partiteness_within(g.adj, k, ms)
             if least is None:
                 continue
             if vals is None:
                 vals = values(g)
-            counts[least] += labelled
-            for ext, val in zip(folds[least], vals):
+            bucket = buckets[least]
+            bucket[0] += labelled
+            for ext, val in zip(bucket[1], vals):
                 ext.add(val, item)
+    return folds
+
+
+def _merge_folds(folds: dict, part: dict) -> None:
+    """Fold `part`, a `_fold` result over the same classes and kinds, into
+    `folds`, as if one pass had read both sources."""
+    for k, buckets in part.items():
+        for m, (count, exts) in buckets.items():
+            bucket = folds[k][m]
+            bucket[0] += count
+            for ext, other in zip(bucket[1], exts):
+                ext.merge(other)
+
+
+def _reports(by_k: dict, kinds, folds: dict, canon=None) -> dict:
+    """The report half of a scan: {(params, kind): ExtremalReport} for the
+    classes of `_classes_by_k` from their `_fold` buckets. The report for m
+    merges the buckets of every m' <= m and turns its two extremes back into
+    values. `canon` maps optimizer items to canonical codes when they are
+    not codes. A class without a member is an InvalidParamsError.
+    """
     reports = {}
-    for ps, (_, _, counts, folds) in zip(by_k.values(), budgets):
+    for k, ps in by_k.items():
         class_size, running = 0, [Extremum() for _ in kinds]
         for p in ps:
-            class_size += counts[p.m]
+            count, exts = folds[k][p.m]
+            class_size += count
             if not class_size:
                 raise InvalidParamsError(f"the scanned graphs contain no member of {p}")
             ghat = canonical_form(extremal_graph(p))
-            for kind, ext, fold in zip(kinds, running, folds[p.m]):
+            for kind, ext, fold in zip(kinds, running, exts):
                 ext.merge(fold)
                 lowest = kind in _MINIMIZED
                 optimum, items = ext.toward(lowest)
@@ -370,10 +423,13 @@ def _scan(source, params, kinds, canon=None) -> dict:
     return reports
 
 
-def _catalogue_items(n: int, workers: int):
+def _scan_slice(n: int, pairs, by_k: dict, kinds) -> dict:
+    """One task of a pooled catalogue scan: `_fold` over entries of level n
+    given as (code bits, |Aut|) pairs. The graphs are decoded here, so no
+    worker needs the catalogue, whatever its start method."""
     labelled = factorial(n)
-    for entry in catalogue(n, workers):
-        yield entry.graph, labelled // entry.aut, entry.code
+    return _fold(((code_to_graph(bits, n), labelled // aut, CanonicalCode(n, bits))
+                  for bits, aut in pairs), by_k, kinds)
 
 
 def check_scan(n: int, workers: int) -> None:
@@ -392,17 +448,39 @@ def scan_catalogue(params, kinds=ALL_KINDS, workers: int = 1) -> dict:
     and every requested kind. Each catalogue member is evaluated once, and
     its membership is searched once per distinct k. A member stands for
     n!/|Aut(G)| labelled graphs in `class_size`; optimizers are catalogue
-    codes, so ties need no canonicalisation. Reports are identical for
-    every worker count, which only splits the catalogue build. Classes of
+    codes, so ties need no canonicalisation. With `workers` > 1 and
+    n >= `_POOL_FROM`, the catalogue is built in a pool (see `catalogue`)
+    and then folded in one: worker i gets the level's entries `i::workers`
+    as (code bits, |Aut|) pairs and returns its buckets, which are merged
+    here in task order. A fold worker that dies is a VklabError that names
+    the level. Reports are identical for every worker count. Classes of
     more than one n, or none, and no kind or an unknown one, are an
-    InvalidParamsError; see `check_scan` for n and `workers`.
+    InvalidParamsError raised before any graph work; see `check_scan` for n
+    and `workers`.
     """
     params = tuple(params)
     orders = sorted({p.n for p in params})
     if len(orders) != 1:
         raise InvalidParamsError(f"a catalogue scan needs classes of one n, got {orders}")
-    check_scan(orders[0], workers)
-    return _scan(_catalogue_items(orders[0], workers), params, kinds)
+    (n,) = orders
+    check_scan(n, workers)
+    kinds = tuple(dict.fromkeys(kinds))
+    kernel(kinds)  # checks the kinds before the level is built
+    by_k = _classes_by_k(params)
+    level = catalogue(n, workers)
+    pool = _pool_size(n, workers, len(level))
+    if pool <= 1:
+        labelled = factorial(n)
+        folds = _fold(((e.graph, labelled // e.aut, e.code) for e in level),
+                      by_k, kinds)
+    else:
+        slices = [[(e.code.bits, e.aut) for e in level[i::pool]] for i in range(pool)]
+        folds = _fold((), by_k, kinds)
+        for part in _pool_map(pool, f"a scan worker died while scanning level {n}",
+                              _scan_slice, [n] * pool, slices, [by_k] * pool,
+                              [kinds] * pool):
+            _merge_folds(folds, part)
+    return _reports(by_k, kinds, folds)
 
 
 def _corpus_items(graphs, n: int):
@@ -421,8 +499,9 @@ def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
     isomorphism class this reproduces the catalogue scan's optimum and
     optimizer codes.
     """
-    reports = _scan(_corpus_items(graphs, params.n), (params,), (kind,), canon=canonical_form)
-    return reports[(params, kind)]
+    by_k, kinds = {params.k: [params]}, (kind,)
+    folds = _fold(_corpus_items(graphs, params.n), by_k, kinds)
+    return _reports(by_k, kinds, folds, canon=canonical_form)[(params, kind)]
 
 
 # ---------------------------------------------------------------------------

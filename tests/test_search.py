@@ -58,6 +58,9 @@ def test_catalogue_sizes_match_a001349():
     # a serial n = 8 scan over that level, as the CLI printed it with 2 workers
     report = scan_by_m(8, 3, (2,), (IndexKind.ZAGREB_M1,), workers=1)[
         (2, IndexKind.ZAGREB_M1)]
+    # and the same report folded by a pool of two
+    assert scan_by_m(8, 3, (2,), (IndexKind.ZAGREB_M1,), workers=2)[
+        (2, IndexKind.ZAGREB_M1)] == report
     assert report.class_size == 251_349_147
     assert report.optimum == 314
     assert report.optimizer_graph6() == ["G]~v~{"]
@@ -131,9 +134,11 @@ def test_neighbourhoods_are_twin_prefix_sets():
 
 
 def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
-    """A `workers` above the CPU count asks for one process per CPU, and
-    an unknown CPU count for none; a recorder stands in for the executor
-    and runs its tasks here, so no process is started."""
+    """A cold build with `workers` above the CPU count starts one pool for
+    each level from `_POOL_FROM` up, of one process per CPU or per parent,
+    whichever is fewer; an unknown CPU count starts none, and so does a
+    build below `_POOL_FROM`. A recorder stands in for the executor and
+    runs its tasks here, so no process is started."""
     expected = catalogue(6)
     pools = []
 
@@ -152,8 +157,10 @@ def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
                         RecordingExecutor)
-    for cpus, asked in ((3, [3]), (None, [])):
+    # levels 4, 5 and 6 have 2, 6 and 21 parents
+    for cpus, start, asked in ((3, 4, [2, 3, 3]), (None, 4, []), (3, 8, [])):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(search, "_POOL_FROM", start)
         monkeypatch.setattr(search, "_CATALOGUES", {})
         pools.clear()
         assert catalogue(6, workers=1000) == expected
@@ -282,7 +289,34 @@ def test_catalogue_and_reports_invariant_under_parent_splits(data):
         search._CATALOGUES[6] = reference
 
 
+def _merged(folds, parts):
+    """`folds` with each `search._fold` result of `parts` merged in, in order."""
+    for part in parts:
+        search._merge_folds(folds, part)
+    return folds
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_scan_folds_of_any_chunking_merge_to_the_one_pass_reports(data):
+    """Cutting level 6 at any points, folding each chunk as a pool worker
+    would, from (code bits, |Aut|) pairs, and merging the folds in order
+    gives the one-pass reports of every m, k in {2, 3, 4} and kind. Runs in
+    this process."""
+    level = catalogue(6)
+    params = [ClassParams(6, m, k) for k in (2, 3, 4) for m in range(1, 7 - k)]
+    want = scan_catalogue(params)
+    by_k = search._classes_by_k(params)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(level)), max_size=6)))
+    parts = [search._scan_slice(6, [(e.code.bits, e.aut) for e in level[lo:hi]],
+                                by_k, ALL_KINDS)
+             for lo, hi in zip([0, *cuts], [*cuts, len(level)])]
+    folds = _merged(search._fold((), by_k, ALL_KINDS), parts)
+    assert search._reports(by_k, ALL_KINDS, folds) == want
+
+
 def test_catalogue_built_once_for_every_worker_count(monkeypatch):
+    monkeypatch.setattr(search, "_POOL_FROM", 6)
     clear_sweep_cache()
     calls, merged = [], []
     extend, merge = search._extend, search._merge
@@ -294,13 +328,15 @@ def test_catalogue_built_once_for_every_worker_count(monkeypatch):
     assert calls == [1, 1, 2, 6, 21]  # levels 2..6, each from its parents once
     assert merged == [2, 3, 4, 5, 6]
     # every level is merged in this process, whichever process extends its
-    # parents, so a rebuild by the pool would show in `merged`
+    # parents, so a rebuild by the pool would show in `merged`; the second
+    # scan folds level 6 in a pool
     second = scan_by_m(6, 2, (1, 2), workers=2)
     assert calls == [1, 1, 2, 6, 21] and merged == [2, 3, 4, 5, 6]
     assert first == second
 
 
-def test_catalogue_identical_for_every_worker_count():
+def test_catalogue_identical_for_every_worker_count(monkeypatch):
+    monkeypatch.setattr(search, "_POOL_FROM", 6)
     built = {}
     for workers in (1, 2, 3):
         clear_sweep_cache()
@@ -326,33 +362,54 @@ def _deadline(seconds):
 
 def test_catalogue_slices_merge_to_the_serial_level_in_a_spawned_pool():
     """Workers that start a fresh interpreter build level 5 themselves; the
-    slices they extend merge to the serial level 6, codes and |Aut| alike."""
+    slices they extend merge to the serial level 6, codes and |Aut| alike.
+    Fold workers there need no catalogue: the folds of level 6's halves,
+    sent as (code bits, |Aut|) pairs, give the serial scan's reports."""
+    params = [ClassParams(6, m, 2) for m in (1, 2, 3, 4)]
+    by_k = search._classes_by_k(params)
+    pairs = [(e.code.bits, e.aut) for e in catalogue(6)]
     ctx = multiprocessing.get_context("spawn")
     with _deadline(120), concurrent.futures.process.ProcessPoolExecutor(
             2, mp_context=ctx) as pool:
         parts = pool.map(search._catalogue_slice, [6, 6], [0, 1], [2, 2])
         assert search._merge(parts, 6) == catalogue(6)
+        parts = pool.map(search._scan_slice, [6, 6], [pairs[0::2], pairs[1::2]],
+                         [by_k] * 2, [ALL_KINDS] * 2)
+        folds = _merged(search._fold((), by_k, ALL_KINDS), parts)
+    assert search._reports(by_k, ALL_KINDS, folds) == scan_catalogue(params)
 
 
-def _exit_at_once(n, i, workers):
-    """Stands in for `search._catalogue_slice`: the worker dies at once,
-    as a killed one would."""
+def _exit_at_once(*task):
+    """Stands in for a pool task, `search._catalogue_slice` or
+    `search._scan_slice`: the worker dies at once, as a killed one would."""
     os._exit(1)
 
 
 def test_failed_catalogue_worker_is_an_error_not_a_hang(monkeypatch, capfd):
+    monkeypatch.setattr(search, "_POOL_FROM", 6)
     monkeypatch.setattr(search, "_catalogue_slice", _exit_at_once)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "_CATALOGUES", {})
+    argv = ["scan", "--n", "6", "--m", "2", "--k", "2", "--kind", "wiener",
+            "--workers", "2"]
     with _deadline(60):
         with pytest.raises(VklabError, match="building level 6"):
             catalogue(6, workers=2)
-        code = main(["scan", "--n", "6", "--m", "2", "--k", "2", "--kind", "wiener",
-                     "--workers", "2"])
+        code = main(argv)
     out, err = capfd.readouterr()
     assert (code, out) == (1, "")
     assert err == "error: a catalogue worker died while building level 6\n"
     assert 6 not in search._CATALOGUES
+    # a fold worker that dies, over a level built in this process
+    catalogue(6)
+    monkeypatch.setattr(search, "_scan_slice", _exit_at_once)
+    with _deadline(60):
+        with pytest.raises(VklabError, match="scanning level 6"):
+            scan_catalogue([ClassParams(6, 2, 2)], workers=2)
+        code = main(argv)
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: a scan worker died while scanning level 6\n"
 
 
 def test_nonpositive_workers_rejected():
