@@ -8,10 +8,13 @@ codes. Two isomorphism-invariant steps of canonical augmentation (McKay,
 of the extensions to canonicalise: a parent gains one neighbourhood per
 orbit of its twin swaps, and an extension is kept only when its new vertex
 has the least (degree, sum of neighbour degrees) among the non-cut
-vertices (ties allowed). Each entry carries |Aut(G)|, so a class's
-labelled size is the orbit-stabilizer sum of n!/|Aut(G)| over its members,
-and optimizers are canonical codes from the start. The catalogue is cached
-per n and is identical however its construction is split across workers.
+vertices (ties allowed). A level is its sorted (canonical code bits,
+|Aut(G)|) pairs, the pairs a streamed canonical-augmentation level would
+yield too; a graph is decoded from its code only where it is extended or
+folded. A class's labelled size is the orbit-stabilizer sum of n!/|Aut(G)|
+over its members, and optimizers are canonical codes from the start. The
+catalogue is cached per n and is identical however its construction is
+split across workers.
 
 Catalogue and graph6 corpus scans share one per-graph pipeline: one
 `indices.kernel` evaluation per graph for every requested kind, and one
@@ -21,11 +24,14 @@ the buckets at or below m, so one pass serves every (m, k) of one n.
 Scans support 2 <= n <= 9 (261,080 classes at n = 9), with any worker
 count.
 
-Where the work runs is one rule, `_POOL_FROM`: with more than one worker,
-each catalogue level from n = 8 up is built in a process pool, and a
-catalogue scan of such a level folds its graphs in a pool too; smaller
-levels are built and scanned in this process, since a pool costs more than
-their work. Results do not depend on where the work ran.
+Where the work runs is one helper, `_over_slices`, with one rule,
+`_POOL_FROM`: building level n extends the pairs of level n - 1, and
+scanning it folds its own pairs, in strided slices. With more than one
+worker and n >= 8 each slice is a task of a process pool; otherwise one
+slice of all the pairs runs in this process, since a pool costs more than
+the work of a smaller level. A task is sent ints and the fold's classes
+and kinds only, so no worker reads the catalogue. Results do not depend on
+where the work ran.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial
-from typing import NamedTuple
 
 from .errors import Graph6ParseError, InvalidParamsError, SizeCapError, VklabError
 from .extremal import closed_form, extremal_graph, join_family_graph
@@ -110,34 +116,25 @@ class ExtremalReport:
 _MINIMIZED = frozenset(k for k in ALL_KINDS if direction(k) is Direction.DECREASING)
 
 
-class CatalogueEntry(NamedTuple):
-    """One isomorphism class: canonical code, the graph in canonical
-    labelling (the graph of that code), and |Aut(G)|."""
-
-    code: CanonicalCode
-    graph: Graph
-    aut: int
-
-
-def _extend(parents) -> dict:
+def _extend(n: int, parents) -> dict:
     """Canonical code bits -> |Aut| for the one-vertex extensions of
-    `parents` that survive twin-orbit pruning and the pre-test; the
-    parallel unit of work.
+    `parents`, (code bits, |Aut|) pairs of level n - 1, that survive
+    twin-orbit pruning and the pre-test; the build task of `_over_slices`.
 
-    The new vertex takes each nonempty neighbourhood of `_neighbourhoods`
-    in turn, so connected parents give connected children. A child is
-    canonicalised only when no non-cut vertex has a smaller (degree, sum
-    of neighbour degrees) than the new one (see `catalogue` for why that
-    loses no class). A child's rows are valid by construction: the new
-    vertex's bit is set on exactly the rows of its neighbours, and its own
-    row is that neighbourhood.
+    Each parent is decoded here. The new vertex takes each nonempty
+    neighbourhood of `_neighbourhoods` in turn, so connected parents give
+    connected children. A child is canonicalised only when no non-cut
+    vertex has a smaller (degree, sum of neighbour degrees) than the new
+    one (see `catalogue` for why that loses no class). A child's rows are
+    valid by construction: the new vertex's bit is set on exactly the rows
+    of its neighbours, and its own row is that neighbourhood.
     """
     found: dict = {}
-    for parent in parents:
-        g = parent.graph
-        new = 1 << g.n
-        for nbhd in _neighbourhoods(g.adj):
-            adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
+    new = 1 << (n - 1)
+    for bits, _ in parents:
+        rows = code_to_adj(bits, n - 1)
+        for nbhd in _neighbourhoods(rows):
+            adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(rows)]
             adj.append(nbhd)
             if _lighter_non_cut_vertex(adj):
                 continue
@@ -197,22 +194,7 @@ def _neighbour_degree_sum(adj, u: int) -> int:
     return total
 
 
-def _merge(parts, n: int) -> tuple[CatalogueEntry, ...]:
-    """Level n from `_extend` results, sorted by canonical code; each
-    entry's graph is the graph of its code (the canonical labelling).
-
-    Equal codes carry equal |Aut|, so the level is the same for every
-    split of the parent list. Parts are consumed one at a time, so only
-    new codes are kept while pool results stream in.
-    """
-    found: dict = {}
-    for part in parts:
-        found.update(part)
-    return tuple(CatalogueEntry(CanonicalCode(n, bits), code_to_graph(bits, n), aut)
-                 for bits, aut in sorted(found.items()))
-
-
-_CATALOGUES: dict[int, tuple[CatalogueEntry, ...]] = {}
+_CATALOGUES: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
 def clear_sweep_cache() -> None:
@@ -220,8 +202,10 @@ def clear_sweep_cache() -> None:
     _CATALOGUES.clear()
 
 
-def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
-    """Every connected graph on n vertices up to isomorphism, by canonical code.
+def catalogue(n: int, workers: int = 1) -> tuple[tuple[int, int], ...]:
+    """Every connected graph on n vertices up to isomorphism, as the sorted
+    (canonical code bits, |Aut(G)|) pairs of its classes; `code_to_graph`
+    gives the graph of a code in its canonical labelling.
 
     Level n extends each level n - 1 representative P by one vertex, for
     every nonempty neighbourhood that meets each twin group of P in its
@@ -237,63 +221,53 @@ def catalogue(n: int, workers: int = 1) -> tuple[CatalogueEntry, ...]:
     maps that copy onto the child P is extended to. So the child is a copy
     of G in which the new vertex plays v, and it passes the test, because
     isomorphisms preserve keys and cut vertices. Levels are built on first
-    use and cached per n.
+    use and cached per n, and equal codes carry equal |Aut|, so a level is
+    the same for every split of its parents.
 
-    With `workers` > 1 and n >= `_POOL_FROM`, level n is built by a
-    process pool of at most `os.cpu_count()` processes, and so is each
-    such level below it; smaller levels are built in this process. A pool
-    runs on the platform's default start method, one task per process: task
-    i extends the parents `i::workers` of level n - 1, which the worker
-    reads from its own catalogue (a copy of this process's cache where the
-    start method copies memory, else built in the worker), so no graph
-    crosses the pipe. A worker that dies is a VklabError that names the
-    level. The result does not depend on the worker count or the start
-    method.
+    Level n is built by `_extend` over slices of level n - 1 (see
+    `_over_slices`), and each level below it is built by the same rule. A
+    build worker that dies is a VklabError that names the level. The
+    result does not depend on the worker count or the start method.
     """
     if n in _CATALOGUES:
         return _CATALOGUES[n]
     if n < 1:
         raise ValueError(f"catalogue needs n >= 1, got {n}")
     if n == 1:
-        level = (CatalogueEntry(CanonicalCode(1, 0), Graph((0,)), 1),)
+        level = ((0, 1),)  # the one-vertex graph: code 0, |Aut| 1
     else:
-        parents = catalogue(n - 1, workers)
-        pool = _pool_size(n, workers, len(parents))
-        if pool <= 1:
-            level = _merge([_extend(parents)], n)
-        else:
-            level = _merge(_pool_map(
-                pool, f"a catalogue worker died while building level {n}",
-                _catalogue_slice, [n] * pool, range(pool), [pool] * pool), n)
+        found: dict = {}
+        for part in _over_slices(n, workers,
+                                 f"a catalogue worker died while building level {n}",
+                                 _extend, catalogue(n - 1, workers)):
+            found.update(part)
+        level = tuple(sorted(found.items()))
     _CATALOGUES[n] = level
     return level
 
 
-def _catalogue_slice(n: int, i: int, workers: int) -> dict:
-    """Task i of `workers` in a pooled build of level n: `_extend` over
-    every `workers`-th parent of level n - 1, starting at parent i."""
-    return _extend(catalogue(n - 1)[i::workers])
+def _over_slices(n: int, workers: int, failure: str, func, pairs, *args):
+    """Yield `func(n, pairs[i::pool], *args)` for each slice i, in order.
 
-
-def _pool_size(n: int, workers: int, tasks: int) -> int:
-    """Processes for `tasks` units of pooled work on level n: 1, meaning
-    no pool, below `_POOL_FROM`, else `workers` capped at the task count and
-    at `os.cpu_count()`."""
-    if n < _POOL_FROM:
-        return 1
-    return min(workers, tasks, os.cpu_count() or 1)
-
-
-def _pool_map(workers: int, failure: str, func, *iterables):
-    """Yield `func` over `iterables` from a pool of `workers` processes, in
-    task order; a worker that dies is a VklabError with the message
-    `failure`."""
+    `pool` is 1 below `_POOL_FROM`, else `workers` capped at the number of
+    pairs and at `os.cpu_count()`. One slice, all the pairs, runs in this
+    process; more run in a pool of `pool` processes on the platform's
+    default start method, one task per process, so all that crosses the
+    pipe is `n`, a slice of pairs and `args`. A worker that dies is a
+    VklabError with the message `failure`.
+    """
+    pool = min(workers, len(pairs), os.cpu_count() or 1) if n >= _POOL_FROM else 1
+    if pool <= 1:
+        yield func(n, pairs, *args)
+        return
     # imported here: the pool machinery is a third of the package's
     # import time, and most runs never start a pool
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     try:
-        with ProcessPoolExecutor(workers) as pool:
-            yield from pool.map(func, *iterables)
+        with ProcessPoolExecutor(pool) as executor:
+            yield from executor.map(func, [n] * pool,
+                                    [pairs[i::pool] for i in range(pool)],
+                                    *([arg] * pool for arg in args))
     except BrokenProcessPool:
         raise VklabError(failure) from None
 
@@ -389,12 +363,12 @@ def _merge_folds(folds: dict, part: dict) -> None:
                 ext.merge(other)
 
 
-def _reports(by_k: dict, kinds, folds: dict, canon=None) -> dict:
+def _reports(by_k: dict, kinds, folds: dict, canon) -> dict:
     """The report half of a scan: {(params, kind): ExtremalReport} for the
     classes of `_classes_by_k` from their `_fold` buckets. The report for m
     merges the buckets of every m' <= m and turns its two extremes back into
-    values. `canon` maps optimizer items to canonical codes when they are
-    not codes. A class without a member is an InvalidParamsError.
+    values. `canon` maps an optimizer item to its canonical code. A class
+    without a member is an InvalidParamsError.
     """
     reports = {}
     for k, ps in by_k.items():
@@ -410,7 +384,7 @@ def _reports(by_k: dict, kinds, folds: dict, canon=None) -> dict:
                 lowest = kind in _MINIMIZED
                 optimum, items = ext.toward(lowest)
                 optimum = exact(kind, optimum, p.n)
-                codes = frozenset(map(canon, items) if canon else items)
+                codes = frozenset(map(canon, items))
                 reports[(p, kind)] = ExtremalReport(
                     params=p,
                     kind=kind,
@@ -423,13 +397,13 @@ def _reports(by_k: dict, kinds, folds: dict, canon=None) -> dict:
     return reports
 
 
-def _scan_slice(n: int, pairs, by_k: dict, kinds) -> dict:
-    """One task of a pooled catalogue scan: `_fold` over entries of level n
-    given as (code bits, |Aut|) pairs. The graphs are decoded here, so no
-    worker needs the catalogue, whatever its start method."""
+def _fold_level(n: int, pairs, by_k: dict, kinds) -> dict:
+    """`_fold` over (code bits, |Aut|) pairs of level n, the scan task of
+    `_over_slices`: each graph is decoded here, stands for n!/|Aut|
+    labelled graphs, and its optimizer item is its code bits."""
     labelled = factorial(n)
-    return _fold(((code_to_graph(bits, n), labelled // aut, CanonicalCode(n, bits))
-                  for bits, aut in pairs), by_k, kinds)
+    return _fold(((code_to_graph(bits, n), labelled // aut, bits) for bits, aut in pairs),
+                 by_k, kinds)
 
 
 def check_scan(n: int, workers: int) -> None:
@@ -448,12 +422,11 @@ def scan_catalogue(params, kinds=ALL_KINDS, workers: int = 1) -> dict:
     and every requested kind. Each catalogue member is evaluated once, and
     its membership is searched once per distinct k. A member stands for
     n!/|Aut(G)| labelled graphs in `class_size`; optimizers are catalogue
-    codes, so ties need no canonicalisation. With `workers` > 1 and
-    n >= `_POOL_FROM`, the catalogue is built in a pool (see `catalogue`)
-    and then folded in one: worker i gets the level's entries `i::workers`
-    as (code bits, |Aut|) pairs and returns its buckets, which are merged
-    here in task order. A fold worker that dies is a VklabError that names
-    the level. Reports are identical for every worker count. Classes of
+    codes, so ties need no canonicalisation. The level is built by
+    `catalogue` and folded by `_fold_level` over slices of its pairs (see
+    `_over_slices`); the slices' buckets are merged here in task order. A
+    fold worker that dies is a VklabError that names the level. Reports
+    are identical for every worker count. Classes of
     more than one n, or none, and no kind or an unknown one, are an
     InvalidParamsError raised before any graph work; see `check_scan` for n
     and `workers`.
@@ -468,19 +441,11 @@ def scan_catalogue(params, kinds=ALL_KINDS, workers: int = 1) -> dict:
     kernel(kinds)  # checks the kinds before the level is built
     by_k = _classes_by_k(params)
     level = catalogue(n, workers)
-    pool = _pool_size(n, workers, len(level))
-    if pool <= 1:
-        labelled = factorial(n)
-        folds = _fold(((e.graph, labelled // e.aut, e.code) for e in level),
-                      by_k, kinds)
-    else:
-        slices = [[(e.code.bits, e.aut) for e in level[i::pool]] for i in range(pool)]
-        folds = _fold((), by_k, kinds)
-        for part in _pool_map(pool, f"a scan worker died while scanning level {n}",
-                              _scan_slice, [n] * pool, slices, [by_k] * pool,
-                              [kinds] * pool):
-            _merge_folds(folds, part)
-    return _reports(by_k, kinds, folds)
+    folds = _fold((), by_k, kinds)
+    for part in _over_slices(n, workers, f"a scan worker died while scanning level {n}",
+                             _fold_level, level, by_k, kinds):
+        _merge_folds(folds, part)
+    return _reports(by_k, kinds, folds, partial(CanonicalCode, n))
 
 
 def _corpus_items(graphs, n: int):
@@ -501,7 +466,7 @@ def scan_corpus(graphs, params: ClassParams, kind: IndexKind) -> ExtremalReport:
     """
     by_k, kinds = {params.k: [params]}, (kind,)
     folds = _fold(_corpus_items(graphs, params.n), by_k, kinds)
-    return _reports(by_k, kinds, folds, canon=canonical_form)[(params, kind)]
+    return _reports(by_k, kinds, folds, canonical_form)[(params, kind)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from vklab import (Graph, GraphSizeError, Graph6ParseError, SizeCapError, add_edge,
                    canonical_form, canonical_graph, is_connected, join_family_graph,
                    parse_graph6, to_graph6)
-from vklab.graphs import (_canonical_search, _refinement_classes, _twin_groups, code_to_graph,
-                          connected_mask, from_edges, pair_count)
+from vklab.graphs import (_canonical_search, _refinement_classes, _twin_groups, code_to_adj,
+                          code_to_graph, connected_mask, from_edges, pair_count)
 from vklab.search import (_lighter_non_cut_vertex, _neighbourhoods, _partitions_at_most,
                           catalogue)
 
@@ -273,10 +273,11 @@ def _join_family(nmin, nmax):
 def test_canonical_search_matches_exhaustive_reference(rng):
     graphs = []
     for n in range(2, 7):  # every one-vertex extension the catalogue build tries
-        for parent in catalogue(n - 1):
+        for bits, _ in catalogue(n - 1):
+            rows = code_to_adj(bits, n - 1)
             for nbhd in range(1, 1 << (n - 1)):
                 adj = [row | 1 << (n - 1) if nbhd >> u & 1 else row
-                       for u, row in enumerate(parent.graph.adj)]
+                       for u, row in enumerate(rows)]
                 graphs.append(_shuffled(rng, Graph((*adj, nbhd))))
     graphs += [random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
                for _ in range(200)]
@@ -372,9 +373,10 @@ def test_canonical_search_on_nine_vertices(rng):
     # parents: |Aut| against networkx, codes against the exhaustive
     # reference wherever it takes them
     checked = 0
-    for parent in rng.sample(catalogue(8), 12):
-        for nbhd in _neighbourhoods(parent.graph.adj):
-            adj = [row | 1 << 8 if nbhd >> u & 1 else row for u, row in enumerate(parent.graph.adj)]
+    for bits, _ in rng.sample(catalogue(8), 12):
+        rows = code_to_adj(bits, 8)
+        for nbhd in _neighbourhoods(rows):
+            adj = [row | 1 << 8 if nbhd >> u & 1 else row for u, row in enumerate(rows)]
             adj.append(nbhd)
             if _lighter_non_cut_vertex(adj):
                 continue

@@ -7,6 +7,7 @@ import os
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import networkx as nx
@@ -22,7 +23,7 @@ from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKin
                    scan_corpus, to_graph6, vertex_k_partiteness)
 from vklab import search
 from vklab.cli import main
-from vklab.graphs import Graph, _twin_groups, code_to_graph
+from vklab.graphs import CanonicalCode, Graph, _twin_groups, code_to_adj, code_to_graph
 from vklab.partiteness import partiteness_within
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 
@@ -52,7 +53,7 @@ def test_catalogue_sizes_match_a001349():
     level = catalogue(8, workers=2)
     assert len(level) == 11_117
     # every (code, |Aut|) pair of the level, as the exhaustive labeller gave them
-    pairs = repr(sorted((entry.code.bits, entry.aut) for entry in level)).encode()
+    pairs = repr(sorted(level)).encode()
     assert hashlib.sha256(pairs).hexdigest() == \
         "06ead3e9312b60d7734a71724d81c36c921d8677a3ab3826a433ff6c86db9c4d"
     # a serial n = 8 scan over that level, as the CLI printed it with 2 workers
@@ -77,17 +78,18 @@ def test_extend_canonicalises_only_min_degree_children(monkeypatch):
     for n in range(2, 8):
         parents = catalogue(n - 1)
         before = len(calls)
-        found = search._extend(parents)
+        found = search._extend(n, parents)
         counts.append(len(calls) - before)
-        assert found == {e.code.bits: e.aut for e in catalogue(n)}
+        assert found == dict(catalogue(n))
     assert counts == [1, 2, 6, 24, 137, 1_152]
 
 
-def _unfiltered_children(parent):
-    """Every one-vertex extension of a catalogue parent, new vertex last."""
-    g = parent.graph
-    for nbhd in range(1, 1 << g.n):
-        adj = [row | 1 << g.n if nbhd >> u & 1 else row for u, row in enumerate(g.adj)]
+def _unfiltered_children(bits, n):
+    """Every one-vertex extension of the graph of code `bits` on n vertices,
+    a catalogue parent, new vertex last."""
+    for nbhd in range(1, 1 << n):
+        adj = [row | 1 << n if nbhd >> u & 1 else row
+               for u, row in enumerate(code_to_adj(bits, n))]
         yield Graph((*adj, nbhd))
 
 
@@ -97,18 +99,18 @@ def test_extend_equals_the_unfiltered_reference_level():
     for n in range(2, 8):
         parents = catalogue(n - 1)
         expected = {}
-        for parent in parents:
-            for child in _unfiltered_children(parent):
-                bits, aut = reference_canonical_search(child)
-                expected[bits] = aut
-        assert search._extend(parents) == expected
+        for bits, _ in parents:
+            for child in _unfiltered_children(bits, n - 1):
+                code, aut = reference_canonical_search(child)
+                expected[code] = aut
+        assert search._extend(n, parents) == expected
 
 
 def test_pretest_verdict_matches_its_definition():
     rejected = 0
     for n in range(2, 8):
-        for parent in catalogue(n - 1):
-            for child in _unfiltered_children(parent):
+        for bits, _ in catalogue(n - 1):
+            for child in _unfiltered_children(bits, n - 1):
                 verdict = search._lighter_non_cut_vertex(list(child.adj))
                 assert verdict == reference_pretest_rejects(child), child
                 rejected += verdict
@@ -119,8 +121,8 @@ def test_neighbourhoods_are_twin_prefix_sets():
     # one set per orbit of the twin-swap subgroup: every nonempty set, each
     # twin group's share replaced by that many of its lowest vertices
     for n in range(1, 7):
-        for parent in catalogue(n):
-            adj = parent.graph.adj
+        for bits, _ in catalogue(n):
+            adj = code_to_adj(bits, n)
             groups = _twin_groups(adj)
             reps = set()
             for nbhd in range(1, 1 << n):
@@ -136,10 +138,17 @@ def test_neighbourhoods_are_twin_prefix_sets():
 def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
     """A cold build with `workers` above the CPU count starts one pool for
     each level from `_POOL_FROM` up, of one process per CPU or per parent,
-    whichever is fewer; an unknown CPU count starts none, and so does a
-    build below `_POOL_FROM`. A recorder stands in for the executor and
-    runs its tasks here, so no process is started."""
+    whichever is fewer, and a scan of such a level one more; an unknown CPU
+    count starts none, and so does a level below `_POOL_FROM`. A recorder
+    stands in for the executor and runs its tasks here, so no process is
+    started. Each task it is handed holds n, a slice of (int, int) pairs
+    and, for a fold, the classes and kinds, never a graph or a code; it
+    runs with the catalogue cache emptied and leaves it empty, as a worker
+    that never reads the catalogue must."""
     expected = catalogue(6)
+    params = [ClassParams(6, m, 2) for m in (1, 2, 3, 4)]
+    by_k = search._classes_by_k(params)
+    want = scan_catalogue(params)
     pools = []
 
     class RecordingExecutor:
@@ -153,37 +162,58 @@ def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
             return False
 
         def map(self, func, *iterables):
-            return map(func, *iterables)
+            tasks = list(zip(*iterables))
+            for n, pairs, *rest in tasks:
+                assert type(n) is int and type(pairs) is tuple
+                assert all(type(pair) is tuple and list(map(type, pair)) == [int, int]
+                           for pair in pairs)
+                assert rest == ([] if func is search._extend else [by_k, ALL_KINDS])
+            cache = search._CATALOGUES
+            search._CATALOGUES = {}
+            try:
+                parts = [func(*task) for task in tasks]
+                assert search._CATALOGUES == {}
+            finally:
+                search._CATALOGUES = cache
+            return parts
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
                         RecordingExecutor)
-    # levels 4, 5 and 6 have 2, 6 and 21 parents
-    for cpus, start, asked in ((3, 4, [2, 3, 3]), (None, 4, []), (3, 8, [])):
+    # levels 4, 5 and 6 have 2, 6 and 21 parents, and the scan 21 members
+    for cpus, start, asked in ((3, 4, [2, 3, 3, 3]), (None, 4, []), (3, 8, [])):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(search, "_POOL_FROM", start)
         monkeypatch.setattr(search, "_CATALOGUES", {})
         pools.clear()
         assert catalogue(6, workers=1000) == expected
+        assert scan_catalogue(params, workers=1000) == want
         assert pools == asked
+    # and either task called directly, on an empty cache
+    parents = catalogue(5)
+    monkeypatch.setattr(search, "_CATALOGUES", {})
+    assert search._extend(6, parents) == dict(expected)
+    folds = search._fold_level(6, expected, by_k, ALL_KINDS)
+    assert search._CATALOGUES == {}
+    assert search._reports(by_k, ALL_KINDS, folds, partial(CanonicalCode, 6)) == want
 
 
 def test_catalogue_entries_are_canonical_and_connected():
     for n in range(1, 7):
-        codes = [entry.code.bits for entry in catalogue(n)]
+        codes = [bits for bits, _ in catalogue(n)]
         assert codes == sorted(set(codes))
-        for entry in catalogue(n):
-            assert entry.graph == code_to_graph(entry.code.bits, n)
-            assert canonical_form(entry.graph) == entry.code
-            assert is_connected(entry.graph)
+        for bits, _ in catalogue(n):
+            g = code_to_graph(bits, n)
+            assert canonical_form(g) == CanonicalCode(n, bits)
+            assert is_connected(g)
 
 
 def test_orbit_stabilizer_counts_match_labelled_walk():
     for n in range(2, 7):
         labelled = sum(1 for _ in enumerate_graphs(n, connected_only=True))
-        assert sum(factorial(n) // e.aut for e in catalogue(n)) == labelled
+        assert sum(factorial(n) // aut for _, aut in catalogue(n)) == labelled
     # past the walk's reach: the connected labelled graph counts of A001187
-    assert sum(factorial(7) // e.aut for e in catalogue(7)) == 1_866_256
-    assert sum(factorial(8) // e.aut for e in catalogue(8, workers=2)) == 251_548_592
+    assert sum(factorial(7) // aut for _, aut in catalogue(7)) == 1_866_256
+    assert sum(factorial(8) // aut for _, aut in catalogue(8, workers=2)) == 251_548_592
 
 
 def _brute_force_reports(n):
@@ -280,7 +310,10 @@ def test_catalogue_and_reports_invariant_under_parent_splits(data):
     order = data.draw(st.permutations(parents))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=6)))
     chunks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
-    merged = search._merge([search._extend(chunk) for chunk in chunks], 6)
+    found = {}
+    for chunk in chunks:
+        found.update(search._extend(6, chunk))
+    merged = tuple(sorted(found.items()))
     assert merged == reference
     try:
         search._CATALOGUES[6] = merged
@@ -308,30 +341,26 @@ def test_scan_folds_of_any_chunking_merge_to_the_one_pass_reports(data):
     want = scan_catalogue(params)
     by_k = search._classes_by_k(params)
     cuts = sorted(data.draw(st.lists(st.integers(0, len(level)), max_size=6)))
-    parts = [search._scan_slice(6, [(e.code.bits, e.aut) for e in level[lo:hi]],
-                                by_k, ALL_KINDS)
+    parts = [search._fold_level(6, level[lo:hi], by_k, ALL_KINDS)
              for lo, hi in zip([0, *cuts], [*cuts, len(level)])]
     folds = _merged(search._fold((), by_k, ALL_KINDS), parts)
-    assert search._reports(by_k, ALL_KINDS, folds) == want
+    assert search._reports(by_k, ALL_KINDS, folds, partial(CanonicalCode, 6)) == want
 
 
 def test_catalogue_built_once_for_every_worker_count(monkeypatch):
     monkeypatch.setattr(search, "_POOL_FROM", 6)
     clear_sweep_cache()
-    calls, merged = [], []
-    extend, merge = search._extend, search._merge
+    calls = []
+    extend = search._extend
     monkeypatch.setattr(search, "_extend",
-                        lambda parents: calls.append(len(parents)) or extend(parents))
-    monkeypatch.setattr(search, "_merge",
-                        lambda parts, n: merged.append(n) or merge(parts, n))
+                        lambda n, parents: calls.append((n, len(parents)))
+                        or extend(n, parents))
     first = scan_by_m(6, 2, (1, 2))
-    assert calls == [1, 1, 2, 6, 21]  # levels 2..6, each from its parents once
-    assert merged == [2, 3, 4, 5, 6]
-    # every level is merged in this process, whichever process extends its
-    # parents, so a rebuild by the pool would show in `merged`; the second
-    # scan folds level 6 in a pool
+    # levels 2..6, each from all its parents once, in this process
+    assert calls == [(2, 1), (3, 1), (4, 2), (5, 6), (6, 21)]
+    # the second scan folds level 6 in a pool and builds nothing
     second = scan_by_m(6, 2, (1, 2), workers=2)
-    assert calls == [1, 1, 2, 6, 21] and merged == [2, 3, 4, 5, 6]
+    assert calls == [(2, 1), (3, 1), (4, 2), (5, 6), (6, 21)]
     assert first == second
 
 
@@ -361,35 +390,42 @@ def _deadline(seconds):
 
 
 def test_catalogue_slices_merge_to_the_serial_level_in_a_spawned_pool():
-    """Workers that start a fresh interpreter build level 5 themselves; the
-    slices they extend merge to the serial level 6, codes and |Aut| alike.
-    Fold workers there need no catalogue: the folds of level 6's halves,
-    sent as (code bits, |Aut|) pairs, give the serial scan's reports."""
+    """Workers that start a fresh interpreter hold no catalogue, and need
+    none: the children they find for level 5's halves merge to the serial
+    level 6, codes and |Aut| alike, and the folds of level 6's halves give
+    the serial scan's reports."""
     params = [ClassParams(6, m, 2) for m in (1, 2, 3, 4)]
     by_k = search._classes_by_k(params)
-    pairs = [(e.code.bits, e.aut) for e in catalogue(6)]
+    parents, pairs = catalogue(5), catalogue(6)
     ctx = multiprocessing.get_context("spawn")
     with _deadline(120), concurrent.futures.process.ProcessPoolExecutor(
             2, mp_context=ctx) as pool:
-        parts = pool.map(search._catalogue_slice, [6, 6], [0, 1], [2, 2])
-        assert search._merge(parts, 6) == catalogue(6)
-        parts = pool.map(search._scan_slice, [6, 6], [pairs[0::2], pairs[1::2]],
+        found = {}
+        for part in pool.map(search._extend, [6, 6], [parents[0::2], parents[1::2]]):
+            found.update(part)
+        assert tuple(sorted(found.items())) == pairs
+        parts = pool.map(search._fold_level, [6, 6], [pairs[0::2], pairs[1::2]],
                          [by_k] * 2, [ALL_KINDS] * 2)
         folds = _merged(search._fold((), by_k, ALL_KINDS), parts)
-    assert search._reports(by_k, ALL_KINDS, folds) == scan_catalogue(params)
+    assert search._reports(by_k, ALL_KINDS, folds, partial(CanonicalCode, 6)) == \
+        scan_catalogue(params)
 
 
 def _exit_at_once(*task):
-    """Stands in for a pool task, `search._catalogue_slice` or
-    `search._scan_slice`: the worker dies at once, as a killed one would."""
+    """Stands in for a pool task, `search._extend` or `search._fold_level`:
+    the worker dies at once, as a killed one would. Either also runs in
+    this process, so it is patched in only while nothing calls it here."""
     os._exit(1)
 
 
 def test_failed_catalogue_worker_is_an_error_not_a_hang(monkeypatch, capfd):
     monkeypatch.setattr(search, "_POOL_FROM", 6)
-    monkeypatch.setattr(search, "_catalogue_slice", _exit_at_once)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "_CATALOGUES", {})
+    # level 5 is built here first, so only level 6 reaches the pool
+    catalogue(5)
+    extend = search._extend
+    monkeypatch.setattr(search, "_extend", _exit_at_once)
     argv = ["scan", "--n", "6", "--m", "2", "--k", "2", "--kind", "wiener",
             "--workers", "2"]
     with _deadline(60):
@@ -401,8 +437,9 @@ def test_failed_catalogue_worker_is_an_error_not_a_hang(monkeypatch, capfd):
     assert err == "error: a catalogue worker died while building level 6\n"
     assert 6 not in search._CATALOGUES
     # a fold worker that dies, over a level built in this process
+    monkeypatch.setattr(search, "_extend", extend)
     catalogue(6)
-    monkeypatch.setattr(search, "_scan_slice", _exit_at_once)
+    monkeypatch.setattr(search, "_fold_level", _exit_at_once)
     with _deadline(60):
         with pytest.raises(VklabError, match="scanning level 6"):
             scan_catalogue([ClassParams(6, 2, 2)], workers=2)

@@ -7,6 +7,7 @@ import pytest
 
 from vklab import (ALL_KINDS, ClassParams, IndexKind, InvalidParamsError, SizeCapError,
                    indices, search, verify, verify_claims)
+from vklab.graphs import code_to_graph
 from vklab.partiteness import vertex_k_partiteness
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, claim_grid, known_claims
@@ -216,8 +217,8 @@ def test_verify_claims_evaluates_each_graph_once(monkeypatch):
     printed = {(p, verify._CLAIMS[claim][1]) for claim in ("thm4.1", "cor4.2", "thm4.2")
                for p in grids[claim]}
     scanned = grids["thm4.6-direction"] + grids["thm3.1"] + grids["thm3.2"]
-    members = sum(1 for n in {p.n for p in scanned} for entry in catalogue(n)
-                  if any(vertex_k_partiteness(entry.graph, p.k) <= p.m
+    members = sum(1 for n in {p.n for p in scanned} for bits, _ in catalogue(n)
+                  if any(vertex_k_partiteness(code_to_graph(bits, n), p.k) <= p.m
                          for p in scanned if p.n == n))
     family = sum(len(list(_partitions_at_most(p.n - p.m, p.k)))
                  for p in set(grids["thm3.1"] + grids["thm3.2"]))
