@@ -23,7 +23,7 @@ rows that are symmetric, loop-free and inside 0..n-1 by construction, for
 1 <= n <= 64: the graph6 decoder (its table reads pairs (u, v) and
 (v, u) from one bit and the diagonal from a constant '0'), `code_to_graph`
 (each code bit sets both ends of one pair u < v < n), the catalogue's
-vertex extension in `vklab.search` (children of valid parents) and
+vertex extension in `vklab.search` (decoded parents and their children) and
 `vklab.extremal.join_family_graph` (each row is the full vertex set less
 the vertex's own clique bit or its own part, which contains it). Rows from
 anywhere else, including unpickling, go through `Graph`.
@@ -182,6 +182,18 @@ def code_to_adj(code: int, n: int) -> list[int]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
+
+
+def _adj_code(adj) -> int:
+    """The row-major upper-triangle code of adjacency rows `adj`, the code
+    `code_to_adj` unpacks: row u's pairs (u, v), v > u, are its bits
+    u + 1.. shifted to where row u's block of the code starts."""
+    bits = start = 0
+    last = len(adj) - 1
+    for u, row in enumerate(adj):
+        bits |= row >> (u + 1) << start
+        start += last - u
+    return bits
 
 
 def code_to_graph(code: int, n: int) -> Graph:
@@ -346,7 +358,7 @@ def canonical_form(g: Graph) -> CanonicalCode:
     multipartite graphs such as K(2,2,2,2,2)), and a SizeCapError is raised
     otherwise (K2 x K8, with 80,640 automorphisms and no twins).
     """
-    code, _ = _canonical_search(g)
+    code, _, _ = _canonical_search(g)
     return CanonicalCode(n=g.n, bits=code)
 
 
@@ -366,8 +378,10 @@ def _twin_groups(adj) -> list[list[int]]:
     return [group for group in twins.values() if len(group) > 1]
 
 
-def _canonical_search(g: Graph) -> tuple[int, int]:
-    """The search behind `canonical_form`: (code bits, |Aut(g)|).
+def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
+    """The search behind `canonical_form`: (code bits, |Aut(g)|, orders),
+    where `orders` are the orderings (position -> vertex) of the leaves of
+    least code, the first of them g's canonical labelling.
 
     Positions are filled in order. A node is an ordered list of cells,
     bitsets of unplaced vertices, each holding the next block of positions;
@@ -391,7 +405,11 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
     candidate per twin group of the first cell is tried, and its node
     carries its count times the group's size in that cell; the counts of
     the nodes of least code add up to |Aut(g)|, with no separate twin
-    factor.
+    factor. So every ordering of least code is a product of twin swaps
+    after one of `orders`, and Aut(g) is the set of maps s . a_i, with s a
+    product of twin swaps and a_i taking orders[0][p] to orders[i][p] for
+    every position p: a vertex's orbit is the union of the twin groups of
+    its images under the a_i.
 
     The budget applies to the live nodes: once a depth's candidates are
     compared, more than `_CANONICAL_BUDGET` kept (node, w) pairs is a
@@ -432,15 +450,18 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
                 for cells, w, count, placed in kept]
     # each node left fixes its ordering; pack its code MSB-first, so that
     # integer < is lexicographic order
-    counts: dict = {}
+    leaves: dict = {}
     for cells, count, placed in live:
         order = (*placed, *[c.bit_length() - 1 for c in cells])
         bits = 0
         for u, v in _row_major_pairs(n):
             bits = bits << 1 | (adj[order[u]] >> order[v] & 1)
-        counts[bits] = counts.get(bits, 0) + count
-    least = min(counts)
-    return int(format(least, f"0{pair_count(n)}b")[::-1], 2), counts[least]
+        leaf = leaves.setdefault(bits, [0, []])
+        leaf[0] += count
+        leaf[1].append(order)
+    least = min(leaves)
+    aut, orders = leaves[least]
+    return int(format(least, f"0{pair_count(n)}b")[::-1], 2), aut, orders
 
 
 def canonical_graph(g: Graph) -> Graph:

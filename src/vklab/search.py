@@ -1,28 +1,34 @@
 """Exhaustive enumeration and extremal scans.
 
-Scans run over a catalogue of connected graphs up to isomorphism, built by
-vertex extension (each level n - 1 representative gains one vertex,
-deduplicated by canonical code), instead of over all 2^C(n,2) labelled
-codes. Two isomorphism-invariant steps of canonical augmentation (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998) leave about 15%
-of the extensions to canonicalise: a parent gains one neighbourhood per
-orbit of its twin swaps, and an extension is kept only when its new vertex
-has the least (degree, sum of neighbour degrees) among the non-cut
-vertices (ties allowed). A level is its sorted (canonical code bits,
-|Aut(G)|) pairs, the pairs a streamed canonical-augmentation level would
-yield too; a graph is decoded from its code only where it is extended or
-folded. A class's labelled size is the orbit-stabilizer sum of n!/|Aut(G)|
-over its members, and optimizers are canonical codes from the start. The
-catalogue is cached per n and is identical however its construction is
-split across workers.
+Scans run over a catalogue of connected graphs up to isomorphism instead
+of over all 2^C(n,2) labelled codes. It is built by canonical augmentation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998, as in
+nauty's geng): each level n - 1 class P gains a vertex v joined to one
+vertex set S per Aut(P)-orbit, and the child is kept only when v is in its
+canonical orbit, the orbit of the first, in canonical order, of its
+non-cut vertices of least (degree, sum of neighbour degrees). So each class
+is made exactly once: every connected graph has a non-cut vertex of
+least key, and deleting one of its canonical orbit gives its one parent
+class and one orbit of S. A child whose v is its only non-cut vertex of
+least key is kept unlabelled: Aut(G) fixes v, so |Aut(G)| = |Aut(P)| /
+|orbit of S|. Only children that tie on the key are labelled (see
+`catalogue` for the proofs).
+
+A level is its sorted (code bits, |Aut(G)|) pairs. Each code is that of
+one labelled member of its class as it was made, not its canonical code;
+canonical codes are made only for the optimizers a report names. A
+class's labelled size is the orbit-stabilizer sum of n!/|Aut(G)| over its
+members, and each level is checked, as it is built, against the count of
+labelled connected graphs. The catalogue is cached per n and is identical
+however its construction is split across workers.
 
 Catalogue and graph6 corpus scans share one per-graph pipeline: one
 `indices.kernel` evaluation per graph for every requested kind, and one
-membership search per k over that k's requested m. A graph's values fold into one bucket per k,
-that of the least requested m admitting it, and the report for m merges
-the buckets at or below m, so one pass serves every (m, k) of one n.
-Scans support 2 <= n <= 9 (261,080 classes at n = 9), with any worker
-count.
+membership search per k over that k's requested m. A graph's values fold
+into one bucket per k, that of the least requested m admitting it, and
+the report for m merges the buckets at or below m, so one pass serves
+every (m, k) of one n. Scans support 2 <= n <= 9 (261,080 classes at
+n = 9), with any worker count.
 
 Where the work runs is one helper, `_over_slices`, with one rule,
 `_POOL_FROM`: building level n extends the pairs of level n - 1, and
@@ -40,12 +46,12 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from math import factorial
+from functools import cache, partial
+from math import comb, factorial
 
 from .errors import Graph6ParseError, InvalidParamsError, SizeCapError, VklabError
 from .extremal import closed_form, extremal_graph, join_family_graph
-from .graphs import (MAX_VERTICES, CanonicalCode, Graph, _canonical_search,
+from .graphs import (MAX_VERTICES, CanonicalCode, Graph, _adj_code, _canonical_search,
                      _symmetric_graph, _twin_groups, add_edge, canonical_form,
                      code_to_adj, code_to_graph, connected_mask, pair_count,
                      parse_graph6, to_graph6)
@@ -116,82 +122,171 @@ class ExtremalReport:
 _MINIMIZED = frozenset(k for k in ALL_KINDS if direction(k) is Direction.DECREASING)
 
 
-def _extend(n: int, parents) -> dict:
-    """Canonical code bits -> |Aut| for the one-vertex extensions of
-    `parents`, (code bits, |Aut|) pairs of level n - 1, that survive
-    twin-orbit pruning and the pre-test; the build task of `_over_slices`.
+def _extend(n: int, parents) -> list[tuple[int, int]]:
+    """The (code bits, |Aut|) pairs of the level n classes whose parent is
+    one of `parents`, (code bits, |Aut|) pairs of level n - 1; the build
+    task of `_over_slices` (see `catalogue` for why each class comes from
+    exactly one parent).
 
-    Each parent is decoded here. The new vertex takes each nonempty
-    neighbourhood of `_neighbourhoods` in turn, so connected parents give
-    connected children. A child is canonicalised only when no non-cut
-    vertex has a smaller (degree, sum of neighbour degrees) than the new
-    one (see `catalogue` for why that loses no class). A child's rows are
-    valid by construction: the new vertex's bit is set on exactly the rows
-    of its neighbours, and its own row is that neighbourhood.
+    Each parent is decoded here and gains a last vertex joined to one set
+    of each orbit of `_neighbourhoods`, so connected parents give connected
+    children. A child whose new vertex is the only non-cut vertex of least
+    key is kept with |Aut| = |Aut P| / |orbit|, unlabelled; one that ties
+    is labelled and kept when its new vertex is in its canonical orbit.
+    A child's rows are valid by construction: the new vertex's bit is set
+    on exactly the rows of its neighbours, and its own row is that set.
     """
-    found: dict = {}
+    found = []
     new = 1 << (n - 1)
-    for bits, _ in parents:
+    for bits, aut in parents:
         rows = code_to_adj(bits, n - 1)
-        for nbhd in _neighbourhoods(rows):
+        key_test = _key_test(rows)
+        for nbhd, orbit in _neighbourhoods(rows, aut):
+            ties = key_test(nbhd)
+            if ties is None:
+                continue
             adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(rows)]
             adj.append(nbhd)
-            if _lighter_non_cut_vertex(adj):
-                continue
-            bits, aut = _canonical_search(_symmetric_graph(tuple(adj)))
-            found[bits] = aut
+            if ties:
+                _, child_aut, orders = _canonical_search(_symmetric_graph(tuple(adj)))
+                if not _in_canonical_orbit(adj, ties, orders):
+                    continue
+            else:
+                child_aut = aut // orbit
+            found.append((_adj_code(adj), child_aut))
     return found
 
 
-def _neighbourhoods(adj) -> list[int]:
-    """The nonempty vertex sets of `adj` that meet each twin group in its
-    lowest vertices. Swapping two twins is an automorphism and the groups
-    are disjoint, so these are one set per orbit of the subgroup of Aut
-    that the twin swaps generate; each other vertex is a group of one."""
+def _neighbourhoods(adj, aut: int) -> list[tuple[int, int]]:
+    """One nonempty vertex set of each orbit of Aut(adj) on vertex sets,
+    with the size of its orbit; `aut` is |Aut(adj)|.
+
+    Twin swaps are automorphisms, so the twin groups' symmetric groups
+    form a subgroup T of Aut, of order the product of |g|! over the groups
+    g. The sets that meet each group in its lowest vertices are one per
+    T-orbit, of size the product of C(|g|, |S & g|). When |Aut| is |T|
+    those are the orbits. Otherwise the graph is labelled once: Aut is the
+    set of maps s . a_i (see `_canonical_search`), so the orbit of S is
+    the union of the T-orbits of the a_i(S), and the T-orbits it merges
+    are found by reducing each a_i(S) to its lowest vertices per group.
+    """
     groups = _twin_groups(adj)
     grouped = {u for group in groups for u in group}
-    sets = [0]
+    sets, swaps, shares = {0: 1}, 1, []
     for group in groups + [[u] for u in range(len(adj)) if u not in grouped]:
         prefix, prefixes = 0, [0]
         for u in group:
             prefix |= 1 << u
             prefixes.append(prefix)
-        sets = [s | p for s in sets for p in prefixes]
-    return sets[1:]  # sets[0] is the empty set
-
-
-def _lighter_non_cut_vertex(adj) -> bool:
-    """Whether some vertex of the connected graph `adj`, other than the
-    last, has a smaller (degree, sum of neighbour degrees) than the last
-    and leaves the graph connected when deleted (a search from the last
-    vertex that avoids it reaches all). The sums are computed only for
-    vertices that tie the last vertex's degree."""
-    last = len(adj) - 1
-    degree = adj[last].bit_count()
-    full = (1 << len(adj)) - 1
-    weight = None
-    for w in range(last):
-        d = adj[w].bit_count()
-        if d > degree:
+        sets = {s | p: size * comb(len(group), i)
+                for s, size in sets.items() for i, p in enumerate(prefixes)}
+        swaps *= factorial(len(group))
+        if len(group) > 1:
+            shares.append((prefix, prefixes))
+    del sets[0]  # the empty set
+    if aut == swaps:
+        return list(sets.items())
+    _, _, (first, *orders) = _canonical_search(_symmetric_graph(tuple(adj)))
+    maps = [dict(zip(first, order)) for order in orders]
+    out, seen = [], set()
+    for s, size in sets.items():
+        if s in seen:
             continue
-        if d == degree:
-            if weight is None:
-                weight = _neighbour_degree_sum(adj, last)
-            if _neighbour_degree_sum(adj, w) >= weight:
+        orbit = {s}
+        for image in maps:
+            t, rest = 0, s
+            while rest:
+                low = rest & -rest
+                t |= 1 << image[low.bit_length() - 1]
+                rest ^= low
+            for group, prefixes in shares:
+                t = t & ~group | prefixes[(t & group).bit_count()]
+            orbit.add(t)
+        seen |= orbit
+        out.append((s, sum(sets[t] for t in orbit)))
+    return out
+
+
+def _key_test(rows):
+    """The key test of the children of the connected graph `rows`: a
+    function of a nonempty vertex set S that, for the child in which a new
+    last vertex v is joined to S, gives None when a vertex of smaller key
+    (degree, sum of neighbour degrees) than v is not a cut vertex, else the
+    bitset of the non-cut vertices other than v whose key equals v's (0
+    when there are none). v itself is not a cut vertex, as `rows` is
+    connected.
+
+    Each child's keys come from the parent's: w's degree gains 1 when w is
+    in S, and its sum gains |N(w) & S|, plus |S| when w is in S. Deleting w
+    leaves the child connected exactly when S meets every component of the
+    parent less w, so those components are found once per parent.
+    """
+    degree = [row.bit_count() for row in rows]
+    sums = [_degree_sum(degree, row) for row in rows]
+    full = (1 << len(rows)) - 1
+    parts = []
+    for w in range(len(rows)):
+        rest, comps = full ^ 1 << w, []
+        while rest:
+            comp = connected_mask(rows, rest & -rest, rest)
+            comps.append(comp)
+            rest ^= comp
+        parts.append(comps)
+
+    def test(nbhd: int) -> int | None:
+        size = nbhd.bit_count()
+        weight = None
+        ties = 0
+        for w, comps in enumerate(parts):
+            inside = nbhd >> w & 1
+            d = degree[w] + inside
+            if d > size:
                 continue
-        keep = full ^ 1 << w
-        if connected_mask(adj, 1 << last, keep) == keep:
-            return True
-    return False
+            if d == size:
+                if weight is None:
+                    weight = _degree_sum(degree, nbhd) + size
+                other = sums[w] + (rows[w] & nbhd).bit_count() + inside * size
+                if other > weight:
+                    continue
+                if other == weight:
+                    if all(nbhd & comp for comp in comps):
+                        ties |= 1 << w
+                    continue
+            if all(nbhd & comp for comp in comps):
+                return None
+        return ties
+    return test
 
 
-def _neighbour_degree_sum(adj, u: int) -> int:
-    total, rest = 0, adj[u]
-    while rest:
-        low = rest & -rest
-        total += adj[low.bit_length() - 1].bit_count()
-        rest ^= low
+def _degree_sum(degree, vertices: int) -> int:
+    """The sum of `degree` over the bitset `vertices`."""
+    total = 0
+    while vertices:
+        low = vertices & -vertices
+        total += degree[low.bit_length() - 1]
+        vertices ^= low
     return total
+
+
+def _in_canonical_orbit(adj, ties: int, orders) -> bool:
+    """Whether the last vertex of `adj` is in the orbit of the vertex that
+    comes first in the canonical labelling orders[0] among itself and
+    `ties`; `orders` are `_canonical_search`'s leaves of least code, so that
+    orbit is the union of the twin groups of the vertices the leaves put at
+    that vertex's position."""
+    last = len(adj) - 1
+    pos = next(p for p, u in enumerate(orders[0]) if u == last or ties >> u & 1)
+    group = next((g for g in _twin_groups(adj) if g[-1] == last), [last])
+    return any(order[pos] in group for order in orders)
+
+
+@cache
+def _connected_labelled(n: int) -> int:
+    """The labelled connected graphs on n vertices (A001187), by the
+    recurrence over the order j of the component holding vertex 1: c(n) =
+    2^C(n,2) - sum over j < n of C(n - 1, j - 1) c(j) 2^C(n - j, 2)."""
+    return 2 ** pair_count(n) - sum(comb(n - 1, j - 1) * _connected_labelled(j)
+                                    * 2 ** pair_count(n - j) for j in range(1, n))
 
 
 _CATALOGUES: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -204,30 +299,48 @@ def clear_sweep_cache() -> None:
 
 def catalogue(n: int, workers: int = 1) -> tuple[tuple[int, int], ...]:
     """Every connected graph on n vertices up to isomorphism, as the sorted
-    (canonical code bits, |Aut(G)|) pairs of its classes; `code_to_graph`
-    gives the graph of a code in its canonical labelling.
+    (code bits, |Aut(G)|) pairs of its classes. A code is that of one
+    labelled member, as it was made, not the canonical code: `code_to_graph`
+    gives the member and `canonical_form` of it the class's code.
 
-    Level n extends each level n - 1 representative P by one vertex, for
-    every nonempty neighbourhood that meets each twin group of P in its
-    lowest vertices, keeps the children in which no non-cut vertex has a
-    smaller key (degree, sum of neighbour degrees) than the new one, and
-    dedups them by canonical code. That is complete. Every connected G has
-    non-cut vertices (the leaves of a spanning tree); let v be one of least
-    key among them. G - v is connected, so it is isomorphic to some level
-    n - 1 representative P, and extending P by the image S of N(v) gives a
-    copy of G whose new vertex plays the part of v. A product of twin swaps
-    of P takes S to the set that meets each twin group in its lowest
-    vertices; it is an automorphism of P, and with the new vertex fixed it
-    maps that copy onto the child P is extended to. So the child is a copy
-    of G in which the new vertex plays v, and it passes the test, because
-    isomorphisms preserve keys and cut vertices. Levels are built on first
-    use and cached per n, and equal codes carry equal |Aut|, so a level is
-    the same for every split of its parents.
+    Level n extends each level n - 1 class P by a vertex v joined to one
+    nonempty set S of each Aut(P)-orbit (`_neighbourhoods`). It keeps the
+    child G = P + S when v is in G's canonical orbit: the Aut(G)-orbit of
+    the vertex that comes first in G's canonical labelling among its
+    non-cut vertices of least key (degree, sum of neighbour degrees). Keys,
+    cut vertices and the canonical labelling up to automorphisms are
+    invariant, so an isomorphism maps canonical orbit onto canonical orbit.
+
+    Each class is made at least once. A connected G has non-cut vertices
+    (the leaves of a spanning tree), so it has a canonical orbit; let u be
+    in it. G - u is connected, so some isomorphism f maps it onto a level
+    n - 1 class P, and some a in Aut(P) maps f(N(u)) onto the set S that P
+    is extended by. Then a . f with u -> v maps G onto P + S and u to v, so
+    v is in the canonical orbit of P + S, which is kept.
+
+    Each class is made at most once. Let P + S and P' + S' be kept and
+    isomorphic. An isomorphism maps the canonical orbit of one onto that of
+    the other, so, composed with an automorphism of P' + S', it maps v to
+    v. It then maps P onto P', so P = P', as level n - 1 holds one member
+    of each class, and it is an automorphism of P that maps S onto S', so
+    S = S', one set of each orbit.
+
+    |Aut(G)| is exact. When v is G's only non-cut vertex of least key,
+    every automorphism of G fixes v, and restricting to P maps Aut(G) one
+    to one onto the stabilizer of S in Aut(P), so |Aut(G)| = |Aut(P)| /
+    |orbit of S| and G is not labelled. Otherwise the labeller gives both
+    |Aut(G)| and the canonical orbit.
+
+    Each level is checked as it is built: its classes stand for
+    sum n!/|Aut(G)| labelled graphs, which must be `_connected_labelled(n)`,
+    else it is a VklabError and the level is not cached. Levels are built
+    on first use and cached per n; a parent's children depend only on its
+    own pair, so a level is the same for every split of its parents.
 
     Level n is built by `_extend` over slices of level n - 1 (see
-    `_over_slices`), and each level below it is built by the same rule. A
-    build worker that dies is a VklabError that names the level. The
-    result does not depend on the worker count or the start method.
+    `_over_slices`), and each level below it by the same rule. A build
+    worker that dies is a VklabError that names the level. The result does
+    not depend on the worker count or the start method.
     """
     if n in _CATALOGUES:
         return _CATALOGUES[n]
@@ -236,12 +349,14 @@ def catalogue(n: int, workers: int = 1) -> tuple[tuple[int, int], ...]:
     if n == 1:
         level = ((0, 1),)  # the one-vertex graph: code 0, |Aut| 1
     else:
-        found: dict = {}
-        for part in _over_slices(n, workers,
-                                 f"a catalogue worker died while building level {n}",
-                                 _extend, catalogue(n - 1, workers)):
-            found.update(part)
-        level = tuple(sorted(found.items()))
+        level = tuple(sorted(pair for part in _over_slices(
+            n, workers, f"a catalogue worker died while building level {n}",
+            _extend, catalogue(n - 1, workers)) for pair in part))
+    labellings = factorial(n)
+    labelled = sum(labellings // aut for _, aut in level)
+    if labelled != _connected_labelled(n):
+        raise VklabError(f"catalogue level {n} stands for {labelled} labelled graphs, "
+                         f"not the {_connected_labelled(n)} connected ones")
     _CATALOGUES[n] = level
     return level
 
@@ -421,8 +536,9 @@ def scan_catalogue(params, kinds=ALL_KINDS, workers: int = 1) -> dict:
     Returns {(params, kind): ExtremalReport} for every class in `params`
     and every requested kind. Each catalogue member is evaluated once, and
     its membership is searched once per distinct k. A member stands for
-    n!/|Aut(G)| labelled graphs in `class_size`; optimizers are catalogue
-    codes, so ties need no canonicalisation. The level is built by
+    n!/|Aut(G)| labelled graphs in `class_size`. Optimizers are folded as
+    the level's codes, which are not canonical, and each distinct one is
+    canonicalised once per call for the reports. The level is built by
     `catalogue` and folded by `_fold_level` over slices of its pairs (see
     `_over_slices`); the slices' buckets are merged here in task order. A
     fold worker that dies is a VklabError that names the level. Reports
@@ -445,7 +561,12 @@ def scan_catalogue(params, kinds=ALL_KINDS, workers: int = 1) -> dict:
     for part in _over_slices(n, workers, f"a scan worker died while scanning level {n}",
                              _fold_level, level, by_k, kinds):
         _merge_folds(folds, part)
-    return _reports(by_k, kinds, folds, partial(CanonicalCode, n))
+    return _reports(by_k, kinds, folds, cache(partial(_canonical_code, n)))
+
+
+def _canonical_code(n: int, bits: int) -> CanonicalCode:
+    """The canonical code of the class of level n's code `bits`."""
+    return canonical_form(code_to_graph(bits, n))
 
 
 def _corpus_items(graphs, n: int):

@@ -178,11 +178,12 @@ def reference_canonical_search(g: Graph) -> tuple[int, int]:
     return code, aut
 
 
-def reference_pretest_rejects(g: Graph) -> bool:
-    """The catalogue pre-test by its definition, on neighbour lists: whether
-    some vertex other than the last has a smaller (degree, sum of neighbour
-    degrees) than the last and is not a cut vertex (deleting it leaves
-    every other vertex reachable from the last)."""
+def reference_key_test(g: Graph):
+    """The catalogue key test by its definition, on neighbour lists: None
+    when some vertex other than the last has a smaller (degree, sum of
+    neighbour degrees) than the last and is not a cut vertex (deleting it
+    leaves every other vertex reachable from the last), else the bitset of
+    the non-cut vertices other than the last with the last's key."""
     neigh = [[v for v in range(g.n) if g.adj[u] >> v & 1] for u in range(g.n)]
     key = [(len(neigh[u]), sum(len(neigh[v]) for v in neigh[u])) for u in range(g.n)]
     last = g.n - 1
@@ -197,7 +198,10 @@ def reference_pretest_rejects(g: Graph) -> bool:
                     stack.append(v)
         return len(seen) == g.n - 1
 
-    return any(key[w] < key[last] and reachable_without(w) for w in range(last))
+    non_cut = [w for w in range(last) if reachable_without(w)]
+    if any(key[w] < key[last] for w in non_cut):
+        return None
+    return sum(1 << w for w in non_cut if key[w] == key[last])
 
 
 def brute_distances(g: Graph):

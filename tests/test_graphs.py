@@ -16,8 +16,7 @@ from vklab import (Graph, GraphSizeError, Graph6ParseError, SizeCapError, add_ed
                    parse_graph6, to_graph6)
 from vklab.graphs import (_canonical_search, _refinement_classes, _twin_groups, code_to_adj,
                           code_to_graph, connected_mask, from_edges, pair_count)
-from vklab.search import (_lighter_non_cut_vertex, _neighbourhoods, _partitions_at_most,
-                          catalogue)
+from vklab.search import _extend, _partitions_at_most, catalogue
 
 from conftest import (graph_of_nx, graph_to_code, nx_of, random_graph,
                       reference_canonical_search, reference_parse_graph6,
@@ -285,7 +284,7 @@ def test_canonical_search_matches_exhaustive_reference(rng):
                                         nx.complete_multipartite_graph(3, 3, 2))]
     graphs += set(_join_family(3, 8))
     for g in graphs:
-        assert _canonical_search(g) == reference_canonical_search(g), g.adj
+        assert _canonical_search(g)[:2] == reference_canonical_search(g), g.adj
 
 
 @given(st.data())
@@ -314,9 +313,9 @@ def test_aut_of_twin_free_symmetric_graphs_matches_networkx(rng):
         assert _twin_groups(g.adj) == [] and len(_refinement_classes(g)) == 1
         h = nx_of(g)
         auts.append(sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter()))
-        code, aut = _canonical_search(g)
+        code, aut, _ = _canonical_search(g)
         assert aut == auts[-1]
-        assert _canonical_search(_shuffled(rng, g)) == (code, aut)
+        assert _canonical_search(_shuffled(rng, g))[:2] == (code, aut)
     assert auts == [14, 16, 48, 16]
 
 
@@ -338,7 +337,7 @@ def test_canonical_form_past_the_old_budget(rng):
     by_degrees = {}
     for g in graphs:
         sizes = sorted(Counter(g.adj).values())  # K_m counts as m parts of size 1
-        code, aut = _canonical_search(g)
+        code, aut, _ = _canonical_search(g)
         assert aut == _multipartite_aut(sizes)
         copy = _shuffled(rng, g)
         assert canonical_form(copy).bits == code
@@ -368,26 +367,50 @@ def test_budget_counts_live_nodes(rng):
 
 
 def test_canonical_search_on_nine_vertices(rng):
-    # the children the n = 9 catalogue build canonicalises (twin-prefix
-    # neighbourhoods that pass the pre-test), from a seeded sample of n = 8
-    # parents: |Aut| against networkx, codes against the exhaustive
-    # reference wherever it takes them
+    # the n = 9 classes whose parents are a seeded sample of n = 8 classes:
+    # the stored |Aut|, from the labeller or from |Aut P| / |orbit of S|,
+    # against networkx, and codes against the exhaustive reference
+    # wherever it takes them
     checked = 0
-    for bits, _ in rng.sample(catalogue(8), 12):
-        rows = code_to_adj(bits, 8)
-        for nbhd in _neighbourhoods(rows):
-            adj = [row | 1 << 8 if nbhd >> u & 1 else row for u, row in enumerate(rows)]
-            adj.append(nbhd)
-            if _lighter_non_cut_vertex(adj):
-                continue
-            g = Graph(tuple(adj))
-            code, aut = _canonical_search(g)
-            h = nx_of(g)
-            assert aut == sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
-            assert _canonical_search(_shuffled(rng, g)) == (code, aut)
-            try:
-                assert reference_canonical_search(g) == (code, aut)
-                checked += 1
-            except SizeCapError:
-                pass
+    children = _extend(9, rng.sample(catalogue(8), 12))
+    assert children
+    for bits, aut in children:
+        g = code_to_graph(bits, 9)
+        h = nx_of(g)
+        assert aut == sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        code, label_aut, _ = _canonical_search(g)
+        assert label_aut == aut
+        assert _canonical_search(_shuffled(rng, g))[:2] == (code, aut)
+        try:
+            assert reference_canonical_search(g) == (code, aut)
+            checked += 1
+        except SizeCapError:
+            pass
     assert checked
+
+
+def test_least_code_leaves_give_the_automorphism_orbits(rng):
+    """Each ordering the labeller returns has the least code, and the
+    union of the twin groups of the vertices the orderings put at one
+    position is a vertex orbit of Aut(g), as networkx finds it."""
+    graphs = [random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(300)]
+    graphs += [graph_of_nx(h) for h in (nx.cycle_graph(8), nx.hypercube_graph(3),
+                                        nx.petersen_graph(), nx.star_graph(6),
+                                        nx.complete_multipartite_graph(3, 3, 2))]
+    for g in graphs:
+        code, aut, orders = _canonical_search(g)
+        for order in orders:
+            assert graph_to_code(Graph(tuple(
+                sum(1 << p for p, w in enumerate(order) if g.adj[u] >> w & 1)
+                for u in order))) == code
+        twins = [sum(1 << w for w in range(g.n)
+                     if g.adj[w] & ~(1 << u) == g.adj[u] & ~(1 << w)) for u in range(g.n)]
+        h = nx_of(g)
+        autos = list(nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        assert len(autos) == aut
+        for p, u in enumerate(orders[0]):
+            orbit = 0
+            for order in orders:
+                orbit |= twins[order[p]]
+            assert orbit == sum(1 << w for w in {a[u] for a in autos}), (g.adj, u)

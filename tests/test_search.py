@@ -8,7 +8,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, prod
 
 import networkx as nx
 import pytest
@@ -23,12 +23,15 @@ from vklab import (ALL_KINDS, ClassParams, Direction, Graph6ParseError, IndexKin
                    scan_corpus, to_graph6, vertex_k_partiteness)
 from vklab import search
 from vklab.cli import main
-from vklab.graphs import CanonicalCode, Graph, _twin_groups, code_to_adj, code_to_graph
+from vklab.graphs import Graph, _twin_groups, code_to_adj, code_to_graph
 from vklab.partiteness import partiteness_within
 from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
 
-from conftest import (enumerate_graphs, graph_of_nx, reference_canonical_search,
-                      reference_pretest_rejects, scan_by_m)
+from conftest import (enumerate_graphs, graph_of_nx, nx_of, reference_canonical_search,
+                      reference_key_test, scan_by_m)
+
+# connected graphs up to isomorphism on 1..8 vertices
+A001349 = [1, 1, 2, 6, 21, 112, 853, 11_117]
 
 
 def scan_one(params: ClassParams, kind: IndexKind):
@@ -48,12 +51,19 @@ def test_enumeration_is_exact_and_deterministic():
     assert [g.adj for g in seen] == [g.adj for g in enumerate_graphs(4)]
 
 
+def _self_isomorphisms(g: Graph) -> int:
+    h = nx_of(g)
+    return sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+
+
 def test_catalogue_sizes_match_a001349():
-    assert [len(catalogue(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    assert [len(catalogue(n)) for n in range(1, 8)] == A001349[:7]
     level = catalogue(8, workers=2)
     assert len(level) == 11_117
-    # every (code, |Aut|) pair of the level, as the exhaustive labeller gave them
-    pairs = repr(sorted(level)).encode()
+    # every (canonical code, |Aut|) pair of the level, as the exhaustive
+    # labeller gave them when the stored codes were canonical codes
+    pairs = repr(sorted((canonical_form(code_to_graph(bits, 8)).bits, aut)
+                        for bits, aut in level)).encode()
     assert hashlib.sha256(pairs).hexdigest() == \
         "06ead3e9312b60d7734a71724d81c36c921d8677a3ab3826a433ff6c86db9c4d"
     # a serial n = 8 scan over that level, as the CLI printed it with 2 workers
@@ -68,9 +78,11 @@ def test_catalogue_sizes_match_a001349():
 
 
 def test_extend_canonicalises_only_min_degree_children(monkeypatch):
-    """Twin-orbit pruning and the (degree, neighbour-degree sum) pre-test
-    leave 1,322 of the 7,815 children of the n <= 7 levels to canonicalise,
-    and each level still comes out whole."""
+    """One neighbourhood per Aut(P)-orbit gives 4,159 children for the
+    n <= 7 levels. The labeller is called 463 times: once for each of the
+    54 parents with more automorphisms than twin swaps, and once for each
+    of the 409 children that pass the (degree, neighbour-degree sum) test
+    but tie on it. Each level still comes out whole."""
     calls = []
     real = search._canonical_search
     monkeypatch.setattr(search, "_canonical_search", lambda g: calls.append(g) or real(g))
@@ -80,59 +92,73 @@ def test_extend_canonicalises_only_min_degree_children(monkeypatch):
         before = len(calls)
         found = search._extend(n, parents)
         counts.append(len(calls) - before)
-        assert found == dict(catalogue(n))
-    assert counts == [1, 2, 6, 24, 137, 1_152]
+        assert tuple(sorted(found)) == catalogue(n)
+    assert counts == [1, 2, 5, 15, 64, 376]
 
 
 def _unfiltered_children(bits, n):
-    """Every one-vertex extension of the graph of code `bits` on n vertices,
-    a catalogue parent, new vertex last."""
+    """(neighbourhood, child) for every one-vertex extension of the graph
+    of code `bits` on n vertices, a catalogue parent, new vertex last."""
     for nbhd in range(1, 1 << n):
         adj = [row | 1 << n if nbhd >> u & 1 else row
                for u, row in enumerate(code_to_adj(bits, n))]
-        yield Graph((*adj, nbhd))
+        yield nbhd, Graph((*adj, nbhd))
 
 
 def test_extend_equals_the_unfiltered_reference_level():
     # every extension of every parent on <= 6 vertices, canonicalised by the
-    # exhaustive reference search with no pruning and no pre-test
+    # exhaustive reference search with no pruning and no key test, against
+    # `_extend`'s classes canonicalised by that search: the same classes
+    # and |Aut|, and no class made twice
     for n in range(2, 8):
         parents = catalogue(n - 1)
         expected = {}
         for bits, _ in parents:
-            for child in _unfiltered_children(bits, n - 1):
+            for _, child in _unfiltered_children(bits, n - 1):
                 code, aut = reference_canonical_search(child)
                 expected[code] = aut
-        assert search._extend(n, parents) == expected
+        canonical = {}
+        for bits, aut in search._extend(n, parents):
+            code, reference_aut = reference_canonical_search(code_to_graph(bits, n))
+            assert reference_aut == aut and code not in canonical
+            canonical[code] = aut
+        assert canonical == expected
 
 
 def test_pretest_verdict_matches_its_definition():
-    rejected = 0
+    rejected = tied = 0
     for n in range(2, 8):
         for bits, _ in catalogue(n - 1):
-            for child in _unfiltered_children(bits, n - 1):
-                verdict = search._lighter_non_cut_vertex(list(child.adj))
-                assert verdict == reference_pretest_rejects(child), child
-                rejected += verdict
-    assert rejected
+            key_test = search._key_test(code_to_adj(bits, n - 1))
+            for nbhd, child in _unfiltered_children(bits, n - 1):
+                verdict = key_test(nbhd)
+                assert verdict == reference_key_test(child), child
+                rejected += verdict is None
+                tied += bool(verdict)
+    assert rejected and tied
 
 
-def test_neighbourhoods_are_twin_prefix_sets():
-    # one set per orbit of the twin-swap subgroup: every nonempty set, each
-    # twin group's share replaced by that many of its lowest vertices
+def test_neighbourhoods_are_one_set_per_orbit():
+    # one set of each orbit of Aut(P) on nonempty vertex sets, with that
+    # orbit's size, for every parent P on <= 6 vertices, against the
+    # automorphisms networkx finds; both the parents whose automorphisms
+    # are all twin swaps and those the labeller is called for are covered
+    labelled = 0
     for n in range(1, 7):
-        for bits, _ in catalogue(n):
+        for bits, aut in catalogue(n):
             adj = code_to_adj(bits, n)
-            groups = _twin_groups(adj)
-            reps = set()
-            for nbhd in range(1, 1 << n):
-                for group in groups:
-                    inside = [u for u in group if nbhd >> u & 1]
-                    nbhd &= ~sum(1 << u for u in inside)
-                    nbhd |= sum(1 << u for u in group[:len(inside)])
-                reps.add(nbhd)
-            got = search._neighbourhoods(adj)
-            assert len(got) == len(reps) and set(got) == reps
+            h = nx_of(Graph(tuple(adj)))
+            autos = list(nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            assert len(autos) == aut
+            labelled += aut != prod(factorial(len(g)) for g in _twin_groups(adj))
+            orbit = {nbhd: frozenset(sum(1 << a[u] for u in range(n) if nbhd >> u & 1)
+                                     for a in autos)
+                     for nbhd in range(1, 1 << n)}
+            got = search._neighbourhoods(adj, aut)
+            assert len({orbit[nbhd] for nbhd, _ in got}) == len(got) \
+                == len(set(orbit.values()))
+            assert all(size == len(orbit[nbhd]) for nbhd, size in got)
+    assert labelled
 
 
 def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -191,20 +217,71 @@ def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
     # and either task called directly, on an empty cache
     parents = catalogue(5)
     monkeypatch.setattr(search, "_CATALOGUES", {})
-    assert search._extend(6, parents) == dict(expected)
+    assert tuple(sorted(search._extend(6, parents))) == expected
     folds = search._fold_level(6, expected, by_k, ALL_KINDS)
     assert search._CATALOGUES == {}
-    assert search._reports(by_k, ALL_KINDS, folds, partial(CanonicalCode, 6)) == want
+    assert search._reports(by_k, ALL_KINDS, folds,
+                           partial(search._canonical_code, 6)) == want
 
 
-def test_catalogue_entries_are_canonical_and_connected():
-    for n in range(1, 7):
-        codes = [bits for bits, _ in catalogue(n)]
+def test_catalogue_classes_are_distinct_and_connected():
+    # the stored codes are one labelled member of each class: sorted, and
+    # once canonicalised pairwise distinct, as many as A001349 counts, and
+    # connected
+    for n, count in enumerate(A001349, start=1):
+        codes = [bits for bits, _ in catalogue(n, workers=2)]
         assert codes == sorted(set(codes))
-        for bits, _ in catalogue(n):
-            g = code_to_graph(bits, n)
-            assert canonical_form(g) == CanonicalCode(n, bits)
-            assert is_connected(g)
+        assert len({canonical_form(code_to_graph(bits, n)) for bits in codes}) == count
+        assert all(is_connected(code_to_graph(bits, n)) for bits in codes)
+
+
+def test_stored_aut_matches_networkx_on_a_sample_of_level_8(rng):
+    for bits, aut in rng.sample(catalogue(8, workers=2), 150):
+        assert aut == _self_isomorphisms(code_to_graph(bits, 8))
+
+
+@pytest.mark.parametrize("fault", ["drop one class", "double one |Aut|"])
+def test_catalogue_certificate_refuses_a_wrong_level(monkeypatch, capfd, fault):
+    """A build that drops one class, or doubles one class's |Aut|, fails the
+    in-run completeness check at every n <= 6: an error in the API, one
+    `error:` line and exit 1 in the CLI, and the level is not cached."""
+    extend = search._extend
+
+    def mutant(n, parents):
+        (bits, aut), *rest = extend(n, parents)
+        return rest if fault == "drop one class" else [(bits, 2 * aut), *rest]
+
+    for n in range(2, 7):
+        monkeypatch.setattr(search, "_CATALOGUES", {})
+        catalogue(n - 1)
+        monkeypatch.setattr(search, "_extend", mutant)
+        with pytest.raises(VklabError, match=rf"^catalogue level {n} stands for \d+ "
+                                             rf"labelled graphs, not the \d+ connected ones$"):
+            catalogue(n)
+        assert n not in search._CATALOGUES
+        if n >= 3:
+            code = main(["scan", "--n", str(n), "--m", "1", "--k", "2", "--kind", "wiener"])
+            out, err = capfd.readouterr()
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: catalogue level {n} stands for ")
+            assert err.count("\n") == 1 and err.endswith(" connected ones\n")
+        monkeypatch.setattr(search, "_extend", extend)
+    assert catalogue(6) == catalogue(6, workers=2)
+
+
+def test_scan_canonicalises_each_distinct_optimizer_once(monkeypatch):
+    """Stored codes are not canonical, so a scan canonicalises its
+    optimizers: once per distinct optimizer per call, plus the one
+    construction each class is compared with."""
+    params = [ClassParams(6, m, k) for k in (2, 3, 4) for m in range(1, 7 - k)]
+    catalogue(6)
+    calls = []
+    real = search.canonical_form
+    monkeypatch.setattr(search, "canonical_form", lambda g: calls.append(g) or real(g))
+    reports = scan_catalogue(params)
+    distinct = set().union(*(r.optimizer_codes for r in reports.values()))
+    items = sum(len(r.optimizer_codes) for r in reports.values())
+    assert len(calls) == len(distinct) + len(params) < items
 
 
 def test_orbit_stabilizer_counts_match_labelled_walk():
@@ -310,10 +387,10 @@ def test_catalogue_and_reports_invariant_under_parent_splits(data):
     order = data.draw(st.permutations(parents))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=6)))
     chunks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
-    found = {}
+    found = []
     for chunk in chunks:
-        found.update(search._extend(6, chunk))
-    merged = tuple(sorted(found.items()))
+        found += search._extend(6, chunk)
+    merged = tuple(sorted(found))
     assert merged == reference
     try:
         search._CATALOGUES[6] = merged
@@ -344,7 +421,8 @@ def test_scan_folds_of_any_chunking_merge_to_the_one_pass_reports(data):
     parts = [search._fold_level(6, level[lo:hi], by_k, ALL_KINDS)
              for lo, hi in zip([0, *cuts], [*cuts, len(level)])]
     folds = _merged(search._fold((), by_k, ALL_KINDS), parts)
-    assert search._reports(by_k, ALL_KINDS, folds, partial(CanonicalCode, 6)) == want
+    assert search._reports(by_k, ALL_KINDS, folds,
+                           partial(search._canonical_code, 6)) == want
 
 
 def test_catalogue_built_once_for_every_worker_count(monkeypatch):
@@ -400,14 +478,14 @@ def test_catalogue_slices_merge_to_the_serial_level_in_a_spawned_pool():
     ctx = multiprocessing.get_context("spawn")
     with _deadline(120), concurrent.futures.process.ProcessPoolExecutor(
             2, mp_context=ctx) as pool:
-        found = {}
+        found = []
         for part in pool.map(search._extend, [6, 6], [parents[0::2], parents[1::2]]):
-            found.update(part)
-        assert tuple(sorted(found.items())) == pairs
+            found += part
+        assert tuple(sorted(found)) == pairs
         parts = pool.map(search._fold_level, [6, 6], [pairs[0::2], pairs[1::2]],
                          [by_k] * 2, [ALL_KINDS] * 2)
         folds = _merged(search._fold((), by_k, ALL_KINDS), parts)
-    assert search._reports(by_k, ALL_KINDS, folds, partial(CanonicalCode, 6)) == \
+    assert search._reports(by_k, ALL_KINDS, folds, partial(search._canonical_code, 6)) == \
         scan_catalogue(params)
 
 
