@@ -9,10 +9,8 @@ discrepancies as errata findings.
 
 from .errors import (DisconnectedGraphError, Graph6ParseError, GraphSizeError,
                      InvalidParamsError, SizeCapError, VklabError)
-from .extremal import (ClosedFormValue, DifferencePrediction, PartitionSpec,
-                       closed_form, closed_form_bipartite, closed_form_corrected,
-                       extremal_graph, join_family_graph, part_sizes,
-                       predicted_difference, shift_vertex)
+from .extremal import (ClosedFormValue, PartitionSpec, closed_form, closed_form_bipartite,
+                       extremal_graph, join_family_graph, part_sizes)
 from .graphs import (CanonicalCode, Graph, add_edge, canonical_form, canonical_graph,
                      from_edges, is_connected, parse_graph6, to_graph6)
 from .indices import ALL_KINDS, Direction, IndexKind, direction, evaluate

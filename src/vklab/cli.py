@@ -449,12 +449,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact values run past CPython's int -> str digit cap (from 3.10.7 on;
+    # mult_zagreb_pi2 of K64 has 7,255 digits), so main lifts it while it
+    # runs and puts it back for in-process callers
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (VklabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

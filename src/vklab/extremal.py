@@ -2,10 +2,8 @@
 
 The candidate optimizer for every monotone index on graphs with bounded
 vertex k-partiteness is a clique joined onto a complete multipartite graph
-with near-equal ("balanced") part sizes. This module builds that family,
-evaluates the published closed-form values of each index on it, and exposes
-the one-vertex balancing shift together with the published difference
-predictions.
+with near-equal ("balanced") part sizes. This module builds that family and
+evaluates the published closed-form values of each index on it.
 
 Closed forms are evaluated exactly as printed, flaws included, never
 silently corrected, because the point of the artifact is to certify or
@@ -13,8 +11,7 @@ refute the printed claims; the one validity flag a value carries is
 `regime_restricted`. The known flaws:
 
   * the second-Zagreb closed form omits the cross-part term
-    sum_{i<j} s_i s_j (n - s_i)(n - s_j); the corrected form is available
-    separately and matches direct evaluation on the whole grid;
+    sum_{i<j} s_i s_j (n - s_i)(n - s_j);
   * the three eccentricity-based forms assume every part vertex has
     eccentricity 2, which fails when a part is a single universal vertex
     (part size 1 with a nonempty clique) -- such values are flagged
@@ -22,11 +19,7 @@ refute the printed claims; the one validity flag a value carries is
   * two bipartite (k = 2) odd-case corollary lines carry typos: the
     adjacent-eccentric-distance line contains "(n-m-11)" where (n-m-1) is
     meant, and the eccentricity-distance-sum line's trailing constant has
-    the wrong sign (-1 printed, +1 correct);
-  * the published balancing-difference expressions for the reciprocal
-    degree distance and the adjacent eccentric distance sum do not match
-    direct computation, so those two predictions (and the remaining
-    multiplicative ones) are demoted to sign-only.
+    the wrong sign (-1 printed, +1 correct).
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from fractions import Fraction
 
 from .errors import GraphSizeError, InvalidParamsError
 from .graphs import MAX_VERTICES, Graph, _symmetric_graph
-from .indices import ECCENTRICITY_KINDS, INTEGER_VALUED, Direction, IndexKind, direction
+from .indices import ECCENTRICITY_KINDS, INTEGER_VALUED, IndexKind
 from .partiteness import ClassParams
 
 EVEN = "even"
@@ -47,7 +40,6 @@ ODD = "odd"
 class PartitionSpec:
     """Balanced part sizes for a class: n - m = s*k + t, sizes s and s+1."""
 
-    params: ClassParams
     sizes: tuple[int, ...]
     s: int
     t: int
@@ -58,24 +50,7 @@ class ClosedFormValue:
     """A printed closed-form value, flagged when the construction is outside
     the regime the form assumes."""
 
-    kind: IndexKind
     value: int | Fraction
-    regime_restricted: bool = False
-
-
-@dataclass(frozen=True)
-class DifferencePrediction:
-    """Predicted index change of the balancing shift: value(G-hat) - value(G-tilde).
-
-    `exact` is present for the five kinds whose published difference survives
-    scrutiny; `sign` is +1 for decreasing kinds (shift toward balance improves
-    the minimum) and -1 for increasing kinds. Both are None when the
-    prediction is out of the universal-vertex regime.
-    """
-
-    kind: IndexKind
-    exact: int | Fraction | None
-    sign: int | None
     regime_restricted: bool = False
 
 
@@ -85,7 +60,7 @@ def part_sizes(params: ClassParams) -> PartitionSpec:
     if s < 1:
         raise InvalidParamsError("valid params always leave s >= 1")
     sizes = (s,) * (params.k - t) + (s + 1,) * t
-    return PartitionSpec(params=params, sizes=sizes, s=s, t=t)
+    return PartitionSpec(sizes=sizes, s=s, t=t)
 
 
 def join_family_graph(m: int, sizes) -> Graph:
@@ -113,19 +88,6 @@ def join_family_graph(m: int, sizes) -> Graph:
 def extremal_graph(params: ClassParams) -> Graph:
     """The balanced construction for the class parameters."""
     return join_family_graph(params.m, part_sizes(params).sizes)
-
-
-def shift_vertex(sizes, i: int, j: int) -> list[int]:
-    """Move one vertex from part i to part j; requires sizes[i] >= sizes[j] + 2."""
-    sizes = list(sizes)
-    if not (0 <= i < len(sizes) and 0 <= j < len(sizes)) or i == j:
-        raise InvalidParamsError("i and j must be distinct part indices")
-    if sizes[i] < sizes[j] + 2:
-        raise InvalidParamsError(
-            f"shift needs sizes[i] >= sizes[j] + 2, got {sizes[i]} and {sizes[j]}")
-    sizes[i] -= 1
-    sizes[j] += 1
-    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -173,30 +135,9 @@ def closed_form(kind: IndexKind, params: ClassParams) -> ClosedFormValue:
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind}")
     return ClosedFormValue(
-        kind=kind,
         value=_normalize(kind, val),
         regime_restricted=kind in ECCENTRICITY_KINDS and s < 2,
     )
-
-
-def closed_form_corrected(kind: IndexKind, params: ClassParams) -> ClosedFormValue:
-    """Like closed_form, but with the established correction applied.
-
-    Only the second Zagreb index has one: the cross-part term visible in the
-    proof's expansion is restored. Other kinds come back unchanged (the
-    eccentricity regime restriction is a domain restriction, not a fixable
-    formula typo).
-    """
-    if kind is not IndexKind.ZAGREB_M2:
-        return closed_form(kind, params)
-    spec = part_sizes(params)
-    n, m = params.n, params.m
-    sizes = spec.sizes
-    val = Fraction(m * (m - 1) * (n - 1) ** 2, 2)
-    val += m * (n - 1) * sum(si * (n - si) for si in sizes)
-    val += sum(sizes[i] * sizes[j] * (n - sizes[i]) * (n - sizes[j])
-               for i in range(len(sizes)) for j in range(i + 1, len(sizes)))
-    return ClosedFormValue(kind=kind, value=_normalize(kind, val))
 
 
 # ---------------------------------------------------------------------------
@@ -273,56 +214,7 @@ def closed_form_bipartite(kind: IndexKind, n: int, m: int) -> ClosedFormValue:
             raise ValueError(f"unknown kind {kind}")
     s = (n - m) // 2
     regime = kind in ECCENTRICITY_KINDS and s < 2
-    return ClosedFormValue(kind=kind, value=_normalize(kind, val), regime_restricted=regime)
-
-
-# ---------------------------------------------------------------------------
-# balancing-shift difference predictions
-# ---------------------------------------------------------------------------
-
-# published difference expressions that survive direct verification
-_EXACT_SHIFT_KINDS = frozenset({
-    IndexKind.WIENER, IndexKind.HARARY, IndexKind.ECC_DIST_SUM,
-    IndexKind.CONN_ECC, IndexKind.ZAGREB_M1,
-})
-
-
-def predicted_difference(kind: IndexKind, m: int, sizes,
-                         i: int, j: int) -> DifferencePrediction:
-    """Predicted change of moving one vertex from part i to part j of the
-    construction on n = m + sum(sizes) vertices.
-
-    The prediction compares the unbalanced construction against the shifted
-    one. Exact values exist for five kinds; the rest are sign-only because
-    their published difference expressions are unreliable. Eccentricity
-    kinds require every part size >= 2; outside that regime both `exact`
-    and `sign` are None and the prediction is flagged.
-    """
-    sizes = list(sizes)
-    shift_vertex(sizes, i, j)  # validates the shift precondition
-    n = m + sum(sizes)
-    si, sj = sizes[i], sizes[j]
-    gap = si - sj - 1
-    sign = 1 if direction(kind) is Direction.DECREASING else -1
-    if kind in ECCENTRICITY_KINDS and min(sizes) < 2:
-        return DifferencePrediction(kind=kind, exact=None, sign=None,
-                                    regime_restricted=True)
-    exact: int | Fraction | None
-    if kind is IndexKind.WIENER:
-        exact = gap
-    elif kind is IndexKind.HARARY:
-        exact = -Fraction(gap, 2)
-    elif kind is IndexKind.ECC_DIST_SUM:
-        exact = 4 * gap
-    elif kind is IndexKind.CONN_ECC:
-        exact = -gap
-    elif kind is IndexKind.ZAGREB_M1:
-        exact = -gap * (4 * n - 3 * si - 3 * sj)
-    else:
-        exact = None
-    if exact is not None:
-        assert (exact > 0) == (sign > 0) and exact != 0
-    return DifferencePrediction(kind=kind, exact=exact, sign=sign)
+    return ClosedFormValue(value=_normalize(kind, val), regime_restricted=regime)
 
 
 def _normalize(kind: IndexKind, val: int | Fraction) -> int | Fraction:

@@ -638,12 +638,10 @@ def _partitions_at_most(total: int, parts: int):
 class FuzzReport:
     """Result of a monotonicity fuzz run for one index."""
 
-    kind: IndexKind
     trials: int
     violations: int
     counterexamples: list = field(default_factory=list)
     resamples: int = 0
-    seed: int | None = None
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -680,7 +678,7 @@ def monotonicity_fuzz(kind: IndexKind, trials: int, n_range: tuple[int, int],
         raise InvalidParamsError(
             f"n_range must end at {MAX_VERTICES} or below, got {hi}")
     rng = random.Random(seed)
-    report = FuzzReport(kind=kind, trials=trials, violations=0, seed=seed)
+    report = FuzzReport(trials=trials, violations=0)
     want = direction(kind)
     value = kernel((kind,))  # kernel ints order graphs of one n as their values
     for _ in range(trials):

@@ -4,7 +4,8 @@ graph6 decoder, the labelled walk over every code, networkx for reference
 graph6 and isomorphism. networkx also builds the test fixtures (complete,
 path, cycle and complete multipartite graphs, complements, joins,
 relabellings, induced subgraphs), through `graph_of_nx`, which keeps its
-node order."""
+node order. Two expressions the paper prints and no command runs live here
+too: the balancing-shift differences and the corrected second-Zagreb sum."""
 
 import collections
 import itertools
@@ -259,6 +260,27 @@ def brute_index(kind: IndexKind, g: Graph):
     if kind is IndexKind.ADJ_ECC_DIST_SUM:
         return sum(Fraction(ecc[u] * trans[u], deg[u]) for u in range(g.n))
     raise AssertionError(kind)
+
+
+# The paper's balancing shift moves one vertex of K_m joined onto K(sizes),
+# n vertices in all, from a part of size si to one of size sj <= si - 2.
+# Its printed differences value(before) - value(after), for the five kinds
+# whose expression survives direct computation:
+SHIFT_DIFFERENCE = {
+    IndexKind.WIENER: lambda n, si, sj: si - sj - 1,
+    IndexKind.HARARY: lambda n, si, sj: -Fraction(si - sj - 1, 2),
+    IndexKind.ECC_DIST_SUM: lambda n, si, sj: 4 * (si - sj - 1),
+    IndexKind.CONN_ECC: lambda n, si, sj: -(si - sj - 1),
+    IndexKind.ZAGREB_M1: lambda n, si, sj: -(si - sj - 1) * (4 * n - 3 * si - 3 * sj),
+}
+
+
+def zagreb_m2_corrected(m: int, sizes) -> int:
+    """The theorem's second-Zagreb sum on K_m joined onto K(sizes), with the
+    cross-part term sum_{i<j} s_i s_j (n - s_i)(n - s_j) restored."""
+    n = m + sum(sizes)
+    return (m * (m - 1) * (n - 1) ** 2 // 2 + m * (n - 1) * sum(s * (n - s) for s in sizes)
+            + sum(a * b * (n - a) * (n - b) for a, b in itertools.combinations(sizes, 2)))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -21,15 +21,15 @@ from fractions import Fraction
 
 import networkx as nx
 
-from vklab import (ALL_KINDS, ClassParams, IndexKind, canonical_form, closed_form,
-                   closed_form_corrected, evaluate, extremal_graph,
-                   join_family_graph, monotonicity_fuzz, parse_graph6, part_sizes,
-                   predicted_difference, to_graph6)
+from vklab import (ALL_KINDS, ClassParams, Direction, IndexKind, canonical_form,
+                   closed_form, direction, evaluate, extremal_graph, join_family_graph,
+                   monotonicity_fuzz, parse_graph6, part_sizes, to_graph6)
 from vklab.indices import ECCENTRICITY_KINDS
 from vklab.search import clear_sweep_cache
 from vklab.verify import CONFIRMED, REFUTED, REGIME_FLAGGED, verify_claims
 
-from conftest import graph_of_nx, nx_of, random_graph, scan_by_m
+from conftest import (SHIFT_DIFFERENCE, graph_of_nx, nx_of, random_graph, scan_by_m,
+                      zagreb_m2_corrected)
 
 K = IndexKind
 
@@ -74,7 +74,7 @@ def test_criterion_1_formula_vs_oracle_grid():
                     for kind in ALL_KINDS:
                         oracle = evaluate(kind, g)
                         if kind is K.ZAGREB_M2:
-                            assert closed_form_corrected(kind, params).value == oracle
+                            assert zagreb_m2_corrected(m, part_sizes(params).sizes) == oracle
                         else:
                             assert closed_form(kind, params).value == oracle, \
                                 (kind, n, m, k)
@@ -84,7 +84,7 @@ def test_criterion_1_formula_vs_oracle_grid():
         p622 = ClassParams(6, 2, 2)
         assert closed_form(K.ZAGREB_M2, p622).value == 185
         assert evaluate(K.ZAGREB_M2, extremal_graph(p622)) == 249
-        assert closed_form_corrected(K.ZAGREB_M2, p622).value == 249
+        assert zagreb_m2_corrected(2, part_sizes(p622).sizes) == 249
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_criterion_2_exhaustive_extremality_k2():
             closed_ok = report.optimum == closed_form(kind, params).value
             if kind is K.ZAGREB_M2:
                 assert not closed_ok
-                assert report.optimum == closed_form_corrected(kind, params).value
+                assert report.optimum == zagreb_m2_corrected(m, part_sizes(params).sizes)
             elif kind in ECCENTRICITY_KINDS and (s < 2 or exception_sizes):
                 assert not closed_ok
             else:
@@ -234,9 +234,6 @@ def test_criterion_4_monotonicity_fuzz():
 # 5. shift-difference suite
 # ---------------------------------------------------------------------------
 
-_EXACT_SHIFT_KINDS = (K.WIENER, K.HARARY, K.ECC_DIST_SUM, K.CONN_ECC, K.ZAGREB_M1)
-
-
 def _random_unbalanced_spec(rng):
     while True:
         k = rng.randint(2, 4)
@@ -264,11 +261,12 @@ def test_criterion_5_shift_differences():
             after = evaluate_all(join_family_graph(m, shifted))
             for kind in ALL_KINDS:
                 got = before[kind] - after[kind]
-                pred = predicted_difference(kind, m, sizes, i, j)
-                assert pred.sign in (1, -1)
-                assert got != 0 and (got > 0) == (pred.sign == 1), (kind, n, m, sizes)
-                if kind in _EXACT_SHIFT_KINDS:
-                    assert pred.exact == got, (kind, n, m, sizes)
+                # toward balance improves: a minimum falls, a maximum rises
+                assert got != 0 and (got > 0) == (direction(kind) is Direction.DECREASING), \
+                    (kind, n, m, sizes)
+                if kind in SHIFT_DIFFERENCE:
+                    assert SHIFT_DIFFERENCE[kind](n, sizes[i], sizes[j]) == got, \
+                        (kind, n, m, sizes)
         # the specific published-difference refutation: -8, not -16
         g_before = join_family_graph(1, [3, 1])
         g_after = join_family_graph(1, [2, 2])

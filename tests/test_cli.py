@@ -2,6 +2,7 @@
 agreement, and the exit-code contract (0 confirmed, 2 findings, 1 error)."""
 
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -334,6 +335,37 @@ def test_verify_confirming_claim_exits_0(capsys):
     assert code == 0
     (report,) = json.loads(out)
     assert report["flags"]["refuted"] == 0
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_values_past_the_int_digit_cap_render_in_full(capsys, fmt):
+    """K64's mult_zagreb_pi2 is 63**(63*64), 7,255 digits: past CPython's
+    default int -> str cap, rendered in full all the same, and the cap is
+    back as it was once main returns. The expected digits come from decimal,
+    which the cap does not govern."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    _, out, _ = run(capsys, "construct", "--n", "64", "--m", "62", "--k", "2")
+    graph6 = out.split()[-1]
+    code, out, err = run(capsys, "index", "--graph6", graph6, "--kind", "mult_zagreb_pi2",
+                         "--format", fmt)
+    assert code == 0 and err == ""
+    want = str(decimal.Context(prec=8000).power(decimal.Decimal(63), 63 * 64))
+    assert len(want) == 7255
+    if fmt == "plain":
+        assert out.split() == ["-", graph6, "mult_zagreb_pi2", want]
+    elif fmt == "csv":
+        assert list(csv.reader(io.StringIO(out)))[1] == ["-", graph6, "mult_zagreb_pi2", want]
+    else:
+        (report,) = json.loads(out, parse_int=str)
+        assert report["optimum"] == {"num": want, "den": "1"}
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == cap
+
+
+def test_verify_past_the_int_digit_cap_has_no_traceback():
+    code, out, err = run_process("verify", "--claim", "thm4.7-pi2", "--nmax", "64",
+                                 "--kmax", "2")
+    assert code in (0, 2) and "Traceback" not in err
+    assert out.splitlines()[-1].split()[:4] == ["thm4.7-pi2", "64", "62", "2"]
 
 
 def test_fuzz_exits_0(capsys):

@@ -1,4 +1,5 @@
-"""Construction, closed forms (printed warts included), and shift predictions."""
+"""Construction, closed forms (printed warts included), and the balancing
+shift against the printed differences in conftest."""
 
 import itertools
 from fractions import Fraction
@@ -9,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vklab import (ALL_KINDS, ClassParams, Direction, GraphSizeError, IndexKind,
-                   InvalidParamsError, closed_form, closed_form_bipartite,
-                   closed_form_corrected, compute_metrics, direction, evaluate,
-                   extremal_graph, join_family_graph, part_sizes, predicted_difference,
-                   shift_vertex, vertex_k_partiteness)
+                   InvalidParamsError, closed_form, closed_form_bipartite, compute_metrics,
+                   direction, evaluate, extremal_graph, join_family_graph, part_sizes,
+                   vertex_k_partiteness)
 from vklab.extremal import EVEN, ODD
 from vklab.indices import ECCENTRICITY_KINDS
 
-from conftest import join_of, nx_of
+from conftest import SHIFT_DIFFERENCE, join_of, nx_of, zagreb_m2_corrected
 
 # the printed k = 2 corollary lines with a typo: (kind, parity of n - m)
 COROLLARY_ERRATA = {(IndexKind.ECC_DIST_SUM, ODD), (IndexKind.ADJ_ECC_DIST_SUM, ODD)}
@@ -80,10 +80,9 @@ def test_closed_form_worked_values():
     p = ClassParams(6, 2, 2)
     assert closed_form(IndexKind.WIENER, p).value == 17
     assert closed_form(IndexKind.CONN_ECC, p).value == 18
-    m2 = closed_form(IndexKind.ZAGREB_M2, p)
-    assert m2.value == 185 != closed_form_corrected(IndexKind.ZAGREB_M2, p).value
+    assert closed_form(IndexKind.ZAGREB_M2, p).value == 185
     assert evaluate(IndexKind.ZAGREB_M2, extremal_graph(p)) == 249
-    assert closed_form_corrected(IndexKind.ZAGREB_M2, p).value == 249
+    assert zagreb_m2_corrected(2, part_sizes(p).sizes) == 249
 
 
 def test_closed_form_matches_oracle_in_regime():
@@ -98,7 +97,7 @@ def test_closed_form_matches_oracle_in_regime():
                 for kind in ALL_KINDS:
                     oracle = evaluate(kind, g)
                     if kind is IndexKind.ZAGREB_M2:
-                        assert closed_form_corrected(kind, p).value == oracle
+                        assert zagreb_m2_corrected(m, part_sizes(p).sizes) == oracle
                         assert closed_form(kind, p).value != oracle
                     else:
                         cf = closed_form(kind, p)
@@ -119,7 +118,7 @@ def test_closed_forms_match_evaluation_up_to_64_vertices(data):
     for kind in ALL_KINDS:
         oracle = evaluate(kind, g, metrics)
         if kind is IndexKind.ZAGREB_M2:
-            assert closed_form_corrected(kind, p).value == oracle
+            assert zagreb_m2_corrected(p.m, part_sizes(p).sizes) == oracle
             continue
         cf = closed_form(kind, p)
         assert cf.regime_restricted == (kind in ECCENTRICITY_KINDS
@@ -137,14 +136,6 @@ def test_closed_form_regime_flags():
     g = extremal_graph(p)
     assert closed_form(IndexKind.ECC_DIST_SUM, p).value == 49
     assert evaluate(IndexKind.ECC_DIST_SUM, g) == 44
-
-
-def test_closed_form_corrected_equals_printed_for_other_kinds():
-    p = ClassParams(7, 2, 2)
-    for kind in ALL_KINDS:
-        if kind is IndexKind.ZAGREB_M2:
-            continue
-        assert closed_form_corrected(kind, p).value == closed_form(kind, p).value
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +158,10 @@ def test_bipartite_consistency_with_theorem_forms():
             p = ClassParams(n, m, 2)
             parity = EVEN if (n - m) % 2 == 0 else ODD
             for kind in ALL_KINDS:
-                cor = closed_form_bipartite(kind, n, m)
-                thm = (closed_form_corrected(kind, p)
-                       if kind is IndexKind.ZAGREB_M2 else closed_form(kind, p))
-                if cor.value != thm.value:
+                cor = closed_form_bipartite(kind, n, m).value
+                thm = (zagreb_m2_corrected(m, part_sizes(p).sizes)
+                       if kind is IndexKind.ZAGREB_M2 else closed_form(kind, p).value)
+                if cor != thm:
                     suspects.add((kind, parity))
                     assert (kind, parity) in COROLLARY_ERRATA, (kind, n, m)
     assert suspects == COROLLARY_ERRATA
@@ -192,14 +183,14 @@ def test_bipartite_ecc_dist_sum_odd_constant_erratum():
 
 
 # ---------------------------------------------------------------------------
-# shifts and difference predictions
+# the balancing shift: one vertex from part i to part j
 # ---------------------------------------------------------------------------
 
-def test_shift_vertex():
-    assert shift_vertex([3, 1], 0, 1) == [2, 2]
-    assert shift_vertex([4, 2, 2], 0, 1) == [3, 3, 2]
-    with pytest.raises(InvalidParamsError):
-        shift_vertex([2, 2], 0, 1)
+def _shifted(sizes, i, j):
+    sizes = list(sizes)
+    sizes[i] -= 1
+    sizes[j] += 1
+    return sizes
 
 
 def test_balancedness_termination(rng):
@@ -213,7 +204,7 @@ def test_balancedness_termination(rng):
         while max(sizes) - min(sizes) > 1:
             i = sizes.index(max(sizes))
             j = sizes.index(min(sizes))
-            sizes = shift_vertex(sizes, i, j)
+            sizes = _shifted(sizes, i, j)
             steps += 1
             assert steps < 100
         assert sorted(sizes) == target
@@ -231,7 +222,7 @@ def _random_composition(rng, total, k):
 
 def _shift_oracle(kind, m, sizes, i, j):
     before = join_family_graph(m, sizes)
-    after = join_family_graph(m, shift_vertex(sizes, i, j))
+    after = join_family_graph(m, _shifted(sizes, i, j))
     return evaluate(kind, before) - evaluate(kind, after)
 
 
@@ -249,27 +240,28 @@ def _unbalanced_specs(min_part, n_max):
                         yield n, m, sizes
 
 
+def _improves(kind, got) -> bool:
+    """A shift toward balance moves the value toward the class optimum: down
+    for a decreasing kind's minimum, up for an increasing kind's maximum."""
+    return got != 0 and (got > 0) == (direction(kind) is Direction.DECREASING)
+
+
 def test_exact_predictions_in_regime():
-    exact_kinds = (IndexKind.WIENER, IndexKind.HARARY, IndexKind.ECC_DIST_SUM,
-                   IndexKind.CONN_ECC, IndexKind.ZAGREB_M1)
     checked = 0
     for n, m, sizes in _unbalanced_specs(min_part=2, n_max=12):
         i, j = 0, len(sizes) - 1
-        for kind in exact_kinds:
-            pred = predicted_difference(kind, m, sizes, i, j)
-            assert pred.exact == _shift_oracle(kind, m, sizes, i, j), (kind, n, m, sizes)
+        for kind, printed in SHIFT_DIFFERENCE.items():
+            assert printed(n, sizes[i], sizes[j]) == _shift_oracle(kind, m, sizes, i, j), \
+                (kind, n, m, sizes)
         checked += 1
     assert checked > 50
 
 
 def test_sign_predictions_all_kinds_in_regime():
     for n, m, sizes in _unbalanced_specs(min_part=2, n_max=11):
-        i, j = 0, len(sizes) - 1
         for kind in ALL_KINDS:
-            pred = predicted_difference(kind, m, sizes, i, j)
-            got = _shift_oracle(kind, m, sizes, i, j)
-            assert pred.sign in (1, -1)
-            assert (got > 0) == (pred.sign == 1) and got != 0, (kind, n, m, sizes)
+            got = _shift_oracle(kind, m, sizes, 0, len(sizes) - 1)
+            assert _improves(kind, got), (kind, n, m, sizes)
 
 
 def test_distance_and_degree_predictions_allow_singleton_parts():
@@ -277,44 +269,36 @@ def test_distance_and_degree_predictions_allow_singleton_parts():
     for n, m, sizes in _unbalanced_specs(min_part=1, n_max=10):
         i, j = 0, len(sizes) - 1
         for kind in (IndexKind.WIENER, IndexKind.HARARY, IndexKind.ZAGREB_M1):
-            pred = predicted_difference(kind, m, sizes, i, j)
-            assert pred.exact == _shift_oracle(kind, m, sizes, i, j)
+            printed = SHIFT_DIFFERENCE[kind](n, sizes[i], sizes[j])
+            assert printed == _shift_oracle(kind, m, sizes, i, j)
         for kind in (IndexKind.RDD, IndexKind.ZAGREB_M2,
                      IndexKind.MULT_ZAGREB_PI1, IndexKind.MULT_ZAGREB_PI2):
-            pred = predicted_difference(kind, m, sizes, i, j)
-            got = _shift_oracle(kind, m, sizes, i, j)
-            assert (got > 0) == (pred.sign == 1) and got != 0
+            assert _improves(kind, _shift_oracle(kind, m, sizes, i, j))
 
 
 def test_rdd_difference_refutation_case():
-    """Direct computation gives -8 where the printed expression gives -16."""
+    """Direct computation gives -8 where the printed expression gives -16,
+    so only the sign of the rdd difference is asserted elsewhere."""
     got = _shift_oracle(IndexKind.RDD, 1, [3, 1], 0, 1)
     assert got == -8
     printed = -(6 * 5 - 2 - 3 * 3 - 3 * 1) * (3 - 1 - 1)
     assert printed == -16 and got != printed
-    pred = predicted_difference(IndexKind.RDD, 1, [3, 1], 0, 1)
-    assert pred.exact is None and pred.sign == -1
-    assert (got > 0) == (pred.sign == 1)
+    assert IndexKind.RDD not in SHIFT_DIFFERENCE and _improves(IndexKind.RDD, got)
 
 
 def test_eccentricity_predictions_flagged_out_of_regime():
     """With a singleton part the published eccentricity differences are wrong
     (the shifted pair at n=5, m=1, sizes (3,1) has difference 0 for the
-    eccentricity distance sum and +1 for the connective eccentricity), so the
-    prediction declines to predict."""
-    assert _shift_oracle(IndexKind.ECC_DIST_SUM, 1, [3, 1], 0, 1) == 0
-    assert _shift_oracle(IndexKind.CONN_ECC, 1, [3, 1], 0, 1) == 1
-    for kind in ECCENTRICITY_KINDS:
-        pred = predicted_difference(kind, 1, [3, 1], 0, 1)
-        assert pred.regime_restricted
-        assert pred.exact is None and pred.sign is None
+    eccentricity distance sum and +1 for the connective eccentricity), so
+    they are asserted only with every part of size >= 2."""
+    for kind, got in ((IndexKind.ECC_DIST_SUM, 0), (IndexKind.CONN_ECC, 1)):
+        assert _shift_oracle(kind, 1, [3, 1], 0, 1) == got
+        assert SHIFT_DIFFERENCE[kind](5, 3, 1) != got
 
 
 def test_predicted_difference_sign_convention():
     for kind in ALL_KINDS:
-        pred = predicted_difference(kind, 1, [4, 2, 2], 0, 1)
-        want = 1 if direction(kind) is Direction.DECREASING else -1
-        assert pred.sign == want
+        assert _improves(kind, _shift_oracle(kind, 1, [4, 2, 2], 0, 1)), kind
 
 
 def test_construction_partiteness_equals_m():

@@ -24,19 +24,11 @@ import vklab
 PACKAGE = Path(vklab.__file__).parent
 VKBENCH = Path(__file__).resolve().parents[1] / "vkbench"
 
-# kept although nothing but tests reaches them yet
-ALLOWED = {
-    # ROADMAP item 3 decides whether the corrected form joins the ledger
-    "closed_form_corrected",
-    # ROADMAP item 2 decides whether the balancing lemma becomes ledger claims
-    "predicted_difference",
-}
+# kept although nothing but tests reaches them; each entry must be needed
+ALLOWED: set[str] = set()
 ALLOWED_MEMBERS = {
     # argparse calls it on a usage error; no package code reads it by name
     "cli.py:_Parser.error",
-    # ROADMAP item 2 decides whether the balancing lemma becomes ledger claims
-    "extremal.py:DifferencePrediction.exact",
-    "extremal.py:DifferencePrediction.sign",
 }
 
 
@@ -164,18 +156,36 @@ def vkbench_trees() -> list:
     return [ast.parse(path.read_text(), str(path)) for path in sorted(VKBENCH.glob("*.py"))]
 
 
-def test_every_definition_is_reached_outside_tests():
-    outside = set(ALLOWED)
+def unexplained_definitions(allowed: set[str]) -> list[str]:
+    outside = set(allowed)
     for tree in vkbench_trees():
         outside |= named(tree)
-    assert unreached(package_modules(), outside) == [], \
+    return unreached(package_modules(), outside)
+
+
+def unexplained_members(allowed: set[str]) -> list[str]:
+    outside = set()
+    for tree in vkbench_trees():
+        outside |= read_attributes(tree)
+    return [m for m in unread_members(package_modules(), outside) if m not in allowed]
+
+
+def test_every_definition_is_reached_outside_tests():
+    assert unexplained_definitions(ALLOWED) == [], \
         "reached only from tests: delete it, or build the graph with networkx in the test"
 
 
 def test_every_member_is_read_outside_tests():
-    outside = set()
-    for tree in vkbench_trees():
-        outside |= read_attributes(tree)
-    unread = unread_members(package_modules(), outside)
-    assert [m for m in unread if m not in ALLOWED_MEMBERS] == [], \
+    assert unexplained_members(ALLOWED_MEMBERS) == [], \
         "read only by tests: delete it, or compute it in the test"
+
+
+def test_every_allowed_entry_is_needed():
+    """Without any one entry its guard fails on that entry, so no entry
+    lingers once its name is deleted or reached."""
+    for name in ALLOWED:
+        assert any(d.endswith(f":{name}") for d in unexplained_definitions(ALLOWED - {name})), \
+            f"{name} is reached or gone: drop it from ALLOWED"
+    for member in ALLOWED_MEMBERS:
+        assert unexplained_members(ALLOWED_MEMBERS - {member}) == [member], \
+            f"{member} is read or gone: drop it from ALLOWED_MEMBERS"

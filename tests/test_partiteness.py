@@ -18,7 +18,7 @@ C5 = graph_of_nx(nx.cycle_graph(5))
 K4, K5, K6 = (graph_of_nx(nx.complete_graph(n)) for n in (4, 5, 6))
 
 
-def test_is_k_partite_examples():
+def test_partiteness_within_zero_budget_examples():
     k33 = graph_of_nx(nx.complete_multipartite_graph(3, 3))
     assert partiteness_within(C5.adj, 2, (0,)) is None
     assert partiteness_within(k33.adj, 2, (0,)) is not None
@@ -26,7 +26,7 @@ def test_is_k_partite_examples():
     assert partiteness_within(K4.adj, 4, (0,)) is not None
 
 
-def test_is_k_partite_against_chromatic_number(rng):
+def test_partiteness_within_zero_budget_against_chromatic_number(rng):
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 8))
         coloring = nx.greedy_color(nx_of(g), strategy="DSATUR")
@@ -100,7 +100,7 @@ def test_partiteness_within_every_cap_against_brute(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_within_budget_every_budget_against_brute(data):
+def test_partiteness_within_every_budget_against_brute(data):
     """Membership at every single budget b is v_k <= b; on a few drawn
     ascending budget sets the answer is the smallest b with v_k <= b, or None."""
     g, k = _random_graph_up_to_8(data)

@@ -318,7 +318,7 @@ def _brute_force_reports(n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_scan_many_matches_labelled_brute_force(n):
+def test_scan_catalogue_matches_labelled_brute_force(n):
     expected = _brute_force_reports(n)
     for k in range(2, n):
         reports = scan_by_m(n, k, range(1, n - k + 1))
