@@ -378,10 +378,11 @@ def _twin_groups(adj) -> list[list[int]]:
     return [group for group in twins.values() if len(group) > 1]
 
 
-def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
+def _canonical_search(g: Graph, groups=None) -> tuple[int, int, list[tuple[int, ...]]]:
     """The search behind `canonical_form`: (code bits, |Aut(g)|, orders),
     where `orders` are the orderings (position -> vertex) of the leaves of
-    least code, the first of them g's canonical labelling.
+    least code, the first of them g's canonical labelling. `groups` are g's
+    `_twin_groups`, found here when a caller does not have them.
 
     Positions are filled in order. A node is an ordered list of cells,
     bitsets of unplaced vertices, each holding the next block of positions;
@@ -422,7 +423,7 @@ def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
     adj = g.adj
     n = g.n
     twins = [1 << u for u in range(n)]
-    for group in _twin_groups(adj):
+    for group in _twin_groups(adj) if groups is None else groups:
         mask = sum(1 << u for u in group)
         for u in group:
             twins[u] = mask

@@ -5,14 +5,20 @@ of over all 2^C(n,2) labelled codes. It is built by canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998, as in
 nauty's geng): each level n - 1 class P gains a vertex v joined to one
 vertex set S per Aut(P)-orbit, and the child is kept only when v is in its
-canonical orbit, the orbit of the first, in canonical order, of its
-non-cut vertices of least (degree, sum of neighbour degrees). So each class
-is made exactly once: every connected graph has a non-cut vertex of
-least key, and deleting one of its canonical orbit gives its one parent
-class and one orbit of S. A child whose v is its only non-cut vertex of
-least key is kept unlabelled: Aut(G) fixes v, so |Aut(G)| = |Aut(P)| /
-|orbit of S|. Only children that tie on the key are labelled (see
-`catalogue` for the proofs).
+canonical orbit. Its candidates are its non-cut vertices of least key
+(degree, sum of neighbour degrees) and, of those, of least invariant
+(triangles through the vertex, sorted neighbour degrees); its canonical
+orbit is the orbit of the candidate that comes first in canonical order.
+So each class is made exactly once: every connected graph has candidates,
+and deleting one of its canonical orbit gives its one parent class and one
+orbit of S.
+
+Most children are settled without the labeller. No S of more than one
+vertex beyond the least degree of a non-cut vertex of P is tried, as v
+could not be a candidate. A child whose v is not a candidate is rejected.
+One whose candidates are v and its twins is kept: they are v's orbit, so
+|Aut(G)| = (their count) |Aut(P)| / |orbit of S|. Only the other children
+are labelled (see `catalogue` for the proofs).
 
 A level is its sorted (code bits, |Aut(G)|) pairs. Each code is that of
 one labelled member of its class as it was made, not its canonical code;
@@ -130,9 +136,10 @@ def _extend(n: int, parents) -> list[tuple[int, int]]:
 
     Each parent is decoded here and gains a last vertex joined to one set
     of each orbit of `_neighbourhoods`, so connected parents give connected
-    children. A child whose new vertex is the only non-cut vertex of least
-    key is kept with |Aut| = |Aut P| / |orbit|, unlabelled; one that ties
-    is labelled and kept when its new vertex is in its canonical orbit.
+    children; sets of more than `_most_neighbours` vertices are not made,
+    as the key test would reject their children. A child whose new vertex
+    is the only non-cut vertex of least key is kept with |Aut| = |Aut P| /
+    |orbit|, unlabelled; one that ties is settled by `_settle_tie`.
     A child's rows are valid by construction: the new vertex's bit is set
     on exactly the rows of its neighbours, and its own row is that set.
     """
@@ -141,25 +148,25 @@ def _extend(n: int, parents) -> list[tuple[int, int]]:
     for bits, aut in parents:
         rows = code_to_adj(bits, n - 1)
         key_test = _key_test(rows)
-        for nbhd, orbit in _neighbourhoods(rows, aut):
+        for nbhd, orbit in _neighbourhoods(rows, aut, _most_neighbours(rows)):
             ties = key_test(nbhd)
             if ties is None:
                 continue
             adj = [row | new if nbhd >> u & 1 else row for u, row in enumerate(rows)]
             adj.append(nbhd)
+            child_aut = aut // orbit
             if ties:
-                _, child_aut, orders = _canonical_search(_symmetric_graph(tuple(adj)))
-                if not _in_canonical_orbit(adj, ties, orders):
+                child_aut = _settle_tie(adj, ties | new, child_aut)
+                if child_aut is None:
                     continue
-            else:
-                child_aut = aut // orbit
             found.append((_adj_code(adj), child_aut))
     return found
 
 
-def _neighbourhoods(adj, aut: int) -> list[tuple[int, int]]:
-    """One nonempty vertex set of each orbit of Aut(adj) on vertex sets,
-    with the size of its orbit; `aut` is |Aut(adj)|.
+def _neighbourhoods(adj, aut: int, most: int) -> list[tuple[int, int]]:
+    """One vertex set of each orbit of Aut(adj) on the nonempty sets of at
+    most `most` vertices, with the size of its orbit; `aut` is |Aut(adj)|.
+    Automorphisms keep a set's size, so those sets are a union of orbits.
 
     Twin swaps are automorphisms, so the twin groups' symmetric groups
     form a subgroup T of Aut, of order the product of |g|! over the groups
@@ -179,14 +186,15 @@ def _neighbourhoods(adj, aut: int) -> list[tuple[int, int]]:
             prefix |= 1 << u
             prefixes.append(prefix)
         sets = {s | p: size * comb(len(group), i)
-                for s, size in sets.items() for i, p in enumerate(prefixes)}
+                for s, size in sets.items()
+                for i, p in enumerate(prefixes[:most + 1 - s.bit_count()])}
         swaps *= factorial(len(group))
         if len(group) > 1:
             shares.append((prefix, prefixes))
     del sets[0]  # the empty set
     if aut == swaps:
         return list(sets.items())
-    _, _, (first, *orders) = _canonical_search(_symmetric_graph(tuple(adj)))
+    _, _, (first, *orders) = _canonical_search(_symmetric_graph(tuple(adj)), groups)
     maps = [dict(zip(first, order)) for order in orders]
     out, seen = [], set()
     for s, size in sets.items():
@@ -205,6 +213,19 @@ def _neighbourhoods(adj, aut: int) -> list[tuple[int, int]]:
         seen |= orbit
         out.append((s, sum(sets[t] for t in orbit)))
     return out
+
+
+def _most_neighbours(rows) -> int:
+    """1 + the least degree of a non-cut vertex w of the connected graph
+    `rows`: no child with a larger neighbourhood S passes the key test.
+    Such an S has two or more vertices, so it meets the one component of
+    `rows` less w, and w is a non-cut vertex of the child of degree at most
+    its own plus 1, which is less than |S|, the degree of the new vertex."""
+    full = (1 << len(rows)) - 1
+    for w in sorted(range(len(rows)), key=lambda u: rows[u].bit_count()):
+        rest = full ^ 1 << w
+        if connected_mask(rows, rest & -rest, rest) == rest:
+            return rows[w].bit_count() + 1
 
 
 def _key_test(rows):
@@ -268,16 +289,60 @@ def _degree_sum(degree, vertices: int) -> int:
     return total
 
 
-def _in_canonical_orbit(adj, ties: int, orders) -> bool:
-    """Whether the last vertex of `adj` is in the orbit of the vertex that
-    comes first in the canonical labelling orders[0] among itself and
-    `ties`; `orders` are `_canonical_search`'s leaves of least code, so that
-    orbit is the union of the twin groups of the vertices the leaves put at
-    that vertex's position."""
+def _settle_tie(adj, tied: int, stabilizer: int) -> int | None:
+    """|Aut(adj)| when the last vertex v of `adj` is in its canonical orbit,
+    else None. `tied` is the bitset of v and the non-cut vertices that share
+    its key, and `stabilizer` is |Aut(P)| / |orbit of S|, the order of v's
+    stabilizer (see `catalogue`).
+
+    Only the members of `tied` of least `_least_invariant` hold the
+    canonical orbit. When v is not among them, it is not in that orbit.
+    When they all lie in v's twin group, they are v's orbit, of size their
+    count. Otherwise the child is labelled, once, with its twin groups.
+    """
     last = len(adj) - 1
-    pos = next(p for p, u in enumerate(orders[0]) if u == last or ties >> u & 1)
-    group = next((g for g in _twin_groups(adj) if g[-1] == last), [last])
-    return any(order[pos] in group for order in orders)
+    least = _least_invariant(adj, tied)
+    if not least >> last & 1:
+        return None
+    groups = _twin_groups(adj)
+    twins = next((sum(1 << u for u in g) for g in groups if g[-1] == last), 1 << last)
+    if not least & ~twins:
+        return least.bit_count() * stabilizer
+    _, aut, orders = _canonical_search(_symmetric_graph(tuple(adj)), groups)
+    return aut if _in_canonical_orbit(least, orders, twins) else None
+
+
+def _least_invariant(adj, tied: int) -> int:
+    """The members w of the bitset `tied` of least (twice the triangles
+    through w, sorted degrees of w's neighbours) in `adj`: an isomorphism
+    maps them onto the least members of the image of `tied`."""
+    best, least = None, 0
+    while tied:
+        bit = tied & -tied
+        tied ^= bit
+        row = adj[bit.bit_length() - 1]
+        triangles, degrees = 0, []
+        for x, other in enumerate(adj):
+            if row >> x & 1:
+                triangles += (other & row).bit_count()
+                degrees.append(other.bit_count())
+        degrees.sort()
+        value = (triangles, degrees)
+        if best is None or value < best:
+            best, least = value, bit
+        elif value == best:
+            least |= bit
+    return least
+
+
+def _in_canonical_orbit(least: int, orders, twins: int) -> bool:
+    """Whether the twin group `twins` (one vertex, when it has no twins) is
+    in the orbit of the member of the bitset `least` that comes first in
+    the canonical labelling orders[0]. `orders` are `_canonical_search`'s
+    leaves of least code, so that orbit is the union of the twin groups of
+    the vertices the leaves put at that member's position."""
+    pos = next(p for p, u in enumerate(orders[0]) if least >> u & 1)
+    return any(twins >> order[pos] & 1 for order in orders)
 
 
 @cache
@@ -304,19 +369,25 @@ def catalogue(n: int, workers: int = 1) -> tuple[tuple[int, int], ...]:
     gives the member and `canonical_form` of it the class's code.
 
     Level n extends each level n - 1 class P by a vertex v joined to one
-    nonempty set S of each Aut(P)-orbit (`_neighbourhoods`). It keeps the
-    child G = P + S when v is in G's canonical orbit: the Aut(G)-orbit of
-    the vertex that comes first in G's canonical labelling among its
-    non-cut vertices of least key (degree, sum of neighbour degrees). Keys,
-    cut vertices and the canonical labelling up to automorphisms are
-    invariant, so an isomorphism maps canonical orbit onto canonical orbit.
+    set S of each Aut(P)-orbit on the nonempty sets of at most
+    `_most_neighbours(P)` vertices (`_neighbourhoods`). It keeps the child
+    G = P + S when v is in G's canonical orbit. G's candidates are
+    its non-cut vertices of least key (degree, sum of neighbour degrees)
+    and, of those, the ones of least `_least_invariant` (triangles through
+    the vertex, sorted neighbour degrees). The canonical orbit is the
+    Aut(G)-orbit of the candidate that comes first in G's canonical
+    labelling. Keys, cut vertices, the invariant and the canonical
+    labelling up to automorphisms are invariant, so an isomorphism maps
+    candidates onto candidates and canonical orbit onto canonical orbit.
 
     Each class is made at least once. A connected G has non-cut vertices
-    (the leaves of a spanning tree), so it has a canonical orbit; let u be
-    in it. G - u is connected, so some isomorphism f maps it onto a level
-    n - 1 class P, and some a in Aut(P) maps f(N(u)) onto the set S that P
-    is extended by. Then a . f with u -> v maps G onto P + S and u to v, so
-    v is in the canonical orbit of P + S, which is kept.
+    (the leaves of a spanning tree), so it has candidates and a canonical
+    orbit; let u be in it. G - u is connected, so some isomorphism f maps
+    it onto a level n - 1 class P, and some a in Aut(P) maps f(N(u)) onto
+    the set S that P is extended by: u has the least degree of G's non-cut
+    vertices, so |N(u)| is at most `_most_neighbours(P)` (see there). Then
+    a . f with u -> v maps G onto P + S and u to v, so v is in the
+    canonical orbit of P + S, which is kept.
 
     Each class is made at most once. Let P + S and P' + S' be kept and
     isomorphic. An isomorphism maps the canonical orbit of one onto that of
@@ -325,10 +396,15 @@ def catalogue(n: int, workers: int = 1) -> tuple[tuple[int, int], ...]:
     of each class, and it is an automorphism of P that maps S onto S', so
     S = S', one set of each orbit.
 
-    |Aut(G)| is exact. When v is G's only non-cut vertex of least key,
-    every automorphism of G fixes v, and restricting to P maps Aut(G) one
-    to one onto the stabilizer of S in Aut(P), so |Aut(G)| = |Aut(P)| /
-    |orbit of S| and G is not labelled. Otherwise the labeller gives both
+    |Aut(G)| is exact, and most children are not labelled. Restricting to
+    P maps the stabilizer of v in Aut(G) one to one onto the stabilizer of
+    S in Aut(P), so |Aut(G)| = |orbit of v| |Aut(P)| / |orbit of S|. The
+    candidates are a union of Aut(G)-orbits that holds the canonical orbit,
+    so when v is not one, G is rejected. Every twin of v is a candidate, as
+    swapping twins is an automorphism. When the candidates are v and its
+    twins, they are v's orbit, which is then the canonical orbit, so G is
+    kept and |orbit of v| is their count; that includes the case where v is
+    the only non-cut vertex of least key. Otherwise the labeller gives both
     |Aut(G)| and the canonical orbit.
 
     Each level is checked as it is built: its classes stand for

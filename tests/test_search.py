@@ -25,10 +25,10 @@ from vklab import search
 from vklab.cli import main
 from vklab.graphs import Graph, _twin_groups, code_to_adj, code_to_graph
 from vklab.partiteness import partiteness_within
-from vklab.search import _partitions_at_most, catalogue, clear_sweep_cache
+from vklab.search import _least_invariant, _partitions_at_most, catalogue, clear_sweep_cache
 
-from conftest import (enumerate_graphs, graph_of_nx, nx_of, reference_canonical_search,
-                      reference_key_test, scan_by_m)
+from conftest import (enumerate_graphs, graph_of_nx, nx_of, random_connected,
+                      reference_canonical_search, reference_key_test, scan_by_m)
 
 # connected graphs up to isomorphism on 1..8 vertices
 A001349 = [1, 1, 2, 6, 21, 112, 853, 11_117]
@@ -77,15 +77,20 @@ def test_catalogue_sizes_match_a001349():
     assert report.optimizer_graph6() == ["G]~v~{"]
 
 
-def test_extend_canonicalises_only_min_degree_children(monkeypatch):
-    """One neighbourhood per Aut(P)-orbit gives 4,159 children for the
-    n <= 7 levels. The labeller is called 463 times: once for each of the
-    54 parents with more automorphisms than twin swaps, and once for each
-    of the 409 children that pass the (degree, neighbour-degree sum) test
-    but tie on it. Each level still comes out whole."""
+def test_extend_labels_only_ties_the_invariant_leaves_open(monkeypatch):
+    """One neighbourhood per Aut(P)-orbit, of at most `_most_neighbours`
+    vertices, gives 2,140 children for the n <= 7 levels (4,159 with no
+    cap), and 409 of them tie on the (degree, neighbour-degree sum) key.
+    The labeller is called 280 times: once for each of the 54 parents with
+    more automorphisms than twin swaps, and once for each of the 226 tied
+    children that `_least_invariant` leaves open. The other 183 are
+    settled unlabelled: 32 are rejected, as their new vertex is not of
+    least invariant, and 151 are kept, as the vertices of least invariant
+    are its twins. Each level still comes out whole."""
     calls = []
     real = search._canonical_search
-    monkeypatch.setattr(search, "_canonical_search", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(search, "_canonical_search",
+                        lambda *args: calls.append(args) or real(*args))
     counts = []
     for n in range(2, 8):
         parents = catalogue(n - 1)
@@ -93,7 +98,21 @@ def test_extend_canonicalises_only_min_degree_children(monkeypatch):
         found = search._extend(n, parents)
         counts.append(len(calls) - before)
         assert tuple(sorted(found)) == catalogue(n)
-    assert counts == [1, 2, 5, 15, 64, 376]
+    assert counts == [0, 0, 2, 9, 43, 226]
+
+
+@pytest.mark.slow
+def test_level_nine_is_whole_and_the_same_for_one_and_two_workers(monkeypatch):
+    """Level 9 holds 261,080 classes (A001349) standing for 66,296,291,072
+    labelled graphs (A001187), so it passes the in-run certificate, and its
+    sorted pairs are the same built in this process and by a pool of two."""
+    levels = []
+    for workers in (1, 2):
+        monkeypatch.setattr(search, "_CATALOGUES", {})
+        levels.append(catalogue(9, workers))
+    assert levels[0] == levels[1]
+    assert len(levels[0]) == 261_080
+    assert sum(factorial(9) // aut for _, aut in levels[0]) == 66_296_291_072
 
 
 def _unfiltered_children(bits, n):
@@ -138,11 +157,67 @@ def test_pretest_verdict_matches_its_definition():
     assert rejected and tied
 
 
+def _relabelling_failures(least_invariant, rng) -> int:
+    """How often `least_invariant` does not commute with relabelling: over
+    200 random connected graphs on 2..9 vertices, each under a random
+    relabelling, with each degree class (an isomorphism-invariant vertex
+    set) as the tied set, the count of classes whose least members are not
+    mapped onto the least members of the relabelled class."""
+    failures = 0
+    for _ in range(200):
+        g = random_connected(rng, rng.randint(2, 9))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = graph_of_nx(nx.relabel_nodes(nx_of(g), dict(enumerate(perm))))
+        for d in set(g.degrees()):
+            tied = [u for u in range(g.n) if g.adj[u].bit_count() == d]
+            least = least_invariant(g.adj, sum(1 << u for u in tied))
+            image = sum(1 << perm[u] for u in tied if least >> u & 1)
+            failures += least_invariant(h.adj, sum(1 << perm[u] for u in tied)) != image
+    return failures
+
+
+def _lowest_index(adj, tied: int) -> int:
+    return tied & -tied
+
+
+def _least_row(adj, tied: int) -> int:
+    """The members of `tied` whose adjacency bits are least: a rule that
+    depends on labels."""
+    rows = [row for u, row in enumerate(adj) if tied >> u & 1]
+    return sum(1 << u for u, row in enumerate(adj) if tied >> u & 1 and row == min(rows))
+
+
+def test_least_invariant_commutes_with_relabelling(rng):
+    assert _relabelling_failures(_least_invariant, rng) == 0
+    # and the check refuses rules that depend on labels
+    assert _relabelling_failures(_lowest_index, rng)
+    assert _relabelling_failures(_least_row, rng)
+
+
+def _least_invariant_then_highest_index(adj, tied: int) -> int:
+    return 1 << _least_invariant(adj, tied).bit_length() - 1
+
+
+@pytest.mark.parametrize("rule", [_lowest_index, _least_invariant_then_highest_index,
+                                  _least_row])
+def test_a_label_dependent_narrowing_fails_the_certificate(monkeypatch, rule):
+    """With the narrowing replaced by a rule that depends on labels, the
+    canonical orbit is no longer an isomorphism invariant: some level
+    n <= 7 is made with classes missing or twice, or with a wrong |Aut|,
+    and the in-run certificate refuses it."""
+    monkeypatch.setattr(search, "_CATALOGUES", {})
+    monkeypatch.setattr(search, "_least_invariant", rule)
+    with pytest.raises(VklabError, match=r"^catalogue level [2-7] stands for \d+ labelled"):
+        catalogue(7)
+
+
 def test_neighbourhoods_are_one_set_per_orbit():
     # one set of each orbit of Aut(P) on nonempty vertex sets, with that
     # orbit's size, for every parent P on <= 6 vertices, against the
     # automorphisms networkx finds; both the parents whose automorphisms
-    # are all twin swaps and those the labeller is called for are covered
+    # are all twin swaps and those the labeller is called for are covered,
+    # and so is every cap on the sets' size (n: no cap)
     labelled = 0
     for n in range(1, 7):
         for bits, aut in catalogue(n):
@@ -154,11 +229,31 @@ def test_neighbourhoods_are_one_set_per_orbit():
             orbit = {nbhd: frozenset(sum(1 << a[u] for u in range(n) if nbhd >> u & 1)
                                      for a in autos)
                      for nbhd in range(1, 1 << n)}
-            got = search._neighbourhoods(adj, aut)
-            assert len({orbit[nbhd] for nbhd, _ in got}) == len(got) \
-                == len(set(orbit.values()))
-            assert all(size == len(orbit[nbhd]) for nbhd, size in got)
+            for most in range(1, n + 1):
+                got = search._neighbourhoods(adj, aut, most)
+                small = {o for nbhd, o in orbit.items() if nbhd.bit_count() <= most}
+                assert len({orbit[nbhd] for nbhd, _ in got}) == len(got) == len(small)
+                assert all(size == len(orbit[nbhd]) and nbhd.bit_count() <= most
+                           for nbhd, size in got)
     assert labelled
+
+
+def test_children_past_the_neighbourhood_cap_fail_the_key_test():
+    # the cap is 1 + the least degree of a non-cut vertex (networkx's
+    # articulation points are the cut vertices), and every child of a
+    # larger neighbourhood is rejected by the key test's definition
+    pruned = 0
+    for n in range(2, 8):
+        for bits, _ in catalogue(n - 1):
+            h = nx_of(code_to_graph(bits, n - 1))
+            most = search._most_neighbours(code_to_adj(bits, n - 1))
+            cut = set(nx.articulation_points(h))
+            assert most == 1 + min(h.degree(w) for w in h if w not in cut)
+            for nbhd, child in _unfiltered_children(bits, n - 1):
+                if nbhd.bit_count() > most:
+                    assert reference_key_test(child) is None, child
+                    pruned += 1
+    assert pruned
 
 
 def test_catalogue_pool_is_capped_at_the_cpu_count(monkeypatch):
