@@ -11,10 +11,10 @@ by row by a branch and bound over bitset cells that tries one vertex per
 twin group (vertices with equal open or closed neighbourhoods). It refuses
 a graph only when the search would hold too many nodes at once, which no
 graph with n <= 9 does; K_n and the join-family graphs up to 12 vertices
-are accepted too. The graph6 codec is table-driven: a body is translated
-to its bit string by one `str.translate`, a cached per-n `itemgetter` picks
-all n adjacency rows out of it in one pass, and one `int(..., 2)` reads
-them as n-bit fields of a single integer.
+are accepted too. The graph6 codec is table-driven: one `str.translate`
+gives a body's bits, a cached per-n `itemgetter` picks all n rows out of
+them, each padded to 8, 16, 32 or 64 bits, and one `int(..., 2).to_bytes`
+and a cached `struct.Struct` unpack them into the row tuple, with no shift.
 
 `Graph(adj)` takes one neighbour bitset per vertex, so n is `len(adj)`,
 and validates the rows: vertex range, no self-loops, symmetry.
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
+from struct import Struct
 
 from .errors import Graph6ParseError, GraphSizeError, SizeCapError
 
@@ -215,25 +216,27 @@ _GRAPH6_BITS = str.maketrans({chr(63 + v): format(v, "06b") for v in range(64)})
 
 
 @cache
-def _graph6_tables(n: int) -> tuple[itemgetter, tuple[int, ...]]:
-    """The graph6 position tables for order n: (decode getter, encode order).
+def _graph6_tables(n: int) -> tuple[itemgetter, Struct, tuple[int, ...]]:
+    """The graph6 position tables for order n: (decode getter, row struct,
+    encode order); O(n^2) positions.
 
-    Pair (u, v), u < v, is bit v(v-1)/2 + u of the body. The decode getter
-    picks from the decoded body, with one '0' appended, the adjacency rows
-    0..n-1 as binary strings written one after another, each from vertex
-    n-1 down to vertex 0: (u, v) and (v, u) read one shared position and the
-    diagonal reads the appended '0'. The encode order runs the other way:
-    for each body position, an index into those concatenated row strings,
-    with the padding reading a '0' appended after them.
+    Pair (u, v), u < v, is bit v(v-1)/2 + u of the body. Row u is W bits,
+    vertex W-1 down to vertex 0, for the least W in 8, 16, 32, 64 that holds
+    n: the row struct's n big-endian fields. The decode getter picks the
+    rows one after another from the decoded body with one '0' appended:
+    (u, v) and (v, u) read one shared position, the diagonal and vertices
+    n..W-1 read the '0'. The encode order runs the other way: for each body
+    position, an index into those rows, the padding reading a '0' after them.
     """
+    width = max(8, 1 << (n - 1).bit_length())
     sentinel = 6 * ((pair_count(n) + 5) // 6)
-    flat = [sentinel if u == v else max(u, v) * (max(u, v) - 1) // 2 + min(u, v)
-            for u in range(n) for v in range(n - 1, -1, -1)]
-    order = [n * n] * sentinel
+    flat = [sentinel if u == v or v >= n else max(u, v) * (max(u, v) - 1) // 2 + min(u, v)
+            for u in range(n) for v in range(width - 1, -1, -1)]
+    order = [n * width] * sentinel
     for i, pos in enumerate(flat):
         if pos != sentinel:
             order[pos] = i
-    return itemgetter(*flat), tuple(order)
+    return itemgetter(*flat), Struct(f">{n}{'BHIQ'[width.bit_length() - 4]}"), tuple(order)
 
 
 def to_graph6(g: Graph) -> str:
@@ -244,9 +247,9 @@ def to_graph6(g: Graph) -> str:
     else:
         # 18-bit extended order for 63 <= n <= 258047; we only ever need <= 64
         head = "~" + "".join(chr(63 + (n >> shift & 0x3F)) for shift in (12, 6, 0))
-    _, order = _graph6_tables(n)
-    rows = "".join([format(row, "b").zfill(n) for row in g.adj]) + "0"
-    bits = "".join([rows[i] for i in order])
+    _, rows, order = _graph6_tables(n)
+    padded = format(int.from_bytes(rows.pack(*g.adj), "big"), f"0{8 * rows.size}b") + "0"
+    bits = "".join([padded[i] for i in order])
     return head + "".join([chr(63 + int(bits[i:i + 6], 2))
                            for i in range(0, len(bits), 6)])
 
@@ -259,20 +262,20 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise Graph6ParseError("empty line")
-    if line[0] == "~":
+    n, pos = ord(line[0]) - 63, 1
+    if not 0 <= n <= 62:  # not a one-character header '?'..'}'
+        if n != 63:
+            raise Graph6ParseError(f"invalid character {line[0]!r}")
         if len(line) >= 2 and line[1] == "~":
             raise Graph6ParseError("graphs beyond 64 vertices are unsupported")
         if len(line) < 4:
             raise Graph6ParseError("truncated extended vertex count")
-        head, pos = line[1:4], 4
-    else:
-        head, pos = line[0], 1
-    n = 0
-    for ch in head:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise Graph6ParseError(f"invalid character {ch!r}")
-        n = n << 6 | val
+        n, pos = 0, 4
+        for ch in line[1:4]:
+            val = ord(ch) - 63
+            if not 0 <= val <= 63:
+                raise Graph6ParseError(f"invalid character {ch!r}")
+            n = n << 6 | val
     if not 1 <= n <= MAX_VERTICES:
         raise Graph6ParseError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     nbits = pair_count(n)
@@ -288,11 +291,9 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6ParseError(f"invalid character {bad!r}")
     if "1" in bits[nbits:]:
         raise Graph6ParseError("nonzero padding bits")
-    getter, _ = _graph6_tables(n)
-    rows = int("".join(getter(bits + "0")), 2)
-    mask = (1 << n) - 1
-    return _symmetric_graph(tuple([rows >> shift & mask
-                                   for shift in range(n * n - n, -1, -n)]))
+    getter, rows, _ = _graph6_tables(n)
+    return _symmetric_graph(rows.unpack(int("".join(getter(bits + "0")), 2)
+                                        .to_bytes(rows.size, "big")))
 
 
 # ---------------------------------------------------------------------------

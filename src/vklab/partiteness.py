@@ -3,10 +3,12 @@ membership for graphs with bounded k-partiteness.
 
 A graph is k-partite exactly when it is properly k-colorable (parts may be
 empty). The partiteness parameter and membership ("at most m deletions?")
-are one search over ascending deletion budgets: a greedy colouring
-certifies every budget from its deletion count up, and each smaller budget
-is decided by a backtracking search in which every vertex joins a colour
-class or, while the budget lasts, is deleted.
+are one search over ascending deletion budgets: a first-fit colouring in
+vertex order certifies every budget from its deletion count up, and each
+smaller budget is decided by a backtracking search, in descending-degree
+order, in which every vertex is deleted while the budget lasts or else
+joins a colour class. The certificate depends on the labelling; the
+answer does not.
 Everything here is exact, sized for graphs of at most a dozen vertices
 inside enumeration loops.
 """
@@ -42,23 +44,22 @@ def check_k(k: int) -> None:
         raise InvalidParamsError(f"k must be >= 2, got {k}")
 
 
-def _by_degree(adj) -> list[int]:  # the order of every pass
-    return sorted(range(len(adj)), key=[row.bit_count() for row in adj].__getitem__, reverse=True)
-
-
-def _searcher(adj, order, k: int):
-    """The colour-or-delete search `place(i, used, budget)` over `order`:
-    each vertex joins a colour class free of its neighbours, opens at most
-    one new class (used-colour symmetry pruning), or is deleted while the
-    budget lasts. It succeeds as soon as the vertices left can each open a
-    fresh class or be deleted."""
-    n = len(order)
+def _searcher(adj, k: int):
+    """The colour-or-delete search `place(i, used, budget)` over the
+    vertices in descending-degree order: each vertex is deleted while the
+    budget lasts, or else joins a colour class free of its neighbours or
+    opens at most one new class (used-colour symmetry pruning). It succeeds
+    as soon as the vertices left can each open a fresh class or be deleted."""
+    n = len(adj)
+    order = sorted(range(n), key=[row.bit_count() for row in adj].__getitem__, reverse=True)
     rows = [adj[v] for v in order]
     bits = [1 << v for v in order]
     classes = [0] * k  # invariant: classes[c] == 0 for every c >= used
 
     def place(i: int, used: int, budget: int) -> bool:
         if n - i <= k - used + budget:
+            return True
+        if budget and place(i + 1, used, budget - 1):
             return True
         row, bit = rows[i], bits[i]
         for c in range(used):
@@ -72,7 +73,7 @@ def _searcher(adj, order, k: int):
             if place(i + 1, used + 1, budget):
                 return True
             classes[used] = 0
-        return budget > 0 and place(i + 1, used, budget - 1)
+        return False
 
     return place
 
@@ -80,13 +81,12 @@ def _searcher(adj, order, k: int):
 def partiteness_within(adj, k: int, budgets) -> int | None:
     """Smallest b in the ascending `budgets` such that deleting at most b
     vertices leaves a k-partite graph, or None; adjacency rows are given
-    directly. A greedy pass in the search order (first free class, else
+    directly. A first-fit pass in vertex order (first free class, else
     delete) deleting d vertices certifies every b >= d, since v_k <= d; each
-    b < d is decided in turn by the exact search at budget b."""
-    order = _by_degree(adj)
+    b < d is decided in turn by the exact search at budget b, whose vertex
+    order is sorted by degree only then."""
     classes, deleted = [0] * k, 0
-    for v in order:
-        row = adj[v]
+    for v, row in enumerate(adj):
         for c, members in enumerate(classes):
             if not members & row:
                 classes[c] = members | 1 << v
@@ -100,7 +100,7 @@ def partiteness_within(adj, k: int, budgets) -> int | None:
         if budget >= deleted:
             return budget
         if place is None:
-            place = _searcher(adj, order, k)
+            place = _searcher(adj, k)
         if place(0, 0, budget):
             return budget
     return None

@@ -136,10 +136,10 @@ def _extend(n: int, parents) -> list[tuple[int, int]]:
 
     Each parent is decoded here and gains a last vertex joined to one set
     of each orbit of `_neighbourhoods`, so connected parents give connected
-    children; sets of more than `_most_neighbours` vertices are not made,
-    as the key test would reject their children. A child whose new vertex
-    is the only non-cut vertex of least key is kept with |Aut| = |Aut P| /
-    |orbit|, unlabelled; one that ties is settled by `_settle_tie`.
+    children; sets of more than `_key_test`'s `most` vertices are not
+    made, as the key test would reject their children. A child whose new
+    vertex is the only non-cut vertex of least key is kept with |Aut| =
+    |Aut P| / |orbit|, unlabelled; one that ties is settled by `_settle_tie`.
     A child's rows are valid by construction: the new vertex's bit is set
     on exactly the rows of its neighbours, and its own row is that set.
     """
@@ -147,8 +147,8 @@ def _extend(n: int, parents) -> list[tuple[int, int]]:
     new = 1 << (n - 1)
     for bits, aut in parents:
         rows = code_to_adj(bits, n - 1)
-        key_test = _key_test(rows)
-        for nbhd, orbit in _neighbourhoods(rows, aut, _most_neighbours(rows)):
+        key_test, most = _key_test(rows)
+        for nbhd, orbit in _neighbourhoods(rows, aut, most):
             ties = key_test(nbhd)
             if ties is None:
                 continue
@@ -215,37 +215,33 @@ def _neighbourhoods(adj, aut: int, most: int) -> list[tuple[int, int]]:
     return out
 
 
-def _most_neighbours(rows) -> int:
-    """1 + the least degree of a non-cut vertex w of the connected graph
-    `rows`: no child with a larger neighbourhood S passes the key test.
-    Such an S has two or more vertices, so it meets the one component of
-    `rows` less w, and w is a non-cut vertex of the child of degree at most
-    its own plus 1, which is less than |S|, the degree of the new vertex."""
-    full = (1 << len(rows)) - 1
-    for w in sorted(range(len(rows)), key=lambda u: rows[u].bit_count()):
-        rest = full ^ 1 << w
-        if connected_mask(rows, rest & -rest, rest) == rest:
-            return rows[w].bit_count() + 1
-
-
 def _key_test(rows):
-    """The key test of the children of the connected graph `rows`: a
-    function of a nonempty vertex set S that, for the child in which a new
-    last vertex v is joined to S, gives None when a vertex of smaller key
-    (degree, sum of neighbour degrees) than v is not a cut vertex, else the
-    bitset of the non-cut vertices other than v whose key equals v's (0
-    when there are none). v itself is not a cut vertex, as `rows` is
-    connected.
+    """(test, most): the key test of the children of the connected graph
+    `rows`, and the most neighbours a child may take and still pass it.
+
+    The test is a function of a nonempty vertex set S that, for the child
+    in which a new last vertex v is joined to S, gives None when a vertex
+    of smaller key (degree, sum of neighbour degrees) than v is not a cut
+    vertex, else the bitset of the non-cut vertices other than v whose key
+    equals v's (0 when there are none). v itself is not a cut vertex, as
+    `rows` is connected.
 
     Each child's keys come from the parent's: w's degree gains 1 when w is
     in S, and its sum gains |N(w) & S|, plus |S| when w is in S. Deleting w
     leaves the child connected exactly when S meets every component of the
     parent less w, so those components are found once per parent.
+
+    `most` is 1 + the least degree of a non-cut vertex w of `rows` (one
+    with at most one component less w). A set S of more neighbours has two
+    or more vertices, so it meets that component, and w is a non-cut vertex
+    of the child of degree at most its own plus 1, which is less than |S|,
+    the degree of v: the test gives None.
     """
     degree = [row.bit_count() for row in rows]
     sums = [_degree_sum(degree, row) for row in rows]
     full = (1 << len(rows)) - 1
     parts = []
+    most = len(rows)
     for w in range(len(rows)):
         rest, comps = full ^ 1 << w, []
         while rest:
@@ -253,6 +249,8 @@ def _key_test(rows):
             comps.append(comp)
             rest ^= comp
         parts.append(comps)
+        if len(comps) <= 1:
+            most = min(most, degree[w] + 1)
 
     def test(nbhd: int) -> int | None:
         size = nbhd.bit_count()
@@ -276,7 +274,7 @@ def _key_test(rows):
             if all(nbhd & comp for comp in comps):
                 return None
         return ties
-    return test
+    return test, most
 
 
 def _degree_sum(degree, vertices: int) -> int:
@@ -370,7 +368,7 @@ def catalogue(n: int, workers: int = 1) -> tuple[tuple[int, int], ...]:
 
     Level n extends each level n - 1 class P by a vertex v joined to one
     set S of each Aut(P)-orbit on the nonempty sets of at most
-    `_most_neighbours(P)` vertices (`_neighbourhoods`). It keeps the child
+    `_key_test(P)`'s `most` vertices (`_neighbourhoods`). It keeps the child
     G = P + S when v is in G's canonical orbit. G's candidates are
     its non-cut vertices of least key (degree, sum of neighbour degrees)
     and, of those, the ones of least `_least_invariant` (triangles through
@@ -385,7 +383,7 @@ def catalogue(n: int, workers: int = 1) -> tuple[tuple[int, int], ...]:
     orbit; let u be in it. G - u is connected, so some isomorphism f maps
     it onto a level n - 1 class P, and some a in Aut(P) maps f(N(u)) onto
     the set S that P is extended by: u has the least degree of G's non-cut
-    vertices, so |N(u)| is at most `_most_neighbours(P)` (see there). Then
+    vertices, so |N(u)| is at most `_key_test(P)`'s `most` (see there). Then
     a . f with u -> v maps G onto P + S and u to v, so v is in the
     canonical orbit of P + S, which is kept.
 

@@ -131,6 +131,20 @@ def test_graph6_large_n_round_trip(rng):
         assert parse_graph6(text) == g == reference_parse_graph6(text)
 
 
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 62, 63, 64])
+def test_graph6_at_each_row_width_boundary(n, rng):
+    """The decoder unpacks rows as 8-, 16-, 32- or 64-bit fields, the least
+    that holds n: each n here is the last or the first of a width (or the
+    last one-character header), and the empty, complete and random graphs
+    on it round-trip and agree with the bit-by-bit oracle."""
+    full = (1 << n) - 1
+    cases = [Graph(tuple([0] * n)), Graph(tuple(full ^ 1 << u for u in range(n)))]
+    cases += [random_graph(rng, n, p=p) for p in (0.1, 0.5, 0.9)]
+    for g in cases:
+        text = to_graph6(g)
+        assert parse_graph6(text) == g == reference_parse_graph6(text)
+
+
 def test_graph6_malformed():
     for bad in ("", "garbage!", "A", "A_~", "D~", "\x1c_"):
         with pytest.raises(Graph6ParseError):

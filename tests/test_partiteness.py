@@ -1,6 +1,8 @@
 """k-colorability, the partiteness parameter, and class membership."""
 
 import itertools
+import random
+import sys
 
 import networkx as nx
 import pytest
@@ -115,15 +117,20 @@ def test_partiteness_within_every_budget_against_brute(data):
             next((b for b in budgets if want <= b), None), budgets
 
 
-# P6 labelled 5-0-1-4-3-2: first-fit in descending-degree order (0, 1, 3, 4,
-# 2, 5) puts 0 and 3 in one class and 1 in the other, and then finds no
-# class for 4, which is adjacent to 1 and 3, although the path is bipartite
-_GREEDY_OVERSHOOTS = from_edges(6, [(0, 1), (0, 5), (1, 4), (2, 3), (3, 4)])
+# P4 labelled 0-2-3-1: first-fit in vertex order puts 0 and 1 in one
+# class and 2 in the other, and then finds no class for 3, which is
+# adjacent to 1 and 2, although the path is bipartite (in descending-degree
+# order, 2, 3, 0, 1, the same first-fit colours it outright)
+_GREEDY_OVERSHOOTS = from_edges(4, [(0, 2), (2, 3), (1, 3)])
 
 
 def test_partiteness_within_takes_the_certificate_or_the_search(monkeypatch):
-    searches, budgets = [], []
+    searches, budgets, places = [], [], []
     real = partiteness._searcher
+
+    def count_places(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "place":
+            places.append(frame.f_code.co_name)
 
     def counting(*args):
         searches.append(args)
@@ -132,7 +139,11 @@ def test_partiteness_within_takes_the_certificate_or_the_search(monkeypatch):
         def traced(i, used, budget):
             if i == 0:
                 budgets.append(budget)
-            return place(i, used, budget)
+            sys.setprofile(count_places)
+            try:
+                return place(i, used, budget)
+            finally:
+                sys.setprofile(None)
         return traced
 
     monkeypatch.setattr(partiteness, "_searcher", counting)
@@ -157,11 +168,46 @@ def test_partiteness_within_takes_the_certificate_or_the_search(monkeypatch):
     assert vertex_k_partiteness(K5, 3) == 2
     assert len(searches) == 4 and budgets == [0, 1]
     # a success stops the ascent: the greedy deletes 4 vertices of K2 joined
-    # to K(2,2), and the search at budget 2 succeeds, so 3 is never tried
+    # to K(2,2), and the search at budget 2 succeeds, so 3 is never tried;
+    # the search deletes a vertex before it colours it, which makes 21
+    # `place` calls over the three budgets (colouring first makes 39)
     budgets.clear()
+    places.clear()
     g = join_of(2, [2, 2])
     assert partiteness_within(g.adj, 2, (0, 1, 2, 3)) == 2
     assert len(searches) == 5 and budgets == [0, 1, 2]
+    assert len(places) == 21
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_partiteness_within_ignores_vertex_labels(n):
+    """The first-fit certificate runs in vertex order, so it can succeed on
+    one labelling of a graph and fail on another; the answer must not
+    depend on which. Every k in {2, 3, 4} and a few budget sets are tried
+    on random graphs of n vertices under random relabellings."""
+    rnd = random.Random(n)
+    for _ in range(6):
+        g = random_graph(rnd, n, p=rnd.uniform(0.3, 0.8))
+        for k in (2, 3, 4):
+            top = n - k
+            sets = [range(top + 1), (0,), (1, 2), (top // 2, top),
+                    sorted(rnd.sample(range(top + 1), 3))]
+            want = [partiteness_within(g.adj, k, budgets) for budgets in sets]
+            for _ in range(4):
+                perm = list(range(n))
+                rnd.shuffle(perm)
+                h = from_edges(n, [(perm[u], perm[v]) for u, v in nx_of(g).edges()])
+                assert [partiteness_within(h.adj, k, budgets) for budgets in sets] == want
+
+
+def test_vk_of_large_construction_is_m():
+    """Beyond the brute-force range: K_m joined onto a complete k-partite
+    graph has v_k = m, for 20 <= n <= 40."""
+    for m, sizes in ((2, [6, 6, 6]), (5, [4, 4, 4, 3]), (8, [8, 9]),
+                     (10, [10, 10, 10]), (6, [7, 7, 7, 7, 6]), (3, [12, 13])):
+        assert 20 <= m + sum(sizes) <= 40
+        k = len(sizes)
+        assert vertex_k_partiteness(join_family_graph(m, sizes), k) == m
 
 
 def test_vk_zero_iff_k_partite(rng):

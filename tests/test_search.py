@@ -78,7 +78,7 @@ def test_catalogue_sizes_match_a001349():
 
 
 def test_extend_labels_only_ties_the_invariant_leaves_open(monkeypatch):
-    """One neighbourhood per Aut(P)-orbit, of at most `_most_neighbours`
+    """One neighbourhood per Aut(P)-orbit, of at most `_key_test`'s `most`
     vertices, gives 2,140 children for the n <= 7 levels (4,159 with no
     cap), and 409 of them tie on the (degree, neighbour-degree sum) key.
     The labeller is called 280 times: once for each of the 54 parents with
@@ -148,7 +148,7 @@ def test_pretest_verdict_matches_its_definition():
     rejected = tied = 0
     for n in range(2, 8):
         for bits, _ in catalogue(n - 1):
-            key_test = search._key_test(code_to_adj(bits, n - 1))
+            key_test, _ = search._key_test(code_to_adj(bits, n - 1))
             for nbhd, child in _unfiltered_children(bits, n - 1):
                 verdict = key_test(nbhd)
                 assert verdict == reference_key_test(child), child
@@ -246,7 +246,7 @@ def test_children_past_the_neighbourhood_cap_fail_the_key_test():
     for n in range(2, 8):
         for bits, _ in catalogue(n - 1):
             h = nx_of(code_to_graph(bits, n - 1))
-            most = search._most_neighbours(code_to_adj(bits, n - 1))
+            _, most = search._key_test(code_to_adj(bits, n - 1))
             cut = set(nx.articulation_points(h))
             assert most == 1 + min(h.degree(w) for w in h if w not in cut)
             for nbhd, child in _unfiltered_children(bits, n - 1):
